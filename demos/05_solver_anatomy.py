@@ -46,10 +46,12 @@ print(f"log-objective slope over the last half: {slope:.4f} per iteration")
 # changes at most two weights, so the update touches one or two Gram columns
 # instead of recomputing <grad, d> for the whole active set.
 from localpolytope import CorrelationTensor
+from localpolytope.tensor import tensor_strategy_inner
 
 active = res.active_set
 target = CorrelationTensor(p.scenario, 0.60 * p.entries.astype(float))
 cache = InnerProductCache(active, target)  # rebuilt fresh here
-grad = active.recompute_iterate() - target.entries
-drift = np.abs(cache.values() - cache.recomputed_values(grad)).max()
+grad = CorrelationTensor(p.scenario, active.recompute_iterate() - target.entries)
+direct = [tensor_strategy_inner(grad, s) for s in active.atoms]
+drift = np.abs(cache.values() - direct).max()
 print(f"cache vs direct recomputation: max deviation {drift:.2e}")

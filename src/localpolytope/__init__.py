@@ -46,7 +46,6 @@ from .fw import (
     SolverResult,
     bpcg,
     extract_hyperplane,
-    fast_inner_cache,
     frank_wolfe_vanilla,
 )
 from .certify import (

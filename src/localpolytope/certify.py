@@ -703,6 +703,14 @@ class _Lines:
                 return ln.strip()
         raise CertificateError("unexpected end of certificate")
 
+    def keyed(self, key, *counts):
+        """Values after ``key`` on the next line; their number must be one of
+        ``counts`` (default 1)."""
+        toks = self.next().split()
+        if toks[0] != key or len(toks) - 1 not in (counts or (1,)):
+            raise CertificateError(f"expected a {key} line")
+        return toks[1:]
+
     def peek(self):
         p = self.pos
         try:
@@ -740,27 +748,29 @@ def _read_embedded_tensor(lines):
 
 
 def read_certificate(fp):
-    lines = _Lines(fp)
+    """Parse a certificate file; every malformed input raises CertificateError."""
+    try:
+        return _read_certificate(_Lines(fp))
+    except CertificateError:
+        raise
+    except (IndexError, KeyError, ValueError, ZeroDivisionError) as e:
+        raise CertificateError(f"malformed certificate: {e}") from e
+
+
+def _read_certificate(lines):
     head = lines.next()
     if head not in ("LOWER-CERTIFICATE", "UPPER-CERTIFICATE"):
         raise CertificateError(f"unrecognised header {head!r}")
     kind = "lower" if head.startswith("LOWER") else "upper"
 
-    toks = lines.next().split()
-    if toks[0] != "SCENARIO":
-        raise CertificateError("missing SCENARIO")
-    sc = Scenario(int(toks[1]), int(toks[2]), toks[3] == "true")
+    parties, inputs, marginals = lines.keyed("SCENARIO", 3)
+    sc = Scenario(int(parties), int(inputs), marginals == "true")
 
-    toks = lines.next().split()
-    if toks[0] != "TARGET":
-        raise CertificateError("missing TARGET")
-    target_kind = toks[1]
+    (target_kind,) = lines.keyed("TARGET")
     alice = bob = tensor = None
     if target_kind == "singlet":
-        toks = lines.next().split()
-        alice = _read_triples(lines, int(toks[1]))
-        toks = lines.next().split()
-        bob = _read_triples(lines, int(toks[1]))
+        alice = _read_triples(lines, int(lines.keyed("MEASUREMENTS_A")[0]))
+        bob = _read_triples(lines, int(lines.keyed("MEASUREMENTS_B")[0]))
     elif target_kind == "tensor":
         if lines.next() != "TENSOR":
             raise CertificateError("missing TENSOR section")
@@ -771,24 +781,20 @@ def read_certificate(fp):
         vertices = None
         nxt = lines.peek()
         if nxt and nxt.startswith("VERTICES"):
-            toks = lines.next().split()
-            raw = _read_triples(lines, int(toks[1]))
+            raw = _read_triples(lines, int(lines.keyed("VERTICES")[0]))
             vertices = tuple(
                 RationalPoint(Fraction(a), Fraction(b), Fraction(c)) for a, b, c in raw
             )
-        toks = lines.next().split()
-        if toks[0] != "ETA_SQ":
-            raise CertificateError("missing ETA_SQ")
-        eta_sq = None if toks[1] == "none" else Fraction(toks[1])
-        toks = lines.next().split()
-        v0 = Fraction(toks[1])
-        toks = lines.next().split()
-        atoms = [DeterministicStrategy.from_string(lines.next()) for _ in range(int(toks[1]))]
-        toks = lines.next().split()
-        weights = [Fraction(lines.next()) for _ in range(int(toks[1]))]
-        residual_sq = Fraction(lines.next().split()[1])
-        nu = Fraction(lines.next().split()[1])
-        v_low = Fraction(lines.next().split()[1])
+        (eta_tok,) = lines.keyed("ETA_SQ")
+        eta_sq = None if eta_tok == "none" else Fraction(eta_tok)
+        v0 = Fraction(lines.keyed("V0")[0])
+        n_atoms = int(lines.keyed("ATOMS")[0])
+        atoms = [DeterministicStrategy.from_string(lines.next()) for _ in range(n_atoms)]
+        n_weights = int(lines.keyed("WEIGHTS")[0])
+        weights = [Fraction(lines.next()) for _ in range(n_weights)]
+        residual_sq = Fraction(lines.keyed("RESIDUAL_SQ")[0])
+        nu = Fraction(lines.keyed("NU")[0])
+        v_low = Fraction(lines.keyed("V_LOW")[0])
         if lines.next() != "END":
             raise CertificateError("missing END")
         return LowerBoundCertificate(
@@ -798,16 +804,18 @@ def read_certificate(fp):
     if lines.next() != "M":
         raise CertificateError("missing M section")
     functional = BellFunctional(_read_embedded_tensor(lines))
-    ell = int(lines.next().split()[1])
-    qline = lines.next().split()
-    if "TOL" in qline:
-        q = float(qline[1])
-        q_tol = float(qline[3])
-        v_up = float(lines.next().split()[1])
+    ell = int(lines.keyed("ELL")[0])
+    qvals = lines.keyed("Q", 1, 3)
+    if len(qvals) == 3:
+        if qvals[1] != "TOL":
+            raise CertificateError("expected a Q line")
+        q = float(qvals[0])
+        q_tol = float(qvals[2])
+        v_up = float(lines.keyed("V_UP")[0])
     else:
-        q = Fraction(qline[1])
+        q = Fraction(qvals[0])
         q_tol = 0.0
-        v_up = Fraction(lines.next().split()[1])
+        v_up = Fraction(lines.keyed("V_UP")[0])
     if lines.next() != "END":
         raise CertificateError("missing END")
     return UpperBoundCertificate(sc, target, functional, ell, q, v_up, q_tol)

@@ -42,7 +42,7 @@ from .states import build_quantum_tensor, chsh_vectors, ghz_polygon_tensor, sing
 from .tensor import Scenario, read_tensor
 
 # schedules reproducing the named geodesic polyhedra by input count
-GEODESIC_SCHEDULES = {6: [], 21: [2], 46: [3], 91: [4], 406: [3, 3]}
+GEODESIC_SCHEDULES = {6: [], 21: [2], 46: [3], 81: [4], 406: [3, 3]}
 
 
 class CliError(Exception):

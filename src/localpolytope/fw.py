@@ -109,9 +109,6 @@ class ActiveSet:
             x += w * t
         return x
 
-    def iterate_tensor(self):
-        return CorrelationTensor(self.scenario, self.x.copy())
-
     def iterate_error(self):
         return float(np.abs(self.x - self.recompute_iterate()).max())
 
@@ -169,16 +166,6 @@ class InnerProductCache:
     def rebuild(self):
         self.s = self.gram @ self.active.weights
 
-    def recomputed_values(self, gradient_entries):
-        sc = self.active.scenario
-        g = CorrelationTensor(sc, gradient_entries)
-        return np.array([tensor_strategy_inner(g, s) for s in self.active.atoms])
-
-
-def fast_inner_cache(active, v0p):
-    """Incremental evaluator of gradient inner products over an active set."""
-    return InnerProductCache(active, v0p)
-
 
 @dataclass
 class SolverResult:
@@ -234,76 +221,7 @@ def frank_wolfe_vanilla(p, v0, cfg=None):
     -------
     SolverResult with the final active set, distance, and verdict.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    if not 0 <= v0 <= 1:
-        raise ValueError("v0 must lie in [0, 1]")
-    sc = p.scenario
-    target = _zero_root(_target_entries(p, v0), sc)
-    target_t = CorrelationTensor(sc, target)
-
-    active = ActiveSet(sc)
-    seed = cfg.seed
-    lam0 = heuristic_lmo(
-        CorrelationTensor(sc, -target), cfg.restarts, seed, cfg.threads
-    )
-    lmo_calls = 1
-    active.add_atom(lam0, 1.0)
-    active.x = active.tensors[0].copy()
-
-    res = SolverResult(active, 0.0, 0.0, target_t, 0, lmo_calls, STATUS_CAP)
-    gap = np.inf
-    t = 0
-    for t in range(cfg.max_iterations):
-        x = _zero_root(active.x, sc)
-        dist = _dist(x, target)
-        if cfg.trace:
-            res.f_history.append(0.5 * dist**2)
-        if dist <= cfg.eps:
-            res.status = STATUS_INSIDE
-            break
-        grad = x - target
-        seed += 1
-        omega = heuristic_lmo(CorrelationTensor(sc, grad), cfg.restarts, seed, cfg.threads)
-        lmo_calls += 1
-        d = _zero_root(strategy_tensor(omega.canonical(sc), sc).entries, sc)
-        diff = x - d
-        gap = float(np.dot(grad.reshape(-1), diff.reshape(-1)))
-        if gap <= 0.5 * cfg.eps**2:
-            res.status = STATUS_SEPARATED if dist > cfg.eps else STATUS_INSIDE
-            break
-        # f(x) - gap lower-bounds the optimum; if that exceeds the target
-        # accuracy the point cannot be inside (up to oracle suboptimality)
-        if 0.5 * dist**2 - gap > 0.5 * cfg.eps**2:
-            res.status = STATUS_SEPARATED
-            break
-        i = active.add_atom(omega)
-        denom = float(np.dot(diff.reshape(-1), diff.reshape(-1)))
-        gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
-        if cfg.debug:
-            f_old = 0.5 * dist**2
-        active.weights *= 1 - gamma
-        active.weights[i] += gamma
-        active.x = active.x + gamma * (active.tensors[i] - active.x)
-        active.purge_zero_weights()
-        active.renormalize()
-        if cfg.debug:
-            f_new = 0.5 * _dist(_zero_root(active.x, sc), target) ** 2
-            assert f_new <= f_old + 1e-12, "objective increased"
-        if cfg.callback and cfg.callback_every and t % cfg.callback_every == 0:
-            cfg.callback(t, dist, gap, len(active))
-    else:
-        t = cfg.max_iterations
-
-    x = _zero_root(active.x, sc)
-    res.distance = _dist(x, target)
-    if res.distance <= cfg.eps:
-        res.status = STATUS_INSIDE
-    res.phi = gap if np.isfinite(gap) else 0.0
-    res.gradient = CorrelationTensor(sc, x - target)
-    res.iterations = t
-    res.lmo_calls = lmo_calls
-    return res
+    return _solve(p, v0, cfg, lazy=False)
 
 
 def bpcg(p, v0, cfg=None):
@@ -320,11 +238,22 @@ def bpcg(p, v0, cfg=None):
     additionally carries the final Phi and, with ``cfg.trace``, the per-step
     type sequence.
     """
+    return _solve(p, v0, cfg, lazy=True)
+
+
+def _solve(p, v0, cfg, lazy):
+    """The conditional-gradient loop behind both public solvers.
+
+    With ``lazy`` this is BPCG.  Without it the pairwise test is skipped, so
+    every iteration takes the oracle branch and a Frank-Wolfe step; Phi then
+    holds the last Frank-Wolfe gap and no step types are recorded.
+    """
     if cfg is None:
         cfg = SolverConfig()
     if not 0 <= v0 <= 1:
         raise ValueError("v0 must lie in [0, 1]")
     K = cfg.lazy_tolerance
+    tol = 0.5 * cfg.eps**2
     sc = p.scenario
     target = _zero_root(_target_entries(p, v0), sc)
     target_t = CorrelationTensor(sc, target)
@@ -338,7 +267,7 @@ def bpcg(p, v0, cfg=None):
     cache = InnerProductCache(active, target_t)
 
     dist = _dist(_zero_root(active.x, sc), target)
-    phi = 0.5 * dist**2
+    phi = 0.5 * dist**2 if lazy else np.inf
     res = SolverResult(active, dist, phi, target_t, 0, lmo_calls, STATUS_CAP)
 
     t = 0
@@ -346,24 +275,24 @@ def bpcg(p, v0, cfg=None):
     for t in range(cfg.max_iterations):
         x = _zero_root(active.x, sc)
         dist = _dist(x, target)
+        f = 0.5 * dist**2
         if cfg.trace:
-            res.f_history.append(0.5 * dist**2)
-            res.phi_history.append(phi)
+            res.f_history.append(f)
+            if lazy:
+                res.phi_history.append(phi)
         if dist <= cfg.eps:
             res.status = STATUS_INSIDE
             break
-        if phi <= 0.5 * cfg.eps**2:
+        if phi <= tol:
             res.status = STATUS_SEPARATED
             break
-        if cfg.debug:
-            f_old = 0.5 * dist**2
 
         vals = cache.values()
         i_away = int(np.argmax(vals))
         i_local = int(np.argmin(vals))
         step = None
 
-        if vals[i_away] - vals[i_local] >= phi:
+        if lazy and vals[i_away] - vals[i_local] >= phi:
             # pairwise transfer along d_local - d_away
             ga = vals[i_away] - vals[i_local]
             asq = (
@@ -396,7 +325,14 @@ def bpcg(p, v0, cfg=None):
             gx = float(active.weights @ vals)  # <grad, x>
             gw = tensor_strategy_inner(CorrelationTensor(sc, grad), omega)
             gap = gx - gw
-            if gap >= phi / K:
+            # f(x) - gap lower-bounds the optimum; if that exceeds the target
+            # accuracy the point cannot be inside (up to oracle suboptimality)
+            if not lazy:
+                phi = gap
+                if gap <= tol or f - gap > tol:
+                    res.status = STATUS_SEPARATED
+                    break
+            if not lazy or gap >= phi / K:
                 # Frank-Wolfe step toward the oracle vertex
                 i = active.add_atom(omega)
                 cache.add_atom(i, active.atoms[i])
@@ -413,10 +349,9 @@ def bpcg(p, v0, cfg=None):
                     cache = InnerProductCache(active, target_t)
                 step = "fw"
             else:
-                # no progress available anywhere; f(x) - gap lower-bounds the
-                # optimum, so a large value already settles the verdict, at
-                # the price of a cruder final gradient
-                if cfg.early_separation and 0.5 * dist**2 - gap > 0.5 * cfg.eps**2:
+                # no progress available anywhere; a large lower bound already
+                # settles the verdict, at the price of a cruder final gradient
+                if cfg.early_separation and f - gap > tol:
                     res.status = STATUS_SEPARATED
                     break
                 phi = phi / 2
@@ -424,11 +359,11 @@ def bpcg(p, v0, cfg=None):
 
         if active.renormalize():
             cache.rebuild()
-        if cfg.trace:
+        if cfg.trace and lazy:
             res.step_types.append(step)
         if cfg.debug:
             f_new = 0.5 * _dist(_zero_root(active.x, sc), target) ** 2
-            assert f_new <= f_old + 1e-12, f"objective increased on {step} step"
+            assert f_new <= f + 1e-12, f"objective increased on {step} step"
             assert abs(active.weights.sum() - 1) <= 1e-9, "weights do not sum to 1"
             assert active.weights.min() >= -1e-15, "negative weight"
         if (t + 1) % rebuild_every == 0:
@@ -443,7 +378,7 @@ def bpcg(p, v0, cfg=None):
     res.distance = _dist(x, target)
     if res.distance <= cfg.eps:
         res.status = STATUS_INSIDE
-    res.phi = phi
+    res.phi = phi if np.isfinite(phi) else 0.0
     res.gradient = CorrelationTensor(sc, x - target)
     res.iterations = t
     res.lmo_calls = lmo_calls

@@ -56,25 +56,17 @@ def _extended(mat, marginals):
 _AXES = "abcd"
 
 
-def _party_contraction(G, signs, n, marginals):
-    """Coefficients of party n's signs given the other parties' (m, R) signs."""
-    N = G.ndim
-    ops = []
-    spec = [_AXES[:N]]
-    for j in range(N):
-        if j == n:
-            continue
-        ops.append(_extended(signs[j], marginals))
-        spec.append(_AXES[j] + "r")
-    out = np.einsum(",".join(spec) + "->" + _AXES[n] + "r", G, *ops)
-    return out
+def _contract(G, signs, marginals, free=None):
+    """Contract G with every party's (m, R) signs but ``free``'s, batched over R.
 
-
-def _batch_objective(G, signs, marginals):
-    N = G.ndim
-    ops = [_extended(s, marginals) for s in signs]
-    spec = _AXES[:N] + "," + ",".join(_AXES[j] + "r" for j in range(N))
-    return np.einsum(spec + "->r", G, *ops)
+    Returns the free party's (axis, R) coefficients, or the (R,) values
+    <G, d_r> when no party is free; ``signs[free]`` is never read.
+    """
+    parties = [j for j in range(G.ndim) if j != free]
+    spec = _AXES[: G.ndim] + "," + ",".join(_AXES[j] + "r" for j in parties)
+    out = "r" if free is None else _AXES[free] + "r"
+    ops = [_extended(signs[j], marginals) for j in parties]
+    return np.einsum(spec + "->" + out, G, *ops)
 
 
 def maximize_functional_heuristic(
@@ -100,10 +92,10 @@ def maximize_functional_heuristic(
         prev = np.full(R, -np.inf)
         for _ in range(max_rounds):
             for n in range(N):
-                C = _party_contraction(G, signs, n, sc.marginals)
+                C = _contract(G, signs, sc.marginals, free=n)
                 coeff = C[1:] if sc.marginals else C
                 signs[n] = np.where(coeff >= 0, 1.0, -1.0)
-            vals = _batch_objective(G, signs, sc.marginals)
+            vals = _contract(G, signs, sc.marginals)
             if np.all(vals <= prev + 1e-12):
                 break
             prev = vals
@@ -197,16 +189,7 @@ def exhaustive_lmo(gradient, batch=1 << 14):
         signs = [rows[:, j * m : (j + 1) * m].T for j in range(N - 1)]
 
         # contraction onto the last party's axis, batched over assignments
-        ops = [_extended(s, sc.marginals) for s in signs]
-        spec = (
-            _AXES[:N]
-            + ","
-            + ",".join(_AXES[j] + "r" for j in range(N - 1))
-            + "->"
-            + _AXES[N - 1]
-            + "r"
-        )
-        C = np.einsum(spec, G, *ops)
+        C = _contract(G, signs, sc.marginals, free=N - 1)
         if sc.marginals:
             base = C[0]
             coeff = C[1:]

@@ -193,12 +193,9 @@ class DeterministicStrategy:
 
     def signs(self, n):
         """Sign vector of party n as an int8 array of +-1."""
-        b = self.bits[n]
-        out = np.ones(self.inputs, dtype=np.int8)
-        for x in range(self.inputs):
-            if b >> x & 1:
-                out[x] = -1
-        return out
+        m = self.inputs
+        raw = np.frombuffer(self.bits[n].to_bytes((m + 7) // 8, "little"), np.uint8)
+        return 1 - 2 * np.unpackbits(raw, count=m, bitorder="little").astype(np.int8)
 
     def sign_vectors(self):
         return [self.signs(n) for n in range(self.parties)]

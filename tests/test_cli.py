@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from localpolytope.cli import main
+from localpolytope.cli import GEODESIC_SCHEDULES, main
 from localpolytope.certify import read_certificate
+from localpolytope.polyhedra import geodesic_icosahedron
 from localpolytope.states import ghz_polygon_tensor
 from localpolytope.tensor import CorrelationTensor, Scenario, write_tensor
 
@@ -124,6 +125,30 @@ def test_certify_rejects_mutation(tmp_path, capsys):
     assert run(["certify", "verify", "--in", str(bad)]) == 1
 
 
+
+@pytest.fixture(scope="module")
+def chsh_lower_text(tmp_path_factory):
+    cert = tmp_path_factory.mktemp("cert") / "low.cert"
+    assert run(["solve", "lower", "--state", "werner", "--m", "2",
+                "--v0", "0.70", "--seed", "1", "--out", str(cert)]) == 0
+    return cert.read_text()
+
+
+@pytest.mark.parametrize("key, broken", [
+    ("V0", "V0"),                  # keyword without its value
+    ("V0", "V0 1/0"),              # zero denominator
+    ("RESIDUAL_SQ", "RESIDUAL"),   # renamed keyword
+])
+def test_certify_malformed_line_is_a_clean_error(chsh_lower_text, tmp_path, capsys,
+                                                 key, broken):
+    line = [ln for ln in chsh_lower_text.splitlines() if ln.split()[0] == key][0]
+    bad = tmp_path / "bad.cert"
+    bad.write_text(chsh_lower_text.replace(line, broken))
+    capsys.readouterr()
+    assert run(["certify", "verify", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+
 def test_report_table_and_csv(tmp_path, capsys):
     low = tmp_path / "low.cert"
     up = tmp_path / "up.cert"
@@ -164,6 +189,14 @@ def test_unknown_m_is_an_error(capsys):
                 "--v0", "0.5"]) == 1
     assert "no built-in polyhedron" in capsys.readouterr().err
 
+
+
+def test_geodesic_schedules_match_their_input_counts(capsys):
+    for m, schedule in GEODESIC_SCHEDULES.items():
+        assert len(geodesic_icosahedron(schedule)) == 2 * m
+    assert run(["solve", "decide", "--state", "werner", "--m", "91",
+                "--v0", "0.5"]) == 1
+    assert "no built-in polyhedron" in capsys.readouterr().err
 
 def test_usage_error_exit_code():
     assert run(["solve", "lower"]) == 1  # missing --v0

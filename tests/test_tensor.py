@@ -254,6 +254,23 @@ def test_strategy_sign_vector_roundtrip_idempotent():
         assert DeterministicStrategy.from_signs(s.sign_vectors()) == s
 
 
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 406])
+def test_signs_unpack_matches_bit_loop(m):
+    # the per-bit loop is the reference; past m = 64 the bits are big ints
+    rng = np.random.default_rng(m)
+    words = [0, (1 << m) - 1] + [
+        int.from_bytes(rng.bytes((m + 7) // 8), "little") % (1 << m) for _ in range(20)
+    ]
+    for b in words:
+        expected = np.ones(m, dtype=np.int8)
+        for x in range(m):
+            if b >> x & 1:
+                expected[x] = -1
+        got = DeterministicStrategy([b], m).signs(0)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, expected)
+
 def test_werner_mixture_equals_scaled_singlet():
     from localpolytope.states import chsh_vectors, singlet_tensor
 

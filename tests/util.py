@@ -3,7 +3,7 @@
 import numpy as np
 from fractions import Fraction
 
-from localpolytope.tensor import CorrelationTensor
+from localpolytope.tensor import CorrelationTensor, tensor_strategy_inner
 
 
 def unit_rational_tensor(scenario, rng):
@@ -25,3 +25,10 @@ def unit_rational_tensor(scenario, rng):
     r = e - 2 * (u @ e) / (u @ u) * u
     assert r @ r == 1
     return CorrelationTensor(scenario, r.reshape(scenario.shape))
+
+
+def recomputed_values(active, gradient_entries):
+    """<grad, d_lambda> for every active atom, computed directly; the reference
+    for the incrementally maintained InnerProductCache.values()."""
+    g = CorrelationTensor(active.scenario, gradient_entries)
+    return np.array([tensor_strategy_inner(g, s) for s in active.atoms])
