@@ -9,7 +9,9 @@ Bell functional with its exact local bound.
 
 Every irrational square root is replaced by a directed rational bound at
 denominator scale 10^18, always rounded in the direction that weakens the
-claimed bound.
+claimed bound.  The one float shortcut in the exact path, the integer tensor
+of a model in ``_exact_residual_sq``, runs on BLAS only while every partial
+sum is an integer of magnitude at most 2^53, so it is exact.
 """
 
 import math
@@ -258,13 +260,52 @@ def rationalize_weights(active, p, v0):
         if weights[i] < 0:
             raise CertificateError("weight rounding could not be repaired")
 
-    sc = p.scenario
-    x = np.full(sc.shape, Fraction(0), dtype=object)
-    for q, a in zip(weights, atoms):
-        x = x + q * strategy_tensor(a, sc, exact=True).entries
-    diff = CorrelationTensor(sc, x - v0 * p.entries)
-    residual_sq = norm2_sq(diff)
+    residual_sq = _exact_residual_sq(atoms, weights, p, v0)
     return RationalModel(atoms, weights, residual_sq, exact=True)
+
+
+def _exact_residual_sq(atoms, weights, p, v0):
+    """||sum_i w_i d_i - v0 p||^2 as an exact Fraction, root entry excluded.
+
+    With D the lcm of the weight denominators, k_i = w_i D are integers and
+    X = sum_i k_i s_i^(1) x ... x s_i^(N) is an integer tensor, built as one
+    matrix product of the stacked +-1 sign matrices.  In float64 that product
+    is exact in any summation order while sum_i |k_i| <= 2^53: every term is
+    +-k_i and every partial sum is an integer of magnitude at most
+    sum_i |k_i|, hence representable.  Above that bound the same product runs
+    on Python ints.  With v0 = a/b and P the lcm of the denominators of p,
+    the residual is ||X b P - a D (p P)||^2 / (D b P)^2, summed in Python ints.
+    """
+    sc = p.scenario
+    weights = [Fraction(w) for w in weights]
+    D = math.lcm(*(w.denominator for w in weights))
+    k = [w.numerator * (D // w.denominator) for w in weights]
+    dtype = np.float64 if sum(abs(x) for x in k) <= 2**53 else object
+    signs = []
+    for n in range(sc.parties):
+        S = np.array([a.signs(n) for a in atoms], dtype=np.int8).reshape(len(atoms), sc.inputs)
+        if sc.marginals:
+            S = np.hstack([np.ones((len(atoms), 1), dtype=np.int8), S])
+        signs.append(S.astype(dtype))
+    L = np.array(k, dtype=dtype).reshape(-1, 1)
+    for S in signs[:-1]:
+        L = (L[:, :, None] * S[:, None, :]).reshape(len(atoms), L.shape[1] * S.shape[1])
+    X = (L.T @ signs[-1]).reshape(-1)
+    if dtype is np.float64:
+        X = X.astype(np.int64)
+
+    v0 = Fraction(v0)
+    target = [Fraction(x) for x in p.entries.reshape(-1)]
+    P = math.lcm(*(t.denominator for t in target))
+    scale_x = v0.denominator * P
+    scale_p = v0.numerator * D
+    diff = [
+        int(x) * scale_x - scale_p * t.numerator * (P // t.denominator)
+        for x, t in zip(X, target)
+    ]
+    if sc.marginals:
+        diff[0] = 0  # the root entry, index (0, ..., 0)
+    return Fraction(sum(d * d for d in diff), (D * scale_x) ** 2)
 
 
 # --- certificate objects -----------------------------------------------------
@@ -522,11 +563,7 @@ def _verify_lower(cert):
     if not p.is_exact:
         return _fail("target is not exactly rational")
 
-    x = np.full(sc.shape, Fraction(0), dtype=object)
-    for q, a in zip(cert.weights, cert.atoms):
-        x = x + q * strategy_tensor(a, sc, exact=True).entries
-    diff = CorrelationTensor(sc, x - cert.v0 * p.entries)
-    if norm2_sq(diff) != cert.residual_sq:
+    if _exact_residual_sq(cert.atoms, cert.weights, p, cert.v0) != cert.residual_sq:
         return _fail("residual mismatch")
 
     if not (0 < cert.nu <= 1):

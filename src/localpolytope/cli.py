@@ -5,6 +5,7 @@ finished inside), 2 for an inconclusive run, 1 for errors.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -167,7 +168,7 @@ def _solver_config(args):
     )
 
 
-def _write_run_metadata(path, args, res, elapsed):
+def _write_run_metadata(path, args, res, stages):
     meta = {
         "version": __version__,
         "command": " ".join(sys.argv[1:]),
@@ -176,28 +177,46 @@ def _write_run_metadata(path, args, res, elapsed):
         "distance": res.distance,
         "iterations": res.iterations,
         "lmo_calls": res.lmo_calls,
-        "elapsed_seconds": elapsed,
+        "elapsed_seconds": stages["solve"],
+        "stages": stages,
     }
     with open(path, "w") as fp:
         json.dump(meta, fp, indent=2)
 
 
+@contextlib.contextmanager
+def _stage(stages, name):
+    """Record the wall seconds of the block as ``stages[name]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = time.perf_counter() - t0
+
+
 def cmd_solve(args):
-    p, target, poly_points = _build_problem(args)
-    v0 = _rationalize_fraction(args.v0)
-    cfg = _solver_config(args)
+    stages = {}
+    with _stage(stages, "build"):
+        p, target, poly_points = _build_problem(args)
+        v0 = _rationalize_fraction(args.v0)
+        cfg = _solver_config(args)
     solver = bpcg if args.algo == "bpcg" else frank_wolfe_vanilla
 
-    t0 = time.perf_counter()
-    res = solver(p, float(v0), cfg)
-    elapsed = time.perf_counter() - t0
+    with _stage(stages, "solve"):
+        res = solver(p, float(v0), cfg)
     print(
         f"status={res.status} distance={res.distance:.3e} iterations={res.iterations} "
-        f"lmo_calls={res.lmo_calls} ({elapsed:.2f}s)"
+        f"lmo_calls={res.lmo_calls} ({stages['solve']:.2f}s)"
     )
-    if args.out:
-        _write_run_metadata(args.out + ".run.json", args, res, elapsed)
+    try:
+        return _finish_solve(args, res, p, target, poly_points, v0, stages)
+    finally:
+        if args.out:
+            _write_run_metadata(args.out + ".run.json", args, res, stages)
 
+
+def _finish_solve(args, res, p, target, poly_points, v0, stages):
+    """Certificate stages after the solver run; returns the exit code."""
     if args.mode == "decide":
         return 0 if res.converged else 2
 
@@ -205,30 +224,44 @@ def cmd_solve(args):
         if not res.converged:
             print("inconclusive: no convex decomposition within tolerance")
             return 2
-        model = rationalize_weights(res.active_set, p, v0)
-        poly = faces_and_eta(poly_points) if poly_points else None
+        with _stage(stages, "rationalize"):
+            model = rationalize_weights(res.active_set, p, v0)
+        with _stage(stages, "hull"):
+            poly = faces_and_eta(poly_points) if poly_points else None
         try:
-            cert = assemble_lower(p.scenario, poly, v0, model, target)
+            with _stage(stages, "assemble"):
+                cert = assemble_lower(p.scenario, poly, v0, model, target)
         except CertificateError as e:
             print(f"certificate assembly failed: {e}")
             return 2
+    else:
+        if res.converged:
+            print("inconclusive: the point lies inside; no separating hyperplane")
+            return 2
+        with _stage(stages, "assemble"):
+            cert = _assemble_upper_cert(args, res, p, target, v0)
+        if cert is None:
+            return 2
+    with _stage(stages, "verify"):
         ok, reason = verify(cert)
-        if not ok:
-            print(f"certificate failed self-verification: {reason}")
-            return 1
-        scope = cert.scope
-        print(f"certified lower bound v_low = {float(cert.v_low):.6f} for {scope}")
-        _print_derived(cert)
-        if args.out:
+    if not ok:
+        print(f"certificate failed self-verification: {reason}")
+        return 1
+    if cert.kind == "lower":
+        print(f"certified lower bound v_low = {float(cert.v_low):.6f} for {cert.scope}")
+    else:
+        print(f"certified upper bound v_up = {float(cert.v_up):.6f} (ell = {cert.ell})")
+    _print_derived(cert)
+    if args.out:
+        with _stage(stages, "write"):
             with open(args.out, "w") as fp:
                 write_certificate(cert, fp)
-            print(f"certificate written to {args.out}")
-        return 0
+        print(f"certificate written to {args.out}")
+    return 0
 
-    # upper mode
-    if res.converged:
-        print("inconclusive: the point lies inside; no separating hyperplane")
-        return 2
+
+def _assemble_upper_cert(args, res, p, target, v0):
+    """Integerize the separating hyperplane until it certifies; None if it never does."""
     G = extract_hyperplane(res, p, float(v0))
     scale = args.scale
     while True:
@@ -236,26 +269,14 @@ def cmd_solve(args):
         lb = local_bound(M)
         if not lb.exact:
             print("inconclusive: exact local bound unavailable at this size")
-            return 2
+            return None
         try:
-            cert = assemble_upper(M, lb.value, p, target)
-            break
+            return assemble_upper(M, lb.value, p, target)
         except CertificateError:
             scale *= 10
             if scale > 10**8:
                 print("inconclusive: no violation after integerization")
-                return 2
-    ok, reason = verify(cert)
-    if not ok:
-        print(f"certificate failed self-verification: {reason}")
-        return 1
-    print(f"certified upper bound v_up = {float(cert.v_up):.6f} (ell = {cert.ell})")
-    _print_derived(cert)
-    if args.out:
-        with open(args.out, "w") as fp:
-            write_certificate(cert, fp)
-        print(f"certificate written to {args.out}")
-    return 0
+                return None
 
 
 def _print_derived(cert):

@@ -60,9 +60,12 @@ def _contract(G, signs, marginals, free=None):
     """Contract G with every party's (m, R) signs but ``free``'s, batched over R.
 
     Returns the free party's (axis, R) coefficients, or the (R,) values
-    <G, d_r> when no party is free; ``signs[free]`` is never read.
+    <G, d_r> when no party is free; ``signs[free]`` is read only for R when
+    it is the only party, whose coefficients are then G itself.
     """
     parties = [j for j in range(G.ndim) if j != free]
+    if not parties:
+        return np.repeat(G[:, None], signs[free].shape[1], axis=1)
     spec = _AXES[: G.ndim] + "," + ",".join(_AXES[j] + "r" for j in parties)
     out = "r" if free is None else _AXES[free] + "r"
     ops = [_extended(signs[j], marginals) for j in parties]

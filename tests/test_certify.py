@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 from localpolytope.certify import (
     CertificateError,
+    _exact_residual_sq,
     LowerBoundCertificate,
     TargetSpec,
     UpperBoundCertificate,
@@ -34,6 +36,7 @@ from localpolytope.tensor import (
     norm2_sq,
     strategy_tensor,
 )
+from util import residual_sq_reference
 
 NM22 = Scenario(2, 2, marginals=False)
 
@@ -376,6 +379,56 @@ def test_verify_lower_mutations(m6_cert):
     flipped_a = a_part.replace("+", "!").replace("-", "+").replace("!", "-")
     assert rejected(_mutate(text, f"\n{atom}\n", f"\n{flipped_a}|{b_part}\n"))
 
+
+
+# --- exact residual ----------------------------------------------------------
+
+
+def test_exact_residual_matches_reference_m6(m6_cert, ico_singlet):
+    args = (m6_cert.atoms, m6_cert.weights, ico_singlet, m6_cert.v0)
+    assert _exact_residual_sq(*args) == residual_sq_reference(*args) == m6_cert.residual_sq
+
+
+def test_exact_residual_matches_reference_ghz_polygon():
+    p = ghz_polygon_tensor(3, 3, exact=True)
+    v0 = Fraction(2, 5)
+    res = bpcg(p, float(v0), SolverConfig(restarts=200, seed=1))
+    assert res.converged
+    model = rationalize_weights(res.active_set, p, v0)
+    assert model.residual_sq == residual_sq_reference(model.atoms, model.weights, p, v0)
+
+
+@pytest.mark.parametrize("parties, inputs, marginals", [
+    (1, 4, True), (2, 3, False), (2, 2, True), (3, 2, True),
+])
+@pytest.mark.parametrize("huge", [False, True])
+def test_exact_residual_matches_reference_hand_built(parties, inputs, marginals, huge):
+    # huge: prime denominators near 2^30 put the lcm and sum k_i far above 2^53,
+    # so the integer tensor needs the exact Python-int product
+    rng = np.random.default_rng(parties * 10 + inputs)
+    sc = Scenario(parties, inputs, marginals)
+    atoms = list({
+        DeterministicStrategy([int(b) for b in rng.integers(0, 1 << inputs, parties)], inputs)
+        for _ in range(6)
+    })
+    primes = [1073741789, 1073741783, 1073741827, 1073741831, 1073741833, 1073741839]
+    dens = primes if huge else [2**48] * len(atoms)
+    weights = [Fraction(int(rng.integers(1, 2**20)) * 2**9 + 1, d) for d in dens[: len(atoms)]]
+    if huge:
+        assert math.lcm(*(w.denominator for w in weights)) > 2**53
+    p = CorrelationTensor(sc, np.array(
+        [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 40)))
+         for _ in range(sc.num_entries)], dtype=object).reshape(sc.shape))
+    v0 = Fraction(7, 11)
+    assert _exact_residual_sq(atoms, weights, p, v0) == residual_sq_reference(atoms, weights, p, v0)
+    assert _exact_residual_sq([], [], p, v0) == residual_sq_reference([], [], p, v0)
+
+
+def test_verify_lower_rejects_one_weight_quantum(m6_cert):
+    i = max(range(len(m6_cert.weights)), key=lambda k: m6_cert.weights[k])
+    weights = list(m6_cert.weights)
+    weights[i] -= Fraction(1, 2**48)
+    assert verify(dataclasses.replace(m6_cert, weights=weights)) == (False, "residual mismatch")
 
 # --- upper certificates ----------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -56,6 +57,27 @@ def test_solve_lower_chsh(tmp_path, capsys):
     assert v_low >= 0.69
     assert run(["certify", "verify", "--in", str(cert)]) == 0
 
+
+
+def test_run_record_has_stage_times(tmp_path):
+    cert = tmp_path / "m6.cert"
+    assert run(["solve", "lower", "--m", "6", "--v0", "0.60", "--seed", "2",
+                "--restarts", "300", "--out", str(cert)]) == 0
+    meta = json.loads((tmp_path / "m6.cert.run.json").read_text())
+    assert set(meta["stages"]) == {"build", "solve", "rationalize", "hull",
+                                   "assemble", "verify", "write"}
+    assert all(t >= 0 for t in meta["stages"].values())
+    assert meta["elapsed_seconds"] == meta["stages"]["solve"]
+
+
+def test_run_record_written_on_inconclusive_exit(tmp_path):
+    out = tmp_path / "inside.cert"
+    assert run(["solve", "upper", "--state", "werner", "--m", "2",
+                "--v0", "0.60", "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    meta = json.loads((tmp_path / "inside.cert.run.json").read_text())
+    assert set(meta["stages"]) == {"build", "solve"}
+    assert meta["status"] == "converged_inside"
 
 def test_solve_ghz_polygon_upper(tmp_path, capsys):
     cert = tmp_path / "ghz.cert"

@@ -108,6 +108,20 @@ def test_heuristic_multipartite_with_marginals():
         assert v >= v_opt - 1e-12
 
 
+
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("inputs", [1, 3, 6])
+def test_heuristic_single_party_matches_exhaustive(marginals, inputs):
+    # one party: its coefficient vector is the gradient itself
+    rng = np.random.default_rng(inputs)
+    sc = Scenario(1, inputs, marginals=marginals)
+    for trial in range(5):
+        g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        s = heuristic_lmo(g, restarts=7, seed=trial)
+        s_opt, v_opt = exhaustive_lmo(g)
+        assert s == s_opt
+        assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
+
 # --- exhaustive oracle ---------------------------------------------------------
 
 

@@ -3,7 +3,12 @@
 import numpy as np
 from fractions import Fraction
 
-from localpolytope.tensor import CorrelationTensor, tensor_strategy_inner
+from localpolytope.tensor import (
+    CorrelationTensor,
+    norm2_sq,
+    strategy_tensor,
+    tensor_strategy_inner,
+)
 
 
 def unit_rational_tensor(scenario, rng):
@@ -32,3 +37,13 @@ def recomputed_values(active, gradient_entries):
     for the incrementally maintained InnerProductCache.values()."""
     g = CorrelationTensor(active.scenario, gradient_entries)
     return np.array([tensor_strategy_inner(g, s) for s in active.atoms])
+
+
+def residual_sq_reference(atoms, weights, p, v0):
+    """||sum_i w_i d_i - v0 p||^2 by one Fraction tensor per atom; the reference
+    for certify._exact_residual_sq."""
+    sc = p.scenario
+    x = np.full(sc.shape, Fraction(0), dtype=object)
+    for q, a in zip(weights, atoms):
+        x = x + q * strategy_tensor(a, sc, exact=True).entries
+    return norm2_sq(CorrelationTensor(sc, x - Fraction(v0) * p.entries))
