@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lmo import BellFunctional, EXHAUSTIVE_CAP, local_bound, maximize_functional_heuristic
+from .lmo import (BellFunctional, EXHAUSTIVE_CAP, QUBO_CAP, local_bound,
+                  maximize_functional_heuristic)
 from .polyhedra import RationalPoint, faces_and_eta
 from .states import ghz_polygon_tensor, singlet_tensor
 from .tensor import (
@@ -37,6 +38,7 @@ from .tensor import (
 SQRT_SCALE = 10**18
 WEIGHT_DENOMINATOR = 2**48
 BALL_CAP = 22  # max N*m for materialising the ball decomposition
+Q_TOL = 1e-9  # float quantum values: violation margin and verify's match tolerance
 
 
 class CertificateError(ValueError):
@@ -453,7 +455,7 @@ def integerize_functional(functional, scale=10**4):
     return BellFunctional(CorrelationTensor(functional.scenario, obj))
 
 
-def assemble_upper(functional, ell, p, target, q_tol=1e-9):
+def assemble_upper(functional, ell, p, target):
     """Integer Bell functional + exact local bound -> v_up = ell / <M, p>."""
     if not functional.is_integer:
         raise CertificateError("upper certificates need an integer functional")
@@ -468,10 +470,10 @@ def assemble_upper(functional, ell, p, target, q_tol=1e-9):
         tol = 0.0
     else:
         q = float(q)
-        if q <= ell + q_tol:
+        if q <= ell + Q_TOL:
             raise CertificateError("no violation beyond tolerance; rerun or rescale")
         v_up = ell / q
-        tol = q_tol
+        tol = Q_TOL
     return UpperBoundCertificate(p.scenario, target, functional, ell, q, v_up, tol)
 
 
@@ -618,7 +620,7 @@ def _verify_upper(cert, spot_checks, seed):
         return _fail("local bound is not an integer")
 
     N, m = sc.parties, sc.inputs
-    exact_range = N * m <= EXHAUSTIVE_CAP or (N == 2 and not sc.marginals and 2 * m <= 32)
+    exact_range = N * m <= EXHAUSTIVE_CAP or (N == 2 and not sc.marginals and 2 * m <= QUBO_CAP)
     if exact_range:
         lb = local_bound(M)
         if not lb.exact or lb.value != cert.ell:
@@ -649,7 +651,8 @@ def _verify_upper(cert, spot_checks, seed):
         if cert.v_up != Fraction(cert.ell) / q:
             return _fail("v_up mismatch")
     else:
-        if abs(float(q) - float(cert.q)) > max(cert.q_tol, 1e-9):
+        # the file's TOL is informational: it must not widen this check
+        if abs(float(q) - float(cert.q)) > Q_TOL:
             return _fail("quantum value mismatch")
         if float(q) <= cert.ell:
             return _fail("no violation")

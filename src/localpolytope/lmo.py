@@ -7,6 +7,8 @@ enumeration (exact, capped), and an exact branch-and-bound on the QUBO
 reformulation of the bipartite case.
 """
 
+import string
+
 import numpy as np
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +16,7 @@ from fractions import Fraction
 from .tensor import CorrelationTensor, DeterministicStrategy
 
 EXHAUSTIVE_CAP = 26  # max N*m for full enumeration
+QUBO_CAP = 64  # max binary variables (2m) for the QUBO branch and bound
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ def _extended(mat, marginals):
     return np.vstack([np.ones((1, mat.shape[1]), dtype=mat.dtype), mat])
 
 
-_AXES = "abcd"
+_AXES = string.ascii_letters.replace("r", "")  # party subscripts; r is the batch
 
 
 def _contract(G, signs, marginals, free=None):
@@ -63,6 +66,8 @@ def _contract(G, signs, marginals, free=None):
     <G, d_r> when no party is free; ``signs[free]`` is read only for R when
     it is the only party, whose coefficients are then G itself.
     """
+    if G.ndim > len(_AXES):
+        raise ValueError(f"at most {len(_AXES)} parties are supported")
     parties = [j for j in range(G.ndim) if j != free]
     if not parties:
         return np.repeat(G[:, None], signs[free].shape[1], axis=1)
@@ -277,8 +282,8 @@ def qubo_branch_and_bound(instance, node_budget=5_000_000):
     """
     Q = instance.Q
     n = Q.shape[0]
-    if n > 64:
-        raise ValueError("branch and bound capped at 64 binary variables")
+    if n > QUBO_CAP:
+        raise ValueError(f"branch and bound capped at {QUBO_CAP} binary variables")
     integer = Q.dtype == np.int64
 
     order = sorted(range(n), key=lambda i: -abs(Q[i]).sum())

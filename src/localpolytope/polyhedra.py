@@ -11,8 +11,11 @@ tangent parametrisation
                  (1-t^2)/(1+t^2)),   t = tan(phi/2), u = tan(theta/2),
 
 which maps rational (t, u) to rational points with x^2+y^2+z^2 = 1 exactly.
-Faces of the convex hull are computed with exact integer orientation
-predicates, so eta^2 = min_f beta_f^2 comes out as an exact rational.
+The convex hull runs on one exact representation throughout: homogeneous
+integer points (X, Y, Z, D) for (X/D, Y/D, Z/D).  Each face is an integer
+plane n . x = off / d, from which the orientation tests, the soundness audit
+and beta_f^2 = off^2 / (d^2 |n|^2) all follow in Python ints, so
+eta^2 = min_f beta_f^2 comes out as an exact rational.
 """
 
 import math
@@ -219,24 +222,27 @@ def _homogeneous(pt):
     )
 
 
-def _orient(p, q, r, s):
-    """Sign of det[q-p; r-p; s-p] for homogeneous integer points."""
+def _normal(p, q, r):
+    """(q - p) x (r - p) for homogeneous integer points, times p_D^2 q_D r_D > 0."""
     px, py, pz, pd = p
-    ax = q[0] * pd - px * q[3]
-    ay = q[1] * pd - py * q[3]
-    az = q[2] * pd - pz * q[3]
-    bx = r[0] * pd - px * r[3]
-    by = r[1] * pd - py * r[3]
-    bz = r[2] * pd - pz * r[3]
-    cx = s[0] * pd - px * s[3]
-    cy = s[1] * pd - py * s[3]
-    cz = s[2] * pd - pz * s[3]
-    det = (
-        ax * (by * cz - bz * cy)
-        - ay * (bx * cz - bz * cx)
-        + az * (bx * cy - by * cx)
-    )
-    return (det > 0) - (det < 0)
+    ax, ay, az = q[0] * pd - px * q[3], q[1] * pd - py * q[3], q[2] * pd - pz * q[3]
+    bx, by, bz = r[0] * pd - px * r[3], r[1] * pd - py * r[3], r[2] * pd - pz * r[3]
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
+def _plane(p, q, r):
+    """Integer plane (n, off, d) through p, q, r: the points x with n . x = off / d."""
+    n = _normal(p, q, r)
+    return n, n[0] * p[0] + n[1] * p[1] + n[2] * p[2], p[3]
+
+
+def _height(plane, s):
+    """An integer with the sign of n . s - off / d: positive when s lies above.
+
+    For the plane through p, q, r this is the sign of det[q-p; r-p; s-p].
+    """
+    (nx, ny, nz), off, d = plane
+    return (nx * s[0] + ny * s[1] + nz * s[2]) * d - off * s[3]
 
 
 @dataclass(frozen=True)
@@ -247,11 +253,8 @@ class Face:
     beta: float                 # distance of the plane from the origin
     beta_sq: Fraction           # exact beta^2
     vertices: tuple             # indices of the three defining vertices
-    normal_exact: tuple         # exact (unnormalised) rational outward normal
+    normal_exact: tuple         # exact (unnormalised) integer outward normal
     offset_exact: Fraction      # exact <normal_exact, vertex>
-
-    def distance_sq(self):
-        return self.beta_sq
 
 
 @dataclass(frozen=True)
@@ -268,75 +271,51 @@ class RationalPolyhedron:
         return np.array([v.to_float() for v in self.vertices])
 
 
-def _exact_hull_faces(points):
-    """Triangulated convex hull of exact rational points, as index triples.
+def _exact_hull_faces(hpts):
+    """Triangulated convex hull of distinct homogeneous integer points.
 
-    Incremental insertion with exact integer predicates.  Points exactly on a
-    supporting plane are treated as non-extreme, which never changes the face
-    planes.  All inputs are assumed distinct.
+    Incremental insertion with exact integer predicates.  Returns a dict from
+    index triples to integer planes (see ``_plane``), each stored with the
+    hull's interior strictly below it.  Points exactly on a supporting plane
+    are treated as non-extreme, which never changes the face planes.
     """
-    n = len(points)
-    hpts = [_homogeneous(p) for p in points]
-    order = list(range(n))
-
-    # initial tetrahedron: first point, then greedy search for independence
-    i0 = order[0]
-    i1 = next(i for i in order[1:] if hpts[i] != hpts[i0])
-
-    def cross_nonzero(a, b, c):
-        ax = b[0] * a[3] - a[0] * b[3]
-        ay = b[1] * a[3] - a[1] * b[3]
-        az = b[2] * a[3] - a[2] * b[3]
-        bx = c[0] * a[3] - a[0] * c[3]
-        by = c[1] * a[3] - a[1] * c[3]
-        bz = c[2] * a[3] - a[2] * c[3]
-        return (
-            ay * bz - az * by != 0 or az * bx - ax * bz != 0 or ax * by - ay * bx != 0
-        )
-
+    n = len(hpts)
+    i0 = 0
+    i1 = next(i for i in range(1, n) if hpts[i] != hpts[i0])
     i2 = next(
-        (i for i in order if i not in (i0, i1) and cross_nonzero(hpts[i0], hpts[i1], hpts[i])),
-        None,
+        (i for i in range(n) if _normal(hpts[i0], hpts[i1], hpts[i]) != (0, 0, 0)), None
     )
     if i2 is None:
         raise ValueError("degenerate input: all points collinear")
-    i3 = next(
-        (i for i in order if i not in (i0, i1, i2) and _orient(hpts[i0], hpts[i1], hpts[i2], hpts[i]) != 0),
-        None,
-    )
+    base = _plane(hpts[i0], hpts[i1], hpts[i2])
+    i3 = next((i for i in range(n) if _height(base, hpts[i]) != 0), None)
     if i3 is None:
         raise ValueError("degenerate input: all points coplanar")
+    seed = (i0, i1, i2, i3)
 
     # interior reference point: centroid of the initial tetrahedron
-    cx = sum(Fraction(hpts[i][0], hpts[i][3]) for i in (i0, i1, i2, i3)) / 4
-    cy = sum(Fraction(hpts[i][1], hpts[i][3]) for i in (i0, i1, i2, i3)) / 4
-    cz = sum(Fraction(hpts[i][2], hpts[i][3]) for i in (i0, i1, i2, i3)) / 4
-    dd = math.lcm(cx.denominator, cy.denominator, cz.denominator)
-    interior = (
-        cx.numerator * (dd // cx.denominator),
-        cy.numerator * (dd // cy.denominator),
-        cz.numerator * (dd // cz.denominator),
-        dd,
-    )
+    den = math.lcm(*(hpts[i][3] for i in seed))
+    interior = tuple(sum(hpts[i][k] * (den // hpts[i][3]) for i in seed) for k in range(3))
+    interior += (4 * den,)
 
-    def oriented(a, b, c):
-        # store faces so that the interior point lies strictly below
-        if _orient(hpts[a], hpts[b], hpts[c], interior) > 0:
-            return (b, a, c)
-        return (a, b, c)
+    faces = {}
 
-    faces = {
-        oriented(i0, i1, i2),
-        oriented(i0, i1, i3),
-        oriented(i0, i2, i3),
-        oriented(i1, i2, i3),
-    }
+    def add(a, b, c):
+        plane = _plane(hpts[a], hpts[b], hpts[c])
+        if _height(plane, interior) > 0:
+            (nx, ny, nz), off, d = plane
+            a, b, plane = b, a, ((-nx, -ny, -nz), -off, d)
+        faces[(a, b, c)] = plane
 
-    for i in order:
-        if i in (i0, i1, i2, i3):
+    add(i0, i1, i2)
+    add(i0, i1, i3)
+    add(i0, i2, i3)
+    add(i1, i2, i3)
+
+    for i, p in enumerate(hpts):
+        if i in seed:
             continue
-        p = hpts[i]
-        visible = [f for f in faces if _orient(hpts[f[0]], hpts[f[1]], hpts[f[2]], p) > 0]
+        visible = [f for f, plane in faces.items() if _height(plane, p) > 0]
         if not visible:
             continue
         edge_count = {}
@@ -344,12 +323,11 @@ def _exact_hull_faces(points):
             for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
                 key = (min(e), max(e))
                 edge_count[key] = edge_count.get(key, 0) + 1
-        for f in visible:
-            faces.remove(f)
+            del faces[f]
         for (u, v), cnt in edge_count.items():
             if cnt == 1:
-                faces.add(oriented(u, v, i))
-    return faces, hpts, interior
+                add(u, v, i)
+    return faces
 
 
 def close_under_antipodes(points):
@@ -370,8 +348,12 @@ def faces_and_eta(vertices):
     """Exact faces and shrinking factor of the hull of rational sphere points.
 
     The vertex set is closed under antipodes first (with a warning if that
-    changes it).  Returns a RationalPolyhedron whose eta_sq is the exact
-    minimum of beta_f^2 over faces.
+    changes it).  Every face plane n . x = off / d comes from the hull on
+    homogeneous integer points, with an integer outward normal n, so
+    beta_f^2 = off^2 / (d^2 |n|^2) is exact; off > 0 certifies that the hull
+    contains the centre.  An audit then checks every vertex against every
+    face in Python ints.  Returns a RationalPolyhedron whose eta_sq is the
+    exact minimum of beta_f^2 over faces.
     """
     if len(vertices) < 4:
         raise ValueError("need at least 4 vertices")
@@ -383,49 +365,32 @@ def faces_and_eta(vertices):
     for p in points:
         uniq.setdefault(p.as_tuple(), p)
     points = list(uniq.values())
+    hpts = [_homogeneous(p) for p in points]
 
-    face_idx, hpts, interior = _exact_hull_faces(points)
-
+    planes = _exact_hull_faces(hpts)
     faces = []
-    eta_sq = None
-    for (a, b, c) in face_idx:
-        pa, pb, pc = points[a], points[b], points[c]
-        ux, uy, uz = pb.x - pa.x, pb.y - pa.y, pb.z - pa.z
-        vx, vy, vz = pc.x - pa.x, pc.y - pa.y, pc.z - pa.z
-        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        off = nx * pa.x + ny * pa.y + nz * pa.z
-        # orient outward: the interior reference lies strictly below the plane
-        ival = nx * Fraction(interior[0], interior[3]) + ny * Fraction(
-            interior[1], interior[3]
-        ) + nz * Fraction(interior[2], interior[3])
-        if ival > off:
-            nx, ny, nz, off = -nx, -ny, -nz, -off
+    for tri, (n, off, d) in planes.items():
         if off <= 0:
             raise ValueError("hull does not contain the sphere center")
-        nsq = nx * nx + ny * ny + nz * nz
-        beta_sq = off * off / nsq
-        fl = np.array([float(nx), float(ny), float(nz)])
-        fl /= np.linalg.norm(fl)
+        beta_sq = Fraction(off * off, d * d * sum(c * c for c in n))
+        big = max(abs(c) for c in n)        # int / int cannot overflow a float
+        fl = np.array([c / big for c in n])
         faces.append(
             Face(
-                normal=fl,
+                normal=fl / np.linalg.norm(fl),
                 beta=math.sqrt(float(beta_sq)),
                 beta_sq=beta_sq,
-                vertices=(a, b, c),
-                normal_exact=(nx, ny, nz),
-                offset_exact=off,
+                vertices=tri,
+                normal_exact=n,
+                offset_exact=Fraction(off, d),
             )
         )
-        if eta_sq is None or beta_sq < eta_sq:
-            eta_sq = beta_sq
 
     # soundness audit: every vertex satisfies every face inequality exactly
-    for f in faces:
-        nx, ny, nz = f.normal_exact
-        for p in points:
-            if nx * p.x + ny * p.y + nz * p.z > f.offset_exact:
-                raise AssertionError("hull construction produced a violated face")
+    if any(_height(plane, q) > 0 for plane in planes.values() for q in hpts):
+        raise AssertionError("hull construction produced a violated face")
 
+    eta_sq = min(f.beta_sq for f in faces)
     return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from localpolytope import certify
 from localpolytope.certify import (
     CertificateError,
     _exact_residual_sq,
@@ -464,6 +465,37 @@ def test_assemble_upper_chsh_float(chsh_singlet):
     cert = assemble_upper(M, lb.value, chsh_singlet, TargetSpec("singlet", al, bo))
     assert abs(float(cert.v_up) - 0.70711) < 1e-3
     assert not cert.q_exact
+    # the file's TOL does not widen verify's Q check: a false Q with a TOL
+    # wide enough to cover it is still rejected
+    buf = io.StringIO()
+    write_certificate(cert, buf)
+    text = buf.getvalue()
+    q_line = f"Q {float(cert.q)!r} TOL 1e-09"
+    assert q_line in text
+    assert verify(read_certificate(io.StringIO(text))) == (True, "ok")
+    forged = text.replace(q_line, f"Q {float(cert.q) + 0.5!r} TOL 100.0")
+    assert verify(read_certificate(io.StringIO(forged))) == (False, "quantum value mismatch")
+
+
+def test_verify_upper_proves_bipartite_bound_up_to_qubo_cap(monkeypatch):
+    # m = 17 is past the enumeration cap but within the 64-variable QUBO
+    # branch and bound, so verify proves ell and never falls back to the
+    # heuristic and its spot checks
+    sc = Scenario(2, 17, marginals=False)
+    M = np.zeros(sc.shape, dtype=object)
+    M[:2, :2] = [[1, 1], [1, -1]]
+    f = BellFunctional(CorrelationTensor(sc, M))
+    p_ent = np.zeros(sc.shape, dtype=object)
+    p_ent[:2, :2] = [[Fraction(7, 10), Fraction(7, 10)], [Fraction(7, 10), Fraction(-7, 10)]]
+    p = CorrelationTensor(sc, p_ent)
+    cert = assemble_upper(f, 2, p, TargetSpec("tensor", tensor=p))
+
+    def unproven(*args, **kwargs):
+        raise AssertionError("local bound checked heuristically")
+
+    monkeypatch.setattr(certify, "maximize_functional_heuristic", unproven)
+    assert verify(cert) == (True, "ok")
+    assert verify(dataclasses.replace(cert, ell=3)) == (False, "local bound mismatch")
 
 
 def test_assemble_upper_requires_violation():

@@ -89,6 +89,15 @@ def test_solve_ghz_polygon_upper(tmp_path, capsys):
     assert c.v_up == Fraction(1, 2)
 
 
+def test_solve_five_party_ghz_upper(tmp_path, capsys):
+    cert = tmp_path / "ghz5.cert"
+    code = run(["solve", "upper", "--state", "ghz", "--N", "5", "--polygon",
+                "--m", "2", "--v0", "0.5", "--restarts", "50", "--out", str(cert)])
+    assert code == 0
+    assert "v_up = 0.250000" in capsys.readouterr().out
+    assert run(["certify", "verify", "--in", str(cert)]) == 0
+
+
 def test_solve_decide_exit_codes():
     assert run(["solve", "decide", "--state", "werner", "--m", "2",
                 "--v0", "0.65", "--seed", "1"]) == 0

@@ -10,6 +10,8 @@ from localpolytope.lmo import (
     local_bound,
     qubo_branch_and_bound,
     to_qubo,
+    _AXES,
+    _contract,
 )
 from localpolytope.states import ghz_polygon_tensor
 from localpolytope.tensor import (
@@ -121,6 +123,25 @@ def test_heuristic_single_party_matches_exhaustive(marginals, inputs):
         s_opt, v_opt = exhaustive_lmo(g)
         assert s == s_opt
         assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
+
+
+def test_heuristic_five_parties_matches_exhaustive():
+    # five parties need einsum subscripts past "abcd"
+    rng = np.random.default_rng(5)
+    sc = Scenario(5, 2, marginals=False)
+    for trial in range(5):
+        g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        s = heuristic_lmo(g, restarts=200, seed=trial)
+        _, v_opt = exhaustive_lmo(g)
+        assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
+
+
+def test_contract_rejects_more_parties_than_subscripts():
+    G = np.zeros((1,) * (len(_AXES) + 1))
+    signs = [np.ones((1, 3))] * G.ndim
+    with pytest.raises(ValueError, match="parties"):
+        _contract(G, signs, False)
+
 
 # --- exhaustive oracle ---------------------------------------------------------
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from localpolytope import polyhedra
 from localpolytope.polyhedra import (
     RationalPoint,
+    _point_from_tangents,
     antipodal_representatives,
     faces_and_eta,
     geodesic_icosahedron,
@@ -18,7 +20,16 @@ from localpolytope.polyhedra import (
     write_polyhedron_vertices,
 )
 
+from util import faces_and_eta_reference
+
 ICO_ETA_SQ = (5 + 2 * math.sqrt(5)) / 15
+
+# exact eta^2 of the 812-vertex geodesic polyhedron (schedule [3, 3]), m = 406,
+# as computed by the Fraction planes of faces_and_eta_reference
+ETA_SQ_M406 = Fraction(
+    10238898933253516275182432607715312305184756605138600898976490000,
+    10305651567486541639996997660873007634026208956788712490775987617,
+)
 
 
 def octahedron_points():
@@ -116,6 +127,77 @@ def test_eta_monotone_in_subdivision():
         etas[m] = faces_and_eta(pts).eta_sq
     assert etas[406] > etas[46] > etas[6]
     assert abs(math.sqrt(float(etas[406])) - 0.9968) < 1e-4
+    assert etas[406] == ETA_SQ_M406
+
+
+def plane_key(face):
+    """The face plane as the unique u with u . x = 1 on it."""
+    return tuple(Fraction(c) / face.offset_exact for c in face.normal_exact)
+
+
+def assert_matches_reference(points):
+    poly, ref = faces_and_eta(points), faces_and_eta_reference(points)
+    assert poly.eta_sq == ref.eta_sq
+    assert [p.as_tuple() for p in poly.vertices] == [p.as_tuple() for p in ref.vertices]
+    ref_faces = {f.vertices: f for f in ref.faces}
+    assert sorted(ref_faces) == sorted(f.vertices for f in poly.faces)
+    for f in poly.faces:
+        r = ref_faces[f.vertices]
+        assert f.beta_sq == r.beta_sq
+        assert plane_key(f) == plane_key(r)
+        assert all(isinstance(c, int) for c in f.normal_exact)
+        assert np.allclose(f.normal, r.normal, rtol=0, atol=1e-15)
+        assert f.beta == r.beta
+    return poly
+
+
+@pytest.mark.parametrize("m", [3, 6, 16, 21, 46, 81])
+def test_integer_planes_match_fraction_reference(m):
+    if m == 3:
+        points = octahedron_points()
+    elif m == 16:
+        points = rationalize_all(pentakis_dodecahedron(), 1e-6)
+    else:
+        schedule = {6: [], 21: [2], 46: [3], 81: [4]}[m]
+        points = rationalize_all(geodesic_icosahedron(schedule), 1e-6)
+    poly = assert_matches_reference(points)
+    assert len(poly.vertices) == 2 * m
+
+
+def test_huge_denominators_give_finite_unit_normals():
+    # integer normals far above the float range (~1e308) must still give a
+    # float normal: float() of such an int raises OverflowError
+    rng = np.random.default_rng(3)
+    scale = 10**60
+    a, b, c = (rng.integers(1, 10**6, size=8) for _ in range(3))
+    points = [
+        _point_from_tangents(
+            Fraction(int(a[k]) * scale + 1, scale + int(b[k])),
+            Fraction(int(c[k]) * scale + 7, 3 * scale + 1),
+        )
+        for k in range(8)
+    ]
+    points += [-p for p in points]
+    assert min(max(c.denominator for c in p.as_tuple()) for p in points) > 10**200
+    poly = assert_matches_reference(points)
+    assert max(abs(c) for f in poly.faces for c in f.normal_exact) > 10**308
+    for f in poly.faces:
+        assert np.all(np.isfinite(f.normal))
+        assert abs(np.linalg.norm(f.normal) - 1) < 1e-12
+
+
+def test_corrupted_face_fails_the_audit(monkeypatch):
+    hull = polyhedra._exact_hull_faces
+
+    def corrupted(hpts):
+        faces = hull(hpts)
+        tri, (n, off, d) = next(iter(faces.items()))
+        faces[tri] = (n, 9 * off, 10 * d)  # moved inward: its own vertices lie above
+        return faces
+
+    monkeypatch.setattr(polyhedra, "_exact_hull_faces", corrupted)
+    with pytest.raises(AssertionError, match="violated face"):
+        faces_and_eta(octahedron_points())
 
 
 def test_hull_soundness(ico_poly):

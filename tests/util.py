@@ -1,8 +1,18 @@
 """Shared helpers for the test suite."""
 
+import math
+import warnings
+
 import numpy as np
 from fractions import Fraction
 
+from localpolytope.polyhedra import (
+    Face,
+    RationalPolyhedron,
+    _exact_hull_faces,
+    _homogeneous,
+    close_under_antipodes,
+)
 from localpolytope.tensor import (
     CorrelationTensor,
     norm2_sq,
@@ -47,3 +57,62 @@ def residual_sq_reference(atoms, weights, p, v0):
     for q, a in zip(weights, atoms):
         x = x + q * strategy_tensor(a, sc, exact=True).entries
     return norm2_sq(CorrelationTensor(sc, x - Fraction(v0) * p.entries))
+
+
+def faces_and_eta_reference(vertices):
+    """faces_and_eta with every plane rebuilt, oriented and audited in
+    Fractions; the reference for the integer planes.
+
+    Only the face triples come from the integer hull.  Each plane is oriented
+    away from the centroid of the vertices, which lies strictly inside.
+    """
+    if len(vertices) < 4:
+        raise ValueError("need at least 4 vertices")
+    points, added = close_under_antipodes(list(vertices))
+    if added:
+        warnings.warn(f"input not closed under antipodes; added {added} points")
+    uniq = {}
+    for p in points:
+        uniq.setdefault(p.as_tuple(), p)
+    points = list(uniq.values())
+
+    face_idx = _exact_hull_faces([_homogeneous(p) for p in points])
+    interior = [sum(p.as_tuple()[k] for p in points) / len(points) for k in range(3)]
+
+    faces = []
+    eta_sq = None
+    for (a, b, c) in face_idx:
+        pa, pb, pc = points[a], points[b], points[c]
+        ux, uy, uz = pb.x - pa.x, pb.y - pa.y, pb.z - pa.z
+        vx, vy, vz = pc.x - pa.x, pc.y - pa.y, pc.z - pa.z
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        off = nx * pa.x + ny * pa.y + nz * pa.z
+        # orient outward: the interior reference lies strictly below the plane
+        if nx * interior[0] + ny * interior[1] + nz * interior[2] > off:
+            nx, ny, nz, off = -nx, -ny, -nz, -off
+        if off <= 0:
+            raise ValueError("hull does not contain the sphere center")
+        beta_sq = off * off / (nx * nx + ny * ny + nz * nz)
+        fl = np.array([float(nx), float(ny), float(nz)])
+        fl /= np.linalg.norm(fl)
+        faces.append(
+            Face(
+                normal=fl,
+                beta=math.sqrt(float(beta_sq)),
+                beta_sq=beta_sq,
+                vertices=(a, b, c),
+                normal_exact=(nx, ny, nz),
+                offset_exact=off,
+            )
+        )
+        if eta_sq is None or beta_sq < eta_sq:
+            eta_sq = beta_sq
+
+    # soundness audit: every vertex satisfies every face inequality exactly
+    for f in faces:
+        nx, ny, nz = f.normal_exact
+        for p in points:
+            if nx * p.x + ny * p.y + nz * p.z > f.offset_exact:
+                raise AssertionError("hull construction produced a violated face")
+
+    return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)
