@@ -29,6 +29,7 @@ from .tensor import (
     CorrelationTensor,
     DeterministicStrategy,
     Scenario,
+    combine_rows,
     inner,
     norm2_sq,
     strategy_tensor,
@@ -289,10 +290,7 @@ def _exact_residual_sq(atoms, weights, p, v0):
         if sc.marginals:
             S = np.hstack([np.ones((len(atoms), 1), dtype=np.int8), S])
         signs.append(S.astype(dtype))
-    L = np.array(k, dtype=dtype).reshape(-1, 1)
-    for S in signs[:-1]:
-        L = (L[:, :, None] * S[:, None, :]).reshape(len(atoms), L.shape[1] * S.shape[1])
-    X = (L.T @ signs[-1]).reshape(-1)
+    X = combine_rows(np.array(k, dtype=dtype), signs).reshape(-1)
     if dtype is np.float64:
         X = X.astype(np.int64)
 

@@ -155,14 +155,12 @@ def _build_problem(args):
 
 
 def _solver_config(args):
-    threads = args.threads or int(os.environ.get("LOCALPOLYTOPE_THREADS", "1"))
     return SolverConfig(
         lazy_tolerance=args.K,
         max_iterations=args.max_iter,
         eps=args.eps,
         restarts=args.restarts,
         seed=args.seed,
-        threads=threads,
         # decide runs only need the verdict, not a polished gradient
         early_separation=(args.mode == "decide"),
     )
@@ -403,7 +401,6 @@ def build_parser():
     ps.add_argument("--max-iter", type=int, default=100_000)
     ps.add_argument("--restarts", type=int, default=3000)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--threads", type=int, default=0)
     ps.add_argument("--tol", type=float, default=1e-6, help="rationalization tolerance")
     ps.add_argument("--scale", type=int, default=10**4, help="integerization scale")
     ps.add_argument("--out", help="certificate output file")

@@ -7,6 +7,14 @@ distance-to-polytope iteration; ``bpcg`` is the lazy blended pairwise variant,
 which keeps an active set and prefers weight transfers between its own atoms
 over oracle calls.
 
+Atoms are per-party sign rows, never dense tensors.  A pairwise or drop step
+needs only the weights and the Gram matrix of the atoms, so it leaves the
+dense iterate stale.  The iterate is formed from the weights and rows only
+where it is read: by the oracle branch, which needs the gradient, by the
+trace, debug and callback observers, and at exit.  So ``dist <= eps`` is
+tested when the oracle is consulted, and a run that ends inside may take a
+few more pairwise steps than one that tested every iteration.
+
 A converged run certifies membership regardless of oracle suboptimality: the
 returned convex decomposition stands on its own.  A separated verdict is only
 heuristic until the final hyperplane is checked with an exact local bound.
@@ -18,14 +26,21 @@ from dataclasses import dataclass, field
 from .lmo import BellFunctional, heuristic_lmo
 from .tensor import (
     CorrelationTensor,
+    combine_rows,
+    rows_inner,
     strategy_inner,
+    strategy_rows,
     strategy_tensor,
     tensor_strategy_inner,
 )
 
+# strategy_inner and strategy_tensor are not called here: atoms live as sign
+# rows.  bench/tracing.py counts calls to them through this namespace.
+
 STATUS_INSIDE = "converged_inside"
 STATUS_SEPARATED = "separated"
 STATUS_CAP = "iteration_cap"
+MIN_CAPACITY = 8  # atoms held by a fresh active set or Gram buffer
 
 
 @dataclass
@@ -35,7 +50,6 @@ class SolverConfig:
     eps: float = 1e-6                # stop when ||x - v0 p||_2 <= eps
     restarts: int = 3000             # LMO restarts per call
     seed: int = 0
-    threads: int = 1
     callback: object = None
     callback_every: int = 0
     debug: bool = False              # assert monotonicity etc. every iteration
@@ -49,112 +63,151 @@ class SolverConfig:
 
 
 class ActiveSet:
-    """Convex combination of strategies with its materialised iterate.
+    """Convex combination of strategies, each stored as per-party sign rows.
 
-    Atoms are stored in canonical sign form so that strategies inducing the
-    same tensor are merged; weights stay nonnegative and are renormalised when
-    their sum drifts from 1 by more than 1e-12.
+    Atom i is row i of every party's (capacity, axis) sign matrix, led by a 1
+    for the marginal slot; the matrices grow by doubling and removals shift
+    later rows up, so atoms keep their order.  Atoms are in canonical sign
+    form, so strategies inducing the same tensor merge; weights stay
+    nonnegative and are renormalised when their sum drifts from 1 by more
+    than 1e-12.  ``x`` is the dense iterate, or None while it is stale.
     """
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.atoms = []
         self.weights = np.zeros(0)
-        self.tensors = []            # per-atom materialised entry arrays
         self._index = {}
-        self.x = np.zeros(scenario.shape)
+        self._rows = list(np.zeros((scenario.parties, MIN_CAPACITY, scenario.axis_size)))
+        self.x = None
 
     def __len__(self):
         return len(self.atoms)
 
-    def find(self, strategy):
-        return self._index.get(strategy.canonical(self.scenario))
+    @property
+    def rows(self):
+        """Per-party (atoms, axis) sign rows of the active atoms."""
+        return [r[: len(self.atoms)] for r in self._rows]
 
     def add_atom(self, strategy, weight=0.0):
         s = strategy.canonical(self.scenario)
         i = self._index.get(s)
         if i is None:
             i = len(self.atoms)
+            if i == len(self._rows[0]):
+                self._rows = [np.pad(r, ((0, i), (0, 0))) for r in self._rows]
+            for r, v in zip(self._rows, strategy_rows(s, self.scenario.marginals)):
+                r[i] = v
             self.atoms.append(s)
             self._index[s] = i
-            self.tensors.append(strategy_tensor(s, self.scenario).entries)
             self.weights = np.append(self.weights, 0.0)
         if weight:
             self.weights[i] += weight
         return i
 
     def remove_atom(self, i):
-        del self._index[self.atoms[i]]
-        self.atoms.pop(i)
-        self.tensors.pop(i)
+        n = len(self.atoms)
+        del self._index[self.atoms.pop(i)]
+        for r in self._rows:
+            r[i : n - 1] = r[i + 1 : n]
         self.weights = np.delete(self.weights, i)
-        for j in range(i, len(self.atoms)):
+        for j in range(i, n - 1):
             self._index[self.atoms[j]] = j
 
     def purge_zero_weights(self, tol=0.0):
-        for i in range(len(self.atoms) - 1, -1, -1):
-            if self.weights[i] <= tol:
-                self.remove_atom(i)
+        keep = self.weights > tol
+        for r in self._rows:
+            r[: keep.sum()] = r[: len(keep)][keep]
+        self.atoms = [a for a, k in zip(self.atoms, keep) if k]
+        self.weights = self.weights[keep]
+        self._index = {a: j for j, a in enumerate(self.atoms)}
 
     def renormalize(self, drift=1e-12):
         s = self.weights.sum()
         if abs(s - 1.0) > drift and s > 0:
             self.weights /= s
+            self.x = None
             return True
         return False
 
+    def atom_tensor(self, i):
+        """Dense tensor of atom i: the outer product of its sign rows."""
+        rows = [r[i : i + 1] for r in self._rows]
+        return combine_rows(np.ones(1), rows).reshape(self.scenario.shape)
+
     def recompute_iterate(self):
-        x = np.zeros(self.scenario.shape)
-        for w, t in zip(self.weights, self.tensors):
-            x += w * t
-        return x
+        """sum_i w_i d_i as one product of the weights with the sign rows."""
+        return combine_rows(self.weights, self.rows).reshape(self.scenario.shape)
+
+    def iterate(self):
+        """The dense iterate, formed from the weights and rows if stale."""
+        if self.x is None:
+            self.x = self.recompute_iterate()
+        return self.x
 
     def iterate_error(self):
-        return float(np.abs(self.x - self.recompute_iterate()).max())
+        return float(np.abs(self.iterate() - self.recompute_iterate()).max())
+
+
+def _gram(rows, other, marginals):
+    """Inner products of strategy tensors from their sign rows: the product
+    over parties of the row dot products, less the root term with marginals."""
+    g = 1.0
+    for r, o in zip(rows, other):
+        g = g * (r @ o.T)
+    return g - 1 if marginals else g
 
 
 class InnerProductCache:
     """Incrementally maintained <grad f(x_t), d_lambda> over the active set.
 
-    Stores the atom Gram matrix and the fixed term <v0 p, d_lambda>; when a
-    step changes at most two weights the cached values are updated from one or
-    two Gram columns instead of being recomputed against the gradient.
+    The values are s - b, with s = Gram @ weights and b_lambda =
+    <v0 p, d_lambda>, so they need no dense iterate.  A step that changes at
+    most two weights updates s from one or two Gram columns.  A new atom's
+    Gram column comes from the sign rows, one matrix-vector product per
+    party; the Gram buffer grows by doubling and removals shift it in place.
     """
 
     def __init__(self, active, v0p):
         self.active = active
         self.v0p = v0p
+        rows = active.rows
         n = len(active)
-        self.gram = np.zeros((n, n))
-        self.b = np.zeros(n)
-        for i, s in enumerate(active.atoms):
-            self._fill_atom(i, s)
+        self._gram = np.zeros((max(n, MIN_CAPACITY),) * 2)
+        self._gram[:n, :n] = _gram(rows, rows, active.scenario.marginals)
+        self.b = rows_inner(v0p, [r.T for r in rows])
         self.s = self.gram @ active.weights
 
-    def _fill_atom(self, i, strategy):
-        sc = self.active.scenario
-        for j, other in enumerate(self.active.atoms):
-            g = strategy_inner(strategy, other, sc)
-            self.gram[i, j] = g
-            self.gram[j, i] = g
-        self.b[i] = tensor_strategy_inner(self.v0p, strategy)
+    @property
+    def gram(self):
+        return self._gram[: len(self.b), : len(self.b)]
 
-    def add_atom(self, i, strategy):
-        n = len(self.active)
-        if self.gram.shape[0] < n:
-            self.gram = np.pad(self.gram, ((0, 1), (0, 1)))
-            self.b = np.append(self.b, 0.0)
-            self.s = np.append(self.s, 0.0)
-            self._fill_atom(i, strategy)
-            self.s[i] = self.gram[i] @ self.active.weights
+    def add_atom(self, i):
+        """Extend the cache by the active set's atom i unless it holds it."""
+        n = len(self.b)
+        if i < n:
+            return
+        if n == len(self._gram):
+            self._gram = np.pad(self._gram, ((0, n), (0, n)))
+        rows = self.active.rows
+        new = [r[i] for r in rows]
+        col = _gram(rows, new, self.active.scenario.marginals)
+        self._gram[i, : n + 1] = col
+        self._gram[: n + 1, i] = col
+        self.b = np.append(self.b, rows_inner(self.v0p, [v[:, None] for v in new]))
+        self.s = np.append(self.s, col @ self.active.weights)
 
     def remove_atom(self, i):
-        self.gram = np.delete(np.delete(self.gram, i, axis=0), i, axis=1)
+        n = len(self.b)
+        g = self._gram
+        g[i : n - 1, :n] = g[i + 1 : n, :n]
+        g[: n - 1, i : n - 1] = g[: n - 1, i + 1 : n]
         self.b = np.delete(self.b, i)
         self.s = np.delete(self.s, i)
 
     def apply_pairwise(self, i_from, i_to, gamma):
-        self.s += gamma * (self.gram[:, i_to] - self.gram[:, i_from])
+        g = self.gram
+        self.s += gamma * (g[:, i_to] - g[:, i_from])
 
     def apply_fw(self, i_new, gamma):
         self.s = (1 - gamma) * self.s + gamma * self.gram[:, i_new]
@@ -183,15 +236,6 @@ class SolverResult:
     @property
     def converged(self):
         return self.status == STATUS_INSIDE
-
-
-def _dist(x, target):
-    return float(np.linalg.norm((x - target).reshape(-1)))
-
-
-def _target_entries(p, v0):
-    t = p.entries.astype(np.float64) if p.is_exact else p.entries
-    return float(v0) * t
 
 
 def _zero_root(arr, scenario):
@@ -255,58 +299,56 @@ def _solve(p, v0, cfg, lazy):
     K = cfg.lazy_tolerance
     tol = 0.5 * cfg.eps**2
     sc = p.scenario
-    target = _zero_root(_target_entries(p, v0), sc)
+    target = _zero_root(float(v0) * p.to_float().entries, sc)
     target_t = CorrelationTensor(sc, target)
+
+    def distance():
+        return float(np.linalg.norm(_zero_root(active.iterate(), sc) - target))
 
     active = ActiveSet(sc)
     seed = cfg.seed
-    lam0 = heuristic_lmo(CorrelationTensor(sc, -target), cfg.restarts, seed, cfg.threads)
+    lam0 = heuristic_lmo(CorrelationTensor(sc, -target), cfg.restarts, seed)
     lmo_calls = 1
     active.add_atom(lam0, 1.0)
-    active.x = active.tensors[0].copy()
+    active.x = active.atom_tensor(0)
     cache = InnerProductCache(active, target_t)
 
-    dist = _dist(_zero_root(active.x, sc), target)
+    dist = distance()
     phi = 0.5 * dist**2 if lazy else np.inf
     res = SolverResult(active, dist, phi, target_t, 0, lmo_calls, STATUS_CAP)
 
     t = 0
     rebuild_every = 4096
     for t in range(cfg.max_iterations):
-        x = _zero_root(active.x, sc)
-        dist = _dist(x, target)
-        f = 0.5 * dist**2
+        # the observers read the iterate, forming it if stale; the steps do
+        # not depend on whether it was formed here
+        report = cfg.callback and cfg.callback_every and t % cfg.callback_every == 0
+        if cfg.trace or cfg.debug or report:
+            dist = distance()
+            f = 0.5 * dist**2
         if cfg.trace:
             res.f_history.append(f)
             if lazy:
                 res.phi_history.append(phi)
-        if dist <= cfg.eps:
-            res.status = STATUS_INSIDE
-            break
         if phi <= tol:
             res.status = STATUS_SEPARATED
             break
 
         vals = cache.values()
-        i_away = int(np.argmax(vals))
-        i_local = int(np.argmin(vals))
+        i_away = int(vals.argmax())
+        i_local = int(vals.argmin())
         step = None
 
         if lazy and vals[i_away] - vals[i_local] >= phi:
-            # pairwise transfer along d_local - d_away
+            # pairwise transfer along d_local - d_away, in Gram space
             ga = vals[i_away] - vals[i_local]
-            asq = (
-                cache.gram[i_away, i_away]
-                + cache.gram[i_local, i_local]
-                - 2 * cache.gram[i_away, i_local]
-            )
+            g = cache.gram
+            asq = g[i_away, i_away] + g[i_local, i_local] - 2 * g[i_away, i_local]
             cap = active.weights[i_away]
             gamma = min(ga / asq, cap)
-            active.x = active.x + gamma * (
-                active.tensors[i_local] - active.tensors[i_away]
-            )
             active.weights[i_away] -= gamma
             active.weights[i_local] += gamma
+            active.x = None
             cache.apply_pairwise(i_away, i_local, gamma)
             if gamma >= cap:
                 step = "drop"
@@ -316,11 +358,15 @@ def _solve(p, v0, cfg, lazy):
             else:
                 step = "pairwise"
         else:
+            x = _zero_root(active.iterate(), sc)
             grad = x - target
+            dist = float(np.linalg.norm(grad))
+            if dist <= cfg.eps:
+                res.status = STATUS_INSIDE
+                break
+            f = 0.5 * dist**2
             seed += 1
-            omega = heuristic_lmo(
-                CorrelationTensor(sc, grad), cfg.restarts, seed, cfg.threads
-            )
+            omega = heuristic_lmo(CorrelationTensor(sc, grad), cfg.restarts, seed)
             lmo_calls += 1
             gx = float(active.weights @ vals)  # <grad, x>
             gw = tensor_strategy_inner(CorrelationTensor(sc, grad), omega)
@@ -333,10 +379,10 @@ def _solve(p, v0, cfg, lazy):
                     res.status = STATUS_SEPARATED
                     break
             if not lazy or gap >= phi / K:
-                # Frank-Wolfe step toward the oracle vertex
+                # Frank-Wolfe step toward the oracle vertex: a rank-one update
                 i = active.add_atom(omega)
-                cache.add_atom(i, active.atoms[i])
-                d = active.tensors[i]
+                cache.add_atom(i)
+                d = active.atom_tensor(i)
                 diff = x - _zero_root(d, sc)
                 denom = float(np.dot(diff.reshape(-1), diff.reshape(-1)))
                 gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
@@ -362,24 +408,23 @@ def _solve(p, v0, cfg, lazy):
         if cfg.trace and lazy:
             res.step_types.append(step)
         if cfg.debug:
-            f_new = 0.5 * _dist(_zero_root(active.x, sc), target) ** 2
+            f_new = 0.5 * distance() ** 2
             assert f_new <= f + 1e-12, f"objective increased on {step} step"
             assert abs(active.weights.sum() - 1) <= 1e-9, "weights do not sum to 1"
             assert active.weights.min() >= -1e-15, "negative weight"
         if (t + 1) % rebuild_every == 0:
-            active.x = active.recompute_iterate()
             cache.rebuild()
-        if cfg.callback and cfg.callback_every and t % cfg.callback_every == 0:
+        if report:
             cfg.callback(t, dist, phi, len(active))
     else:
         t = cfg.max_iterations
 
-    x = _zero_root(active.x, sc)
-    res.distance = _dist(x, target)
+    grad = _zero_root(active.iterate(), sc) - target
+    res.distance = float(np.linalg.norm(grad))
     if res.distance <= cfg.eps:
         res.status = STATUS_INSIDE
     res.phi = phi if np.isfinite(phi) else 0.0
-    res.gradient = CorrelationTensor(sc, x - target)
+    res.gradient = CorrelationTensor(sc, grad)
     res.iterations = t
     res.lmo_calls = lmo_calls
     return res

@@ -7,13 +7,11 @@ enumeration (exact, capped), and an exact branch-and-bound on the QUBO
 reformulation of the bipartite case.
 """
 
-import string
-
 import numpy as np
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor import CorrelationTensor, DeterministicStrategy
+from .tensor import CorrelationTensor, DeterministicStrategy, _contract
 
 EXHAUSTIVE_CAP = 26  # max N*m for full enumeration
 QUBO_CAP = 64  # max binary variables (2m) for the QUBO branch and bound
@@ -56,87 +54,47 @@ def _extended(mat, marginals):
     return np.vstack([np.ones((1, mat.shape[1]), dtype=mat.dtype), mat])
 
 
-_AXES = string.ascii_letters.replace("r", "")  # party subscripts; r is the batch
-
-
-def _contract(G, signs, marginals, free=None):
-    """Contract G with every party's (m, R) signs but ``free``'s, batched over R.
-
-    Returns the free party's (axis, R) coefficients, or the (R,) values
-    <G, d_r> when no party is free; ``signs[free]`` is read only for R when
-    it is the only party, whose coefficients are then G itself.
-    """
-    if G.ndim > len(_AXES):
-        raise ValueError(f"at most {len(_AXES)} parties are supported")
-    parties = [j for j in range(G.ndim) if j != free]
-    if not parties:
-        return np.repeat(G[:, None], signs[free].shape[1], axis=1)
-    spec = _AXES[: G.ndim] + "," + ",".join(_AXES[j] + "r" for j in parties)
-    out = "r" if free is None else _AXES[free] + "r"
-    ops = [_extended(signs[j], marginals) for j in parties]
-    return np.einsum(spec + "->" + out, G, *ops)
-
-
-def maximize_functional_heuristic(
-    tensor, restarts=3000, seed=0, max_rounds=200, threads=1
-):
+def maximize_functional_heuristic(tensor, restarts=3000, seed=0, max_rounds=200):
     """Best strategy found by alternating maximisation of <tensor, d>.
 
     Every restart draws random signs for all parties and then cycles through
     the parties, replacing each party's signs by the sign of its coefficient
-    vector (with sign(0) = +1) until a full round brings no improvement.
-    Returns (strategy, value) with the value root-corrected, i.e. equal to
-    inner(tensor, strategy_tensor(...)).
+    vector (with sign(0) = +1) until a full round brings no improvement.  The
+    restarts run as the columns of one batch; a round's value is read off its
+    last contraction.  Returns (strategy, value) with the value
+    root-corrected, i.e. equal to inner(tensor, strategy_tensor(...)).
     """
     sc = tensor.scenario
     N, m = sc.parties, sc.inputs
-    G = tensor.entries
-    if G.dtype == object:
-        G = G.astype(np.float64)
+    G = tensor.to_float().entries
+    off = 1 if sc.marginals else 0
 
-    def run_chunk(chunk_seed, R):
-        rng = np.random.default_rng(chunk_seed)
-        signs = [rng.choice([-1.0, 1.0], size=(m, R)) for _ in range(N)]
-        prev = np.full(R, -np.inf)
-        for _ in range(max_rounds):
-            for n in range(N):
-                C = _contract(G, signs, sc.marginals, free=n)
-                coeff = C[1:] if sc.marginals else C
-                signs[n] = np.where(coeff >= 0, 1.0, -1.0)
-            vals = _contract(G, signs, sc.marginals)
-            if np.all(vals <= prev + 1e-12):
-                break
-            prev = vals
-        i = int(np.argmax(prev))
-        return prev[i], [signs[n][:, i].copy() for n in range(N)]
-
-    # restarts are independent; map over seeded chunks, reduce by best value
-    threads = max(1, threads)
-    base = restarts // threads
-    sizes = [base + (1 if k < restarts % threads else 0) for k in range(threads)]
-    jobs = [(seed + k, R) for k, R in enumerate(sizes) if R > 0]
-    if len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(lambda j: run_chunk(*j), jobs))
-    else:
-        results = [run_chunk(*j) for j in jobs]
-
-    best_val, best_signs = max(results, key=lambda r: r[0])
+    rng = np.random.default_rng(seed)
+    signs = [
+        _extended(rng.choice([-1.0, 1.0], size=(m, restarts)), sc.marginals)
+        for _ in range(N)
+    ]
+    prev = np.full(restarts, -np.inf)
+    for _ in range(max_rounds):
+        for n in range(N):
+            C = _contract(G, signs, free=n)
+            signs[n][off:] = np.where(C[off:] >= 0, 1.0, -1.0)
+        vals = (C * signs[N - 1]).sum(axis=0)
+        if np.all(vals <= prev + 1e-12):
+            break
+        prev = vals
+    i = int(np.argmax(prev))
     strategy = DeterministicStrategy.from_signs(
-        [list(s.astype(int)) for s in best_signs]
+        [list(signs[n][off:, i].astype(int)) for n in range(N)]
     )
     root = float(G[(0,) * N]) if sc.marginals else 0.0
-    return strategy, best_val - root
+    return strategy, prev[i] - root
 
 
-def heuristic_lmo(gradient, restarts=3000, seed=0, threads=1):
+def heuristic_lmo(gradient, restarts=3000, seed=0):
     """Strategy approximately minimising <gradient, d> over all strategies."""
     neg = CorrelationTensor(gradient.scenario, -gradient.entries)
-    strategy, _ = maximize_functional_heuristic(
-        neg, restarts=restarts, seed=seed, threads=threads
-    )
+    strategy, _ = maximize_functional_heuristic(neg, restarts=restarts, seed=seed)
     return strategy
 
 
@@ -159,64 +117,39 @@ def exhaustive_lmo(gradient, batch=1 << 14):
     N, m = sc.parties, sc.inputs
     if N * m > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive oracle capped at N*m <= {EXHAUSTIVE_CAP}")
-    G = gradient.entries
-    exact_int = False
-    if G.dtype == object:
-        flat = G.reshape(-1)
-        if all(
-            isinstance(x, (int, np.integer))
-            or (isinstance(x, Fraction) and x.denominator == 1)
-            for x in flat
-        ):
-            G = np.array([int(x) for x in flat], dtype=np.int64).reshape(G.shape)
-            exact_int = True
-        else:
-            G = G.astype(np.float64)
-    elif np.issubdtype(G.dtype, np.integer):
-        exact_int = True
+    functional = BellFunctional(gradient)
+    exact_int = gradient.is_exact and functional.is_integer
+    G = functional.integer_array() if exact_int else gradient.to_float().entries
 
     outer_vars = (N - 1) * m
     best_val = None
-    best_outer = None
-    best_last = None
     root = G[(0,) * N] if sc.marginals else 0
-
-    if N == 1:
-        coeff = G[1:] if sc.marginals else G
-        last = np.where(coeff > 0, -1, 1)
-        value = -np.abs(coeff).sum()
-        strategy = DeterministicStrategy.from_signs([list(last.astype(int))])
-        return strategy, int(value) if exact_int else float(value)
 
     for start in range(0, 1 << outer_vars, batch):
         stop = min(start + batch, 1 << outer_vars)
-        rows = _lex_sign_batch(start, stop, outer_vars) if outer_vars else np.ones((1, 0))
+        rows = _lex_sign_batch(start, stop, outer_vars)
         if exact_int:
             rows = rows.astype(np.int64)
-        B = rows.shape[0]
-        signs = [rows[:, j * m : (j + 1) * m].T for j in range(N - 1)]
+        signs = [
+            _extended(rows[:, j * m : (j + 1) * m].T, sc.marginals)
+            for j in range(N - 1)
+        ]
 
         # contraction onto the last party's axis, batched over assignments
-        C = _contract(G, signs, sc.marginals, free=N - 1)
-        if sc.marginals:
-            base = C[0]
-            coeff = C[1:]
-        else:
-            base = np.zeros(B, dtype=C.dtype)
-            coeff = C
-        vals = base - np.abs(coeff).sum(axis=0)
+        C = _contract(G, signs, free=N - 1)
+        coeff = C[1:] if sc.marginals else C
+        vals = (C[0] if sc.marginals else 0) - np.abs(coeff).sum(axis=0)
         i = int(np.argmin(vals))
         v = vals[i]
         if best_val is None or v < best_val:
             best_val = v
-            best_outer = [signs[j][:, i].copy() for j in range(N - 1)]
+            best_outer = [rows[i, j * m : (j + 1) * m] for j in range(N - 1)]
             # minimise coeff . s: s = -sign(coeff), ties resolved to +1
             best_last = np.where(coeff[:, i] > 0, -1, 1)
 
-    sign_vectors = [list(s.astype(int)) for s in best_outer] + [
-        list(best_last.astype(int))
-    ]
-    strategy = DeterministicStrategy.from_signs(sign_vectors)
+    strategy = DeterministicStrategy.from_signs(
+        [list(s.astype(int)) for s in best_outer + [best_last]]
+    )
     value = best_val - root
     if exact_int:
         value = int(value)

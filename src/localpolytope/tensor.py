@@ -254,23 +254,21 @@ class DeterministicStrategy:
         return f"DeterministicStrategy({self.to_string()!r})"
 
 
+def strategy_rows(s, marginals, dtype=np.float64):
+    """Per-party sign vectors of a strategy, each led by a 1 for the marginal slot."""
+    lead = np.ones(1 if marginals else 0, dtype)
+    return [np.concatenate([lead, s.signs(n).astype(dtype)]) for n in range(s.parties)]
+
+
 def strategy_tensor(s, scenario, exact=False):
     """Rank-one tensor induced by a strategy; marginal slots contribute factor 1."""
     if s.parties != scenario.parties or s.inputs != scenario.inputs:
         raise ValueError("strategy does not match scenario")
-    vecs = []
-    for n in range(scenario.parties):
-        sv = s.signs(n)
-        if scenario.marginals:
-            sv = np.concatenate([[1], sv])
-        if exact:
-            vecs.append(np.array([Fraction(int(x)) for x in sv], dtype=object))
-        else:
-            vecs.append(sv.astype(np.float64))
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.multiply.outer(out, v)
-    return CorrelationTensor(scenario, out)
+    vecs = strategy_rows(s, scenario.marginals, np.int64 if exact else np.float64)
+    if exact:
+        vecs = [np.array([Fraction(int(x)) for x in v], dtype=object) for v in vecs]
+    out = combine_rows(np.ones(1, vecs[0].dtype), [v[None] for v in vecs])
+    return CorrelationTensor(scenario, out.reshape(scenario.shape))
 
 
 def strategy_inner(s1, s2, scenario):
@@ -286,22 +284,49 @@ def strategy_inner(s1, s2, scenario):
     return prod
 
 
-def tensor_strategy_inner(t, s):
-    """<t, strategy_tensor(s)> without materialising the strategy tensor.
+def _contract(G, signs, free=None):
+    """Contract G with the (axis, R) sign columns of every party but ``free``.
 
-    Contracts the tensor against the per-party sign vectors; for integer-valued
-    tensors the result is exact.
+    The first contracted party goes by one matrix product and each further
+    one by a product batched over the R columns, so float input runs on BLAS
+    while integer and object input stays exact.  Sign columns carry the
+    leading 1 of a marginal slot.  Returns the free party's (axis, R)
+    coefficients, or the (R,) values <G, d_r> when no party is free.  With
+    one party the coefficients are G itself, one column broadcasting over R.
     """
-    sc = t.scenario
-    arr = t.entries
-    for n in range(sc.parties - 1, -1, -1):
-        sv = s.signs(n).astype(arr.dtype if arr.dtype != object else np.int64)
-        if sc.marginals:
-            sv = np.concatenate([[1], sv])
-        arr = arr @ sv if arr.ndim > 1 else np.dot(arr, sv)
-    if sc.marginals:
-        arr = arr - t.root
-    return arr
+    order = [j for j in range(G.ndim) if j != free]
+    if not order:
+        return G[:, None]
+    if free is not None:
+        G = np.moveaxis(G, free, -1)
+    a = G.shape[0]
+    T = signs[order[0]].T @ G.reshape(a, -1)
+    for j in order[1:]:
+        T = np.matmul(signs[j].T[:, None, :], T.reshape(len(T), a, -1))[:, 0]
+    return T.T if free is not None else T[:, 0]
+
+
+def rows_inner(t, rows):
+    """<t, d_r>, root excluded, for the strategies given by ``_contract`` columns."""
+    v = _contract(t.entries, rows)
+    return v - t.root if t.scenario.marginals else v
+
+
+def combine_rows(weights, rows):
+    """sum_i weights[i] rows[0][i] x ... x rows[-1][i], shape (axis^(N-1), axis),
+    as one product of the weighted per-party (n, axis) rows with the last's."""
+    *lead, last = rows
+    left = np.asarray(weights).reshape(-1, 1)
+    for r in lead:
+        left = (left[:, :, None] * r[:, None, :]).reshape(len(r), left.shape[1] * r.shape[1])
+    return left.T @ last
+
+
+def tensor_strategy_inner(t, s):
+    """<t, strategy_tensor(s)> without materialising it; exact for exact t."""
+    dtype = np.int64 if t.entries.dtype == object else t.entries.dtype
+    vecs = strategy_rows(s, t.scenario.marginals, dtype)
+    return rows_inner(t, [v[:, None] for v in vecs])[0]
 
 
 @dataclass(frozen=True)

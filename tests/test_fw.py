@@ -19,6 +19,7 @@ from localpolytope.tensor import (
     DeterministicStrategy,
     Scenario,
     inner,
+    strategy_inner,
     strategy_tensor,
 )
 from util import recomputed_values
@@ -168,12 +169,13 @@ def test_cache_matches_recomputation_after_updates(chsh_singlet):
         assert np.abs(cache.values() - recomputed_values(active, grad)).max() < 1e-12
 
     check()
+    dense = [strategy_tensor(a, NM22).entries for a in active.atoms]
 
     # pairwise transfer between two atoms
     gamma = 0.1
     active.weights[0] -= gamma
     active.weights[2] += gamma
-    active.x += gamma * (active.tensors[2] - active.tensors[0])
+    active.x += gamma * (dense[2] - dense[0])
     cache.apply_pairwise(0, 2, gamma)
     check()
 
@@ -181,7 +183,7 @@ def test_cache_matches_recomputation_after_updates(chsh_singlet):
     gamma = active.weights[1]
     active.weights[1] = 0.0
     active.weights[2] += gamma
-    active.x += gamma * (active.tensors[2] - active.tensors[1])
+    active.x += gamma * (dense[2] - dense[1])
     cache.apply_pairwise(1, 2, gamma)
     active.remove_atom(1)
     cache.remove_atom(1)
@@ -190,17 +192,133 @@ def test_cache_matches_recomputation_after_updates(chsh_singlet):
     # frank-wolfe step toward a fresh atom
     new = DeterministicStrategy([2, 2], 2)
     i = active.add_atom(new)
-    cache.add_atom(i, active.atoms[i])
+    cache.add_atom(i)
     gamma = 0.25
     active.weights *= 1 - gamma
     active.weights[i] += gamma
-    active.x += gamma * (active.tensors[i] - active.x)
+    active.x += gamma * (strategy_tensor(new, NM22).entries - active.x)
     cache.apply_fw(i, gamma)
     check()
 
     # no-op leaves values untouched
     before = cache.values().copy()
     assert np.array_equal(before, cache.values())
+
+
+@pytest.mark.parametrize(
+    "parties, inputs, marginals", [(2, 3, False), (3, 4, True), (1, 5, True)]
+)
+def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, marginals):
+    sc = Scenario(parties, inputs, marginals)
+    rng = np.random.default_rng(10 * parties + inputs)
+    target = CorrelationTensor(sc, rng.normal(size=sc.shape))
+    active = ActiveSet(sc)
+    active.add_atom(DeterministicStrategy([0] * parties, inputs), 1.0)
+    cache = InnerProductCache(active, target)
+
+    def check():
+        dense = sum(
+            w * strategy_tensor(a, sc).entries
+            for w, a in zip(active.weights, active.atoms)
+        )
+        x = active.recompute_iterate()
+        assert np.abs(x - dense).max() < 1e-12
+        n = len(active)
+        assert cache.gram.shape == (n, n)
+        for i, a in enumerate(active.atoms):
+            for j, b in enumerate(active.atoms):
+                assert cache.gram[i, j] == strategy_inner(a, b, sc)
+        expected = recomputed_values(active, x - target.entries)
+        assert np.abs(cache.values() - expected).max() < 1e-10
+
+    def fw_step(gamma):
+        bits = [int(b) for b in rng.integers(0, 1 << inputs, parties)]
+        i = active.add_atom(DeterministicStrategy(bits, inputs))
+        cache.add_atom(i)
+        active.weights *= 1 - gamma
+        active.weights[i] += gamma
+        cache.apply_fw(i, gamma)
+
+    def pairwise(i_from, i_to, gamma):
+        active.weights[i_from] -= gamma
+        active.weights[i_to] += gamma
+        cache.apply_pairwise(i_from, i_to, gamma)
+
+    check()
+    # more atoms than a fresh buffer holds, so the rows and the Gram matrix grow
+    for _ in range(20):
+        fw_step(0.2)
+    assert len(active) > 8
+    check()
+    pairwise(0, len(active) - 1, active.weights[0] / 2)
+    check()
+    # drop step: the rows after the dropped atom shift up, in order
+    order = list(active.atoms)
+    pairwise(1, 2, active.weights[1])
+    active.remove_atom(1)
+    cache.remove_atom(1)
+    assert active.atoms == order[:1] + order[2:]
+    check()
+    fw_step(0.5)
+    check()
+    # purge keeps the order of the survivors; the solver then rebuilds the cache
+    active.weights[::2] = 0.0
+    active.renormalize()
+    survivors = [a for a, w in zip(active.atoms, active.weights) if w > 0]
+    active.purge_zero_weights()
+    assert active.atoms == survivors
+    cache = InnerProductCache(active, target)
+    check()
+
+
+def _run_summary(res):
+    return (
+        res.active_set.atoms,
+        res.active_set.weights.tolist(),
+        res.iterations,
+        res.lmo_calls,
+        res.status,
+    )
+
+
+# at m = 6, v0 = 0.55 the run reaches eps on a pairwise step and stops only at
+# the next oracle call, so an observer that tested the distance would show
+@pytest.mark.parametrize("case", ["chsh-0.65", "chsh-0.75", "m6-0.55"])
+def test_trace_debug_and_callback_only_observe(case, chsh_singlet, ico_singlet):
+    p = ico_singlet if case.startswith("m6") else chsh_singlet
+    v0 = float(case.split("-")[1])
+    plain = bpcg(p, v0, SolverConfig(restarts=300, seed=2))
+    seen = []
+    observed = bpcg(
+        p,
+        v0,
+        SolverConfig(
+            restarts=300,
+            seed=2,
+            trace=True,
+            debug=True,
+            callback=lambda *args: seen.append(args),
+            callback_every=3,
+        ),
+    )
+    assert seen and observed.f_history
+    assert _run_summary(observed) == _run_summary(plain)
+
+
+@pytest.mark.parametrize("v0", [0.60, 0.75])
+def test_iterate_formed_at_most_once_per_oracle_call(v0, ico_singlet, monkeypatch):
+    calls = []
+    original = ActiveSet.recompute_iterate
+
+    def counted(self):
+        calls.append(len(self))
+        return original(self)
+
+    monkeypatch.setattr(ActiveSet, "recompute_iterate", counted)
+    res = bpcg(ico_singlet, v0, SolverConfig(restarts=300, seed=2))
+    # the pairwise steps between oracle calls leave the iterate stale
+    assert res.iterations > res.lmo_calls
+    assert len(calls) <= res.lmo_calls + 1
 
 
 def test_fast_inner_cache_factory(chsh_singlet):
@@ -265,15 +383,14 @@ def test_solver_callback_cadence(chsh_singlet):
     assert seen and all(t % 5 == 0 for t in seen)
 
 
-def test_heuristic_threads_give_valid_vertex(chsh_singlet):
-    from localpolytope.lmo import heuristic_lmo
+def test_heuristic_matches_exhaustive_on_chsh(chsh_singlet):
+    from localpolytope.lmo import exhaustive_lmo, heuristic_lmo
 
     g = CorrelationTensor(NM22, 0.5 * chsh_singlet.entries)
-    s1 = heuristic_lmo(g, restarts=64, seed=0, threads=1)
-    s4 = heuristic_lmo(g, restarts=64, seed=0, threads=4)
-    v1 = inner(g, strategy_tensor(s1, NM22))
-    v4 = inner(g, strategy_tensor(s4, NM22))
-    assert v1 == v4  # tiny instance: both find the optimum
+    s = heuristic_lmo(g, restarts=64, seed=0)
+    _, v_opt = exhaustive_lmo(g)
+    # tiny instance: the heuristic finds the optimum
+    assert inner(g, strategy_tensor(s, NM22)) == pytest.approx(v_opt, abs=1e-12)
 
 
 def test_bpcg_early_separation_flag(chsh_singlet):

@@ -10,7 +10,6 @@ from localpolytope.lmo import (
     local_bound,
     qubo_branch_and_bound,
     to_qubo,
-    _AXES,
     _contract,
 )
 from localpolytope.states import ghz_polygon_tensor
@@ -136,11 +135,13 @@ def test_heuristic_five_parties_matches_exhaustive():
         assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
 
 
-def test_contract_rejects_more_parties_than_subscripts():
-    G = np.zeros((1,) * (len(_AXES) + 1))
-    signs = [np.ones((1, 3))] * G.ndim
-    with pytest.raises(ValueError, match="parties"):
-        _contract(G, signs, False)
+def test_contract_has_no_party_limit():
+    # 52 parties of one input each: more than the ASCII letters an einsum
+    # subscript could name; column r holds the signs (+1, -1)[r] everywhere
+    G = np.full((1,) * 52, 3.0)
+    signs = [np.array([[1.0, -1.0]])] * G.ndim
+    assert np.array_equal(_contract(G, signs), [3.0, 3.0])
+    assert np.array_equal(_contract(G, signs, free=7), [[3.0, -3.0]])
 
 
 # --- exhaustive oracle ---------------------------------------------------------

@@ -12,6 +12,7 @@ from localpolytope.states import (
     w_state,
 )
 from localpolytope.tensor import (
+    _contract,
     CorrelationTensor,
     DeterministicStrategy,
     QuantumSetup,
@@ -28,6 +29,8 @@ from localpolytope.tensor import (
     tensor_strategy_inner,
     write_tensor,
 )
+
+from util import contract_reference
 
 NO_MARG_22 = Scenario(2, 2, marginals=False)
 
@@ -290,3 +293,27 @@ def test_ghz4_polygon_formula():
     q = quantum_tensor(QuantumSetup(ghz_state(4), (vecs,) * 4), sc)
     ref = ghz_polygon_tensor(4, 2, exact=False)
     assert np.abs(q.entries - ref.entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("parties", [1, 2, 3, 4, 5])
+def test_contract_matches_einsum_reference(parties, marginals, dtype):
+    rng = np.random.default_rng(10 * parties + marginals)
+    m, R = (3 if parties <= 3 else 2), 7
+    sc = Scenario(parties, m, marginals)
+    if dtype is np.int64:
+        G = rng.integers(-50, 51, size=sc.shape)
+    else:
+        G = rng.normal(size=sc.shape)
+    signs = [rng.choice([-1, 1], size=(m, R)).astype(dtype) for _ in range(parties)]
+    cols = [np.vstack([np.ones((1, R), dtype), s]) if marginals else s for s in signs]
+    for free in [None, *range(parties)]:
+        ref = contract_reference(G, signs, marginals, free)
+        # with one party the kernel returns G as one column broadcasting over R
+        got = np.broadcast_to(_contract(G, cols, free), ref.shape)
+        if dtype is np.int64:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)

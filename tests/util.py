@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import string
 import warnings
 
 import numpy as np
@@ -40,6 +41,30 @@ def unit_rational_tensor(scenario, rng):
     r = e - 2 * (u @ e) / (u @ u) * u
     assert r @ r == 1
     return CorrelationTensor(scenario, r.reshape(scenario.shape))
+
+
+_AXES = string.ascii_letters.replace("r", "")  # party subscripts; r is the batch
+
+
+def contract_reference(G, signs, marginals, free=None):
+    """G contracted with every party's (m, R) signs but ``free``'s, batched
+    over R, by one einsum; the reference for tensor._contract.
+
+    Returns the free party's (axis, R) coefficients, or the (R,) values
+    <G, d_r> when no party is free.
+    """
+    parties = [j for j in range(G.ndim) if j != free]
+    if not parties:
+        return np.repeat(G[:, None], signs[free].shape[1], axis=1)
+    spec = _AXES[: G.ndim] + "," + ",".join(_AXES[j] + "r" for j in parties)
+    out = "r" if free is None else _AXES[free] + "r"
+    ops = [
+        np.vstack([np.ones((1, signs[j].shape[1]), signs[j].dtype), signs[j]])
+        if marginals
+        else signs[j]
+        for j in parties
+    ]
+    return np.einsum(spec + "->" + out, G, *ops)
 
 
 def recomputed_values(active, gradient_entries):
