@@ -54,7 +54,7 @@ G = extract_hyperplane(res, p, 0.75)
 M = integerize_functional(G)
 print("integer functional:", M.tensor.entries.tolist())
 
-lb = local_bound(M)           # exact, via the QUBO branch and bound
+lb = local_bound(M)           # exact: Alice's signs enumerated, Bob's in closed form
 q = inner(M.tensor, p)
 cert_up = assemble_upper(M, lb.value, p, target)
 print(f"local bound = {lb.value}, quantum value = {float(q):.6f} (~2*sqrt2)")

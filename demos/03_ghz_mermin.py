@@ -38,7 +38,7 @@ M = integerize_functional(extract_hyperplane(res, p, 0.55))
 print("integerized hyperplane:", M.tensor.entries.reshape(-1).tolist())
 print("(+XXX -XYY -YXY -YYX: the Mermin functional)")
 
-lb = local_bound(M)    # exhaustive over all 2^6 = 64 strategies
+lb = local_bound(M)    # enumerates two parties' signs, the third in closed form
 q = inner(M.tensor, p)
 cert = assemble_upper(M, lb.value, p, TargetSpec("ghz-polygon"))
 print(f"\nlocal bound = {lb.value} (maximizer {lb.strategy.to_string()})")

@@ -1,7 +1,8 @@
 """Command-line pipeline: polyhedron generation, solving, certification, reports.
 
 Exit codes: 0 when a certificate was produced and verified (or a decide run
-finished inside), 2 for an inconclusive run, 1 for errors.
+finished inside), 2 for an inconclusive run or an unproven certificate, 1 for
+errors and invalid certificates.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .certify import (
     write_certificate,
 )
 from .fw import SolverConfig, bpcg, extract_hyperplane, frank_wolfe_vanilla
-from .lmo import BellFunctional, local_bound
+from .lmo import BellFunctional, enumerable, local_bound
 from .polyhedra import (
     antipodal_representatives,
     faces_and_eta,
@@ -260,14 +261,14 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
 
 def _assemble_upper_cert(args, res, p, target, v0):
     """Integerize the separating hyperplane until it certifies; None if it never does."""
+    if not enumerable(p.scenario):
+        print("inconclusive: exact local bound unavailable at this size")
+        return None
     G = extract_hyperplane(res, p, float(v0))
     scale = args.scale
     while True:
         M = integerize_functional(G, scale)
         lb = local_bound(M)
-        if not lb.exact:
-            print("inconclusive: exact local bound unavailable at this size")
-            return None
         try:
             return assemble_upper(M, lb.value, p, target)
         except CertificateError:
@@ -305,6 +306,9 @@ def cmd_certify(args):
         v = cert.v_low if cert.kind == "lower" else cert.v_up
         print(f"VALID {cert.kind} certificate: v = {float(v):.6f}")
         return 0
+    if ok is None:
+        print(f"UNPROVEN {cert.kind} certificate: {reason.removeprefix('unproven: ')}")
+        return 2
     print(f"INVALID certificate: {reason}")
     return 1
 
@@ -326,7 +330,9 @@ def cmd_report(args):
                 runtime = f"{json.load(fp).get('elapsed_seconds', 0):.2f}"
         if not ok:
             bad += 1
-            rows.append((path, "INVALID: " + reason, "", "", "", "", "", runtime))
+            verdict = "INVALID: " if ok is False else "UNPROVEN: "
+            rows.append((path, verdict + reason.removeprefix("unproven: "),
+                         "", "", "", "", "", runtime))
             continue
         state = cert.target.kind
         m = cert.scenario.inputs

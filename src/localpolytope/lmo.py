@@ -1,10 +1,12 @@
 """Linear minimisation oracles over the deterministic strategies.
 
 Minimising a linear functional over the local polytope means optimising a
-multilinear +-1 assignment problem.  Three routes are provided: a batched
-alternating-maximisation heuristic (fast, no optimality guarantee), exhaustive
-enumeration (exact, capped), and an exact branch-and-bound on the QUBO
-reformulation of the bipartite case.
+multilinear +-1 assignment problem.  ``maximize_functional_heuristic`` is a
+batched alternating maximisation (fast, no optimality guarantee).
+``exhaustive_lmo`` is the one exact kernel, behind every local bound; its
+docstring gives the cap and the exactness argument.  The bipartite QUBO
+reformulation and its branch and bound remain library functions that no
+certificate relies on.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .tensor import CorrelationTensor, DeterministicStrategy, _contract
 
-EXHAUSTIVE_CAP = 26  # max N*m for full enumeration
+EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
 QUBO_CAP = 64  # max binary variables (2m) for the QUBO branch and bound
 
 
@@ -39,12 +41,11 @@ class BellFunctional:
         return bool(np.all(flat == np.round(flat)))
 
     def integer_array(self):
+        """The entries as Python ints (object dtype), exact at any size."""
         if not self.is_integer:
             raise ValueError("functional does not have integer entries")
-        flat = self.tensor.entries.reshape(-1)
-        return np.array([int(x) for x in flat], dtype=np.int64).reshape(
-            self.tensor.entries.shape
-        )
+        flat = [int(x) for x in self.tensor.entries.reshape(-1)]
+        return np.array(flat, dtype=object).reshape(self.tensor.entries.shape)
 
 
 def _extended(mat, marginals):
@@ -98,38 +99,51 @@ def heuristic_lmo(gradient, restarts=3000, seed=0):
     return strategy
 
 
-def _lex_sign_batch(start, stop, num_vars):
+def _lex_sign_batch(start, stop, num_vars, dtype):
     """Sign rows for assignment ids start..stop-1; id order equals the
     lexicographic order of the '+'/'-' strings (bit 0 -> '+')."""
     ids = np.arange(start, stop, dtype=np.uint64)
     shifts = np.arange(num_vars - 1, -1, -1, dtype=np.uint64)
-    bits = (ids[:, None] >> shifts[None, :]) & 1
-    return 1.0 - 2.0 * bits  # bit 0 -> +1
+    bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.int64)
+    return (1 - 2 * bits).astype(dtype)  # bit 0 -> +1
+
+
+def enumerable(scenario):
+    """Whether ``exhaustive_lmo`` accepts the scenario: (N-1)*m <= EXHAUSTIVE_CAP."""
+    return (scenario.parties - 1) * scenario.inputs <= EXHAUSTIVE_CAP
 
 
 def exhaustive_lmo(gradient, batch=1 << 14):
     """Exact minimiser of <gradient, d> with lexicographically-smallest ties.
 
-    Enumerates the first N-1 parties and solves the last party analytically;
-    capped at N*m <= 26.
+    Enumerates the first N-1 parties, (N-1)*m <= EXHAUSTIVE_CAP sign bits, and
+    solves the last in closed form: min_s c . s = -Sum_j |c_j|, ties to +1.
+    Without marginal slots, flipping one party negates c, so only ids below
+    2^(bits-1) run (first sign +): the lexicographically first half.
+    Integer input gives an exact int: in float64 BLAS while Sum |G| <= 2^53,
+    as every partial sum is then an integer of at most that size, else on
+    Python ints.  Other input runs in float64.
     """
     sc = gradient.scenario
     N, m = sc.parties, sc.inputs
-    if N * m > EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive oracle capped at N*m <= {EXHAUSTIVE_CAP}")
+    if not enumerable(sc):
+        raise ValueError(f"exhaustive oracle capped at (N-1)*m <= {EXHAUSTIVE_CAP}")
     functional = BellFunctional(gradient)
-    exact_int = gradient.is_exact and functional.is_integer
-    G = functional.integer_array() if exact_int else gradient.to_float().entries
+    integer = functional.is_integer
+    G = functional.integer_array() if integer else gradient.to_float().entries
+    if integer and np.abs(G).sum() <= 2**53:
+        G = G.astype(np.float64)
 
     outer_vars = (N - 1) * m
+    ids = 1 << outer_vars
+    if outer_vars and not sc.marginals:
+        ids >>= 1
+    # the first contraction holds batch * axis^(N-1) entries: keep it ~2^22
+    batch = max(1, min(batch, (1 << 22) // (G.size // sc.axis_size)))
     best_val = None
-    root = G[(0,) * N] if sc.marginals else 0
 
-    for start in range(0, 1 << outer_vars, batch):
-        stop = min(start + batch, 1 << outer_vars)
-        rows = _lex_sign_batch(start, stop, outer_vars)
-        if exact_int:
-            rows = rows.astype(np.int64)
+    for start in range(0, ids, batch):
+        rows = _lex_sign_batch(start, min(start + batch, ids), outer_vars, G.dtype)
         signs = [
             _extended(rows[:, j * m : (j + 1) * m].T, sc.marginals)
             for j in range(N - 1)
@@ -148,12 +162,10 @@ def exhaustive_lmo(gradient, batch=1 << 14):
             best_last = np.where(coeff[:, i] > 0, -1, 1)
 
     strategy = DeterministicStrategy.from_signs(
-        [list(s.astype(int)) for s in best_outer + [best_last]]
+        [[int(x) for x in s] for s in best_outer + [best_last]]
     )
-    value = best_val - root
-    if exact_int:
-        value = int(value)
-    return strategy, value
+    value = best_val - (G[(0,) * N] if sc.marginals else 0)
+    return strategy, int(value) if integer else value
 
 
 @dataclass(frozen=True)
@@ -187,7 +199,7 @@ def to_qubo(functional):
         if sc.parties != 2 or sc.marginals:
             raise ValueError("QUBO reformulation needs a bipartite no-marginal functional")
         M = (
-            functional.integer_array()
+            functional.integer_array().astype(np.int64)
             if functional.is_integer
             else functional.tensor.entries.astype(float)
         )
@@ -291,31 +303,13 @@ class LocalBound:
     exact: bool
 
 
-def local_bound(functional, node_budget=5_000_000):
-    """Exact local bound max_d <M, d> of a Bell functional.
-
-    Bipartite no-marginal functionals go through the QUBO branch and bound;
-    everything else is enumerated exhaustively (N*m <= 26).  Non-integer
-    functionals are solved in floating point and flagged inexact.
+def local_bound(functional):
+    """Local bound max_d <M, d> and its lexicographically smallest maximiser,
+    by ``exhaustive_lmo`` on -M (ValueError past its cap).  Exact, as an int,
+    for integer functionals; others are solved in float64 and flagged inexact.
     """
     if not isinstance(functional, BellFunctional):
         functional = BellFunctional(functional)
-    sc = functional.scenario
-    integer = functional.is_integer
-
-    if sc.parties == 2 and not sc.marginals:
-        M = functional.integer_array() if integer else functional.tensor.entries
-        inst = to_qubo(M)
-        value, wvec, optimal = qubo_branch_and_bound(inst, node_budget)
-        m = sc.inputs
-        a = 2 * wvec[:m].astype(int) - 1
-        b = 2 * wvec[m:].astype(int) - 1
-        strategy = DeterministicStrategy.from_signs([list(a), list(b)])
-        return LocalBound(value, strategy, exact=bool(optimal) and integer)
-
-    neg = CorrelationTensor(sc, -functional.tensor.entries)
+    neg = CorrelationTensor(functional.scenario, -functional.tensor.entries)
     strategy, v = exhaustive_lmo(neg)
-    value = -v
-    if integer:
-        value = int(round(value)) if not isinstance(value, int) else value
-    return LocalBound(value, strategy, exact=integer)
+    return LocalBound(-v, strategy, exact=isinstance(v, int))

@@ -37,7 +37,7 @@ from localpolytope.tensor import (
     norm2_sq,
     strategy_tensor,
 )
-from util import residual_sq_reference
+from util import chsh_corner_cert, residual_sq_reference
 
 NM22 = Scenario(2, 2, marginals=False)
 
@@ -478,9 +478,9 @@ def test_assemble_upper_chsh_float(chsh_singlet):
 
 
 def test_verify_upper_proves_bipartite_bound_up_to_qubo_cap(monkeypatch):
-    # m = 17 is past the enumeration cap but within the 64-variable QUBO
-    # branch and bound, so verify proves ell and never falls back to the
-    # heuristic and its spot checks
+    # m = 17 was past the old N*m enumeration cap; enumerating Alice alone
+    # (2^16 sign vectors with the first fixed) proves ell, so verify never
+    # needs the heuristic
     sc = Scenario(2, 17, marginals=False)
     M = np.zeros(sc.shape, dtype=object)
     M[:2, :2] = [[1, 1], [1, -1]]
@@ -496,6 +496,44 @@ def test_verify_upper_proves_bipartite_bound_up_to_qubo_cap(monkeypatch):
     monkeypatch.setattr(certify, "maximize_functional_heuristic", unproven)
     assert verify(cert) == (True, "ok")
     assert verify(dataclasses.replace(cert, ell=3)) == (False, "local bound mismatch")
+
+
+CHSH_INT = np.array([[1, 1], [1, -1]], dtype=object)
+
+
+def test_verify_upper_rejects_int64_wrapped_bound():
+    # CHSH * 2^62 has local bound 2^63, which wraps to -2^63 in int64
+    cert = chsh_corner_cert(NM22, CHSH_INT * 2**62, -2**63)
+    assert verify(cert) == (False, "local bound mismatch")
+    assert verify(dataclasses.replace(cert, ell=2**63, v_up=Fraction(2**63) / cert.q)) \
+        == (True, "ok")
+
+
+def test_verify_upper_exact_past_int64():
+    cert = chsh_corner_cert(NM22, CHSH_INT * 2**70, 2**71)
+    assert verify(cert) == (True, "ok")
+    assert verify(dataclasses.replace(cert, ell=2**71 - 1)) == (False, "local bound mismatch")
+
+
+def test_verify_upper_odd_bound_above_float_range():
+    # 2^52 CHSH + e_00: sum |M| = 2^54 + 1 and ell = 2^53 + 1, which float64
+    # rounds to 2^53; only Python-int enumeration proves it
+    M = CHSH_INT * 2**52
+    M[0, 0] += 1
+    cert = chsh_corner_cert(NM22, M, 2**53 + 1)
+    assert verify(cert) == (True, "ok")
+    assert verify(dataclasses.replace(cert, ell=2**53)) == (False, "local bound mismatch")
+
+
+def test_verify_upper_past_the_cap_is_unproven():
+    # (N-1)*m = 27: the bound (truly 2) is not enumerated, so it is neither
+    # accepted nor refuted; every other check still runs
+    cert = chsh_corner_cert(Scenario(2, 27, marginals=False), CHSH_INT, 2)
+    ok, reason = verify(cert)
+    assert ok is None and reason.startswith("unproven: ")
+    understated = dataclasses.replace(cert, ell=1, v_up=1 / cert.q)
+    assert verify(understated)[0] is None
+    assert verify(dataclasses.replace(cert, q=cert.q + 1)) == (False, "quantum value mismatch")
 
 
 def test_assemble_upper_requires_violation():
@@ -597,8 +635,6 @@ def test_derived_bounds_povm_suppressed_for_ghz(mermin_cert):
 
 
 def test_verify_upper_spot_check_path():
-    # (3,9) is over the enumeration cap and has no QUBO form, so verification
-    # falls back to the heuristic plus random-strategy spot checks
     sc = Scenario(3, 9, marginals=False)
     M = np.zeros(sc.shape, dtype=object)
     M[0, 0, 0] = 1
@@ -611,9 +647,9 @@ def test_verify_upper_spot_check_path():
     p_ent[0, 1, 1] = p_ent[1, 0, 1] = p_ent[1, 1, 0] = Fraction(-1)
     p = CorrelationTensor(sc, p_ent)
     cert = assemble_upper(f, 2, p, TargetSpec("tensor", tensor=p))
-    ok, reason = verify(cert, spot_checks=2000)
+    ok, reason = verify(cert)
     assert ok, reason
-    # an understated local bound is caught by the heuristic
+    # an understated local bound is caught by the exact bound
     bad = UpperBoundCertificate(sc, cert.target, f, 1, cert.q, Fraction(1, 4))
-    ok, reason = verify(bad, spot_checks=2000)
+    ok, reason = verify(bad)
     assert not ok and "local bound" in reason

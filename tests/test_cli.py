@@ -6,10 +6,11 @@ import pytest
 from fractions import Fraction
 
 from localpolytope.cli import GEODESIC_SCHEDULES, main
-from localpolytope.certify import read_certificate
+from localpolytope.certify import read_certificate, write_certificate
 from localpolytope.polyhedra import geodesic_icosahedron
 from localpolytope.states import ghz_polygon_tensor
 from localpolytope.tensor import CorrelationTensor, Scenario, write_tensor
+from util import chsh_corner_cert
 
 
 def run(argv):
@@ -280,3 +281,54 @@ def test_solve_with_polyhedron_file(tmp_path):
         c = read_certificate(fp)
     assert c.eta_sq is not None
     assert float(c.v_low) >= 0.378
+
+
+def _write_chsh_corner_cert(path, scale, ell, m=2):
+    cert = chsh_corner_cert(Scenario(2, m, marginals=False),
+                            [[scale, scale], [scale, -scale]], ell)
+    with open(path, "w") as fp:
+        write_certificate(cert, fp)
+
+
+@pytest.mark.parametrize("scale, ell, code, verdict", [
+    (2**62, -2**63, 1, "INVALID certificate: local bound mismatch"),  # int64 wrap
+    (2**70, 2**71, 0, "VALID upper certificate"),
+    (2**70, 2**71 - 1, 1, "INVALID certificate: local bound mismatch"),
+], ids=["int64-wrap", "2^70", "2^70-understated"])
+def test_certify_huge_functional_entries(tmp_path, capsys, scale, ell, code, verdict):
+    path = tmp_path / "big.cert"
+    _write_chsh_corner_cert(path, scale, ell)
+    capsys.readouterr()
+    assert run(["certify", "verify", "--in", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert verdict in out
+    assert "Traceback" not in err
+
+
+def test_certify_and_report_unproven_past_the_cap(tmp_path, capsys):
+    path = tmp_path / "m27.cert"
+    _write_chsh_corner_cert(path, 1, 2, m=27)
+    capsys.readouterr()
+    assert run(["certify", "verify", "--in", str(path)]) == 2
+    assert "UNPROVEN upper certificate: local bound past" in capsys.readouterr().out
+    assert run(["report", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "UNPROVEN: local bound past" in out and "VALID" not in out
+
+
+def test_solve_upper_past_the_cap_is_inconclusive(tmp_path, capsys):
+    out = tmp_path / "m14.cert"
+    assert run(["solve", "upper", "--state", "ghz", "--N", "3", "--polygon", "--m", "14",
+                "--v0", "1", "--restarts", "50", "--max-iter", "200",
+                "--out", str(out)]) == 2
+    assert "inconclusive: exact local bound unavailable at this size" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_solve_upper_three_party_m9_is_certified(tmp_path, capsys):
+    # (N-1)*m = 18 enumerated signs; the old cap on N*m = 27 refused it
+    cert = tmp_path / "ghz9.cert"
+    assert run(["solve", "upper", "--state", "ghz", "--N", "3", "--polygon", "--m", "9",
+                "--v0", "1", "--restarts", "50", "--out", str(cert)]) == 0
+    assert "v_up = 0.522831 (ell = 1837092)" in capsys.readouterr().out
+    assert run(["certify", "verify", "--in", str(cert)]) == 0

@@ -182,7 +182,50 @@ def test_exhaustive_lex_tie_break():
 
 def test_exhaustive_cap():
     with pytest.raises(ValueError):
-        exhaustive_lmo(CorrelationTensor.zeros(Scenario(2, 14, marginals=False)))
+        exhaustive_lmo(CorrelationTensor.zeros(Scenario(2, 27, marginals=False)))
+
+
+def lex_min_reference(gradient):
+    """Minimum of <gradient, d> over every strategy, and its lexicographically
+    smallest minimiser ('+' before '-', parties in order)."""
+    sc = gradient.scenario
+    return min(
+        (inner(gradient, strategy_tensor(s, sc, exact=True)), s.to_string())
+        for s in (
+            DeterministicStrategy(bits, sc.inputs)
+            for bits in product(range(1 << sc.inputs), repeat=sc.parties)
+        )
+    )
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("parties, inputs", [(1, 3), (2, 3), (3, 2), (4, 2)])
+def test_halved_exhaustive_matches_lex_reference(parties, inputs, marginals):
+    # entries in -1..1 leave many ties, so the tie-break is exercised
+    rng = np.random.default_rng(10 * parties + inputs)
+    sc = Scenario(parties, inputs, marginals=marginals)
+    for _ in range(5):
+        g = CorrelationTensor(sc, rng.integers(-1, 2, sc.shape).astype(object))
+        s, v = exhaustive_lmo(g)
+        assert (v, s.to_string()) == lex_min_reference(g)
+        assert isinstance(v, int)
+
+
+@pytest.mark.parametrize("total, bound", [(2**53, 2**53), (2**53 + 1, 2**53 + 1)],
+                         ids=["2^53-float64", "2^53+1-ints"])
+def test_local_bound_exact_at_the_float_boundary(total, bound):
+    # sum |M| = 2^53 runs in float64, where every partial sum is exact; one
+    # more makes the odd bound 2^53 + 1 unrepresentable, so it runs on ints
+    M = np.array([[2**52, total - 2**52], [0, 0]], dtype=object)
+    lb = local_bound(BellFunctional(CorrelationTensor(NM22, M)))
+    assert (lb.value, lb.exact) == (bound, True)
+    assert lb.strategy.to_string() == "++|++"
+
+
+def test_local_bound_of_float_storage_integers_is_exact():
+    M = CorrelationTensor(NM22, np.array([[3.0, 1.0], [1.0, -1.0]]))
+    lb = local_bound(M)
+    assert (lb.value, lb.exact) == (4, True) and isinstance(lb.value, int)
 
 
 def test_exhaustive_agrees_with_qubo_path():

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 from fractions import Fraction
 
+from localpolytope.certify import TargetSpec, assemble_upper
+from localpolytope.lmo import BellFunctional
 from localpolytope.polyhedra import (
     Face,
     RationalPolyhedron,
@@ -44,6 +46,19 @@ def unit_rational_tensor(scenario, rng):
 
 
 _AXES = string.ascii_letters.replace("r", "")  # party subscripts; r is the batch
+
+
+def chsh_corner_cert(sc, corner, ell):
+    """Upper certificate claiming the local bound ell for a bipartite
+    functional that is ``corner`` on the first 2x2 inputs and 0 elsewhere,
+    against the target 7/10 CHSH there."""
+    M = np.zeros(sc.shape, dtype=object)
+    M[:2, :2] = corner
+    p = np.zeros(sc.shape, dtype=object)
+    p[:2, :2] = [[Fraction(7, 10), Fraction(7, 10)], [Fraction(7, 10), Fraction(-7, 10)]]
+    p = CorrelationTensor(sc, p)
+    return assemble_upper(BellFunctional(CorrelationTensor(sc, M)), ell, p,
+                          TargetSpec("tensor", tensor=p))
 
 
 def contract_reference(G, signs, marginals, free=None):
