@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from .tensor import (
     combine_rows,
     inner,
     norm2_sq,
+    read_tensor,
     strategy_tensor,
     tensor_strategy_inner,
+    write_tensor,
 )
 
 # maximize_functional_heuristic is not called here: bench/tracing.py wraps it,
@@ -44,6 +47,7 @@ SQRT_SCALE = 10**18
 WEIGHT_DENOMINATOR = 2**48
 BALL_CAP = 22  # max N*m for materialising the ball decomposition
 Q_TOL = 1e-9  # float quantum values: violation margin and verify's match tolerance
+MIN_NU = Fraction(1, 2)  # smallest contraction factor a lower certificate accepts
 
 
 class CertificateError(ValueError):
@@ -393,28 +397,33 @@ class UpperBoundCertificate:
         return isinstance(self.q, Fraction)
 
 
-def assemble_lower(scenario, poly, v0, model, target, min_nu=Fraction(1, 2)):
+def lower_refusal(scenario, exact):
+    """Why no lower certificate can cover the scenario, or None; ``exact``
+    says whether the target, and so the rounded model, is rational."""
+    if scenario.marginals:
+        return ("lower certificates need a full-correlation scenario; "
+                "lower-order correlators are outside the certified domain")
+    if not exact:
+        return "lower certificates need an exact rational target and model"
+    return None
+
+
+def assemble_lower(scenario, poly, v0, model, target):
     """Combine an exact rational model into a lower-bound certificate.
 
     v_low = lb(eta^N) * nu * v0, with eta^N computed exactly for even N and
     bounded below by an integer-sqrt floor for odd N; without a polyhedron the
     certificate is scoped to the finite scenario and the eta factor is 1.
     """
-    if scenario.marginals:
-        raise CertificateError(
-            "lower certificates need a full-correlation scenario; "
-            "lower-order correlators are outside the certified domain"
-        )
-    if not model.exact:
-        raise CertificateError("lower certificates need an exact rational model")
+    refusal = lower_refusal(scenario, getattr(model, "exact", False))  # no model: inexact
+    if refusal:
+        raise CertificateError(refusal)
     v0 = Fraction(v0)
     if not 0 <= v0 <= 1:
         raise CertificateError("v0 must lie in [0, 1]")
     nu = nu_factor(model.residual_sq)
-    if nu < min_nu:
-        raise CertificateError(
-            f"residual too large: nu = {float(nu):.4f} < {float(min_nu)}"
-        )
+    if nu < MIN_NU:
+        raise CertificateError(f"residual too large: nu = {float(nu):.4f} < {float(MIN_NU)}")
     N = scenario.parties
     if poly is None:
         eta_pow = Fraction(1)
@@ -642,12 +651,19 @@ def _verify_upper(cert):
         if cert.v_up != Fraction(cert.ell) / q:
             return _fail("v_up mismatch")
     else:
-        # the file's TOL is informational: it must not widen this check
-        if abs(float(q) - float(cert.q)) > Q_TOL:
+        # the file's TOL is informational: it must not widen this check.
+        # Every comparison below is False on nan, so non-finite values fail here
+        try:
+            qf, file_q, v_up, ell = (float(v) for v in (q, cert.q, cert.v_up, cert.ell))
+        except OverflowError:
+            return _fail("quantum value or local bound outside the float range")
+        if not all(math.isfinite(v) for v in (qf, file_q, v_up)):
+            return _fail("non-finite quantum value or v_up")
+        if abs(qf - file_q) > Q_TOL:
             return _fail("quantum value mismatch")
-        if float(q) <= cert.ell:
+        if qf <= cert.ell:
             return _fail("no violation")
-        if abs(float(cert.v_up) - cert.ell / float(q)) > 1e-12:
+        if abs(v_up - ell / qf) > 1e-12:
             return _fail("v_up mismatch")
     if not proven:
         return None, (f"unproven: local bound past the enumeration cap, "
@@ -688,8 +704,6 @@ def write_certificate(cert, fp):
         for v in cert.target.bob:
             fp.write(_triple_str(v) + "\n")
     elif cert.target.kind == "tensor":
-        from .tensor import write_tensor
-
         fp.write("TENSOR\n")
         write_tensor(cert.target.tensor, fp)
 
@@ -710,8 +724,6 @@ def write_certificate(cert, fp):
         fp.write(f"NU {_frac_str(cert.nu)}\n")
         fp.write(f"V_LOW {_frac_str(cert.v_low)}\n")
     else:
-        from .tensor import write_tensor
-
         fp.write("M\n")
         write_tensor(cert.functional.tensor, fp)
         fp.write(f"ELL {cert.ell}\n")
@@ -766,9 +778,6 @@ def _read_triples(lines, count):
 
 
 def _read_embedded_tensor(lines):
-    from io import StringIO
-    from .tensor import read_tensor
-
     header = lines.next()
     toks = header.split()
     sc = Scenario(int(toks[0]), int(toks[1]), toks[2] == "true")

@@ -23,6 +23,7 @@ from .certify import (
     assemble_upper,
     derived_bounds,
     integerize_functional,
+    lower_refusal,
     rationalize_weights,
     read_certificate,
     verify,
@@ -89,8 +90,8 @@ def cmd_polyhedron(args):
 def _measurements_for(args):
     """Measurement layout for a solve run.
 
-    Returns (alice, bob, polyhedron, scenario, exact_vectors); vectors are
-    exact rational triples when the run needs exact certificates.
+    Returns (alice, bob, polyhedron, scenario); the vectors are exact
+    rational triples, or None for polygon measurements.
     """
     state = args.state
     N = args.N if state == "ghz" else (3 if state == "w" else 2)
@@ -98,7 +99,7 @@ def _measurements_for(args):
         if state != "ghz":
             raise CliError("--polygon is only meaningful for the GHZ state")
         sc = Scenario(N, args.m, marginals=False)
-        return None, None, None, sc, None
+        return None, None, None, sc
 
     if args.polyhedron:
         with open(args.polyhedron) as fp:
@@ -111,7 +112,7 @@ def _measurements_for(args):
         alice = [rationalize(v, args.tol).as_tuple() for v in al]
         bob = [rationalize(v, args.tol).as_tuple() for v in bo]
         sc = Scenario(2, 2, marginals=False)
-        return alice, bob, None, sc, True
+        return alice, bob, None, sc
     elif args.m in GEODESIC_SCHEDULES:
         points = rationalize_all(geodesic_icosahedron(GEODESIC_SCHEDULES[args.m]), args.tol)
     elif args.m == 16:
@@ -125,12 +126,9 @@ def _measurements_for(args):
     if 2 * len(reps) != len(points):
         raise CliError("polyhedron vertex list is not closed under antipodes")
     vecs = [p.as_tuple() for p in reps]
-    poly = points
     if state in ("werner", "singlet"):
-        sc = Scenario(2, len(reps), marginals=False)
-        return vecs, vecs, poly, sc, True
-    sc = Scenario(N, len(reps), marginals=True)
-    return vecs, vecs, poly, sc, True
+        return vecs, vecs, points, Scenario(2, len(reps), marginals=False)
+    return vecs, vecs, points, Scenario(N, len(reps), marginals=True)
 
 
 def _build_problem(args):
@@ -142,7 +140,7 @@ def _build_problem(args):
             p = read_tensor(fp)
         return p, TargetSpec("tensor", tensor=p), None
 
-    alice, bob, poly_points, sc, _ = _measurements_for(args)
+    alice, bob, poly_points, sc = _measurements_for(args)
     if args.polygon:
         p = ghz_polygon_tensor(sc.parties, sc.inputs, exact=(sc.inputs <= 3))
         return p, TargetSpec("ghz-polygon"), None
@@ -167,18 +165,14 @@ def _solver_config(args):
     )
 
 
-def _write_run_metadata(path, args, res, stages):
-    meta = {
-        "version": __version__,
-        "command": " ".join(sys.argv[1:]),
-        "seed": args.seed,
-        "status": res.status,
-        "distance": res.distance,
-        "iterations": res.iterations,
-        "lmo_calls": res.lmo_calls,
-        "elapsed_seconds": stages["solve"],
-        "stages": stages,
-    }
+def _write_run_metadata(path, args, stages, res=None):
+    """The run record; without a solver result the run was refused."""
+    meta = {"version": __version__, "command": " ".join(sys.argv[1:]),
+            "seed": args.seed, "status": "refused"}
+    if res is not None:
+        meta.update(status=res.status, distance=res.distance, iterations=res.iterations,
+                    lmo_calls=res.lmo_calls, elapsed_seconds=stages["solve"])
+    meta["stages"] = stages
     with open(path, "w") as fp:
         json.dump(meta, fp, indent=2)
 
@@ -193,12 +187,28 @@ def _stage(stages, name):
         stages[name] = time.perf_counter() - t0
 
 
+def _refusal(args, p):
+    """Why no certificate can come out of this solve, or None; the scenario
+    and the target decide it, so it is asked before the solver starts."""
+    if args.mode == "upper" and not enumerable(p.scenario):
+        return "exact local bound unavailable at this size"
+    if args.mode == "lower":
+        return lower_refusal(p.scenario, p.is_exact)
+    return None
+
+
 def cmd_solve(args):
     stages = {}
     with _stage(stages, "build"):
         p, target, poly_points = _build_problem(args)
         v0 = _rationalize_fraction(args.v0)
         cfg = _solver_config(args)
+        refusal = _refusal(args, p)
+    if refusal:
+        print(f"inconclusive: {refusal}")
+        if args.out:
+            _write_run_metadata(args.out + ".run.json", args, stages)
+        return 2
     solver = bpcg if args.algo == "bpcg" else frank_wolfe_vanilla
 
     with _stage(stages, "solve"):
@@ -211,7 +221,7 @@ def cmd_solve(args):
         return _finish_solve(args, res, p, target, poly_points, v0, stages)
     finally:
         if args.out:
-            _write_run_metadata(args.out + ".run.json", args, res, stages)
+            _write_run_metadata(args.out + ".run.json", args, stages, res)
 
 
 def _finish_solve(args, res, p, target, poly_points, v0, stages):
@@ -261,9 +271,6 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
 
 def _assemble_upper_cert(args, res, p, target, v0):
     """Integerize the separating hyperplane until it certifies; None if it never does."""
-    if not enumerable(p.scenario):
-        print("inconclusive: exact local bound unavailable at this size")
-        return None
     G = extract_hyperplane(res, p, float(v0))
     scale = args.scale
     while True:
@@ -337,22 +344,11 @@ def cmd_report(args):
         state = cert.target.kind
         m = cert.scenario.inputs
         if cert.kind == "lower":
-            rows.append(
-                (
-                    path,
-                    state,
-                    str(m),
-                    f"{float(cert.v_low):.6f}",
-                    "",
-                    f"{float(cert.eta_sq):.6f}" if cert.eta_sq is not None else "-",
-                    f"{float(cert.nu):.6f}",
-                    runtime,
-                )
-            )
+            eta = f"{float(cert.eta_sq):.6f}" if cert.eta_sq is not None else "-"
+            rows.append((path, state, str(m), f"{float(cert.v_low):.6f}", "",
+                         eta, f"{float(cert.nu):.6f}", runtime))
         else:
-            rows.append(
-                (path, state, str(m), "", f"{float(cert.v_up):.6f}", "-", "-", runtime)
-            )
+            rows.append((path, state, str(m), "", f"{float(cert.v_up):.6f}", "-", "-", runtime))
 
     header = ("file", "state", "m", "v_low", "v_up", "eta_sq", "nu", "runtime_s")
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]

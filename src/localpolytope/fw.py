@@ -15,13 +15,19 @@ trace, debug and callback observers, and at exit.  So ``dist <= eps`` is
 tested when the oracle is consulted, and a run that ends inside may take a
 few more pairwise steps than one that tested every iteration.
 
+With marginal slots every point of the polytope has a 1 at the root entry.
+The target carries the same 1, so the root cancels from x - v0 p and x - d up
+to the drift of the weight sum (``ActiveSet``), and no step masks it.
+
 A converged run certifies membership regardless of oracle suboptimality: the
 returned convex decomposition stands on its own.  A separated verdict is only
 heuristic until the final hyperplane is checked with an exact local bound.
 """
 
-import numpy as np
+import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .lmo import BellFunctional, heuristic_lmo
 from .tensor import (
@@ -68,9 +74,19 @@ class ActiveSet:
     Atom i is row i of every party's (capacity, axis) sign matrix, led by a 1
     for the marginal slot; the matrices grow by doubling and removals shift
     later rows up, so atoms keep their order.  Atoms are in canonical sign
-    form, so strategies inducing the same tensor merge; weights stay
-    nonnegative and are renormalised when their sum drifts from 1 by more
-    than 1e-12.  ``x`` is the dense iterate, or None while it is stale.
+    form, so strategies inducing the same tensor merge.  ``x`` is the dense
+    iterate, or None while it is stale.
+
+    Weights stay nonnegative and sum to 1 without renormalisation: a pairwise
+    step moves the sum by at most two roundings of 2^-53, a drop step removes
+    an exact 0, and a Frank-Wolfe step scales the error by 1 - gamma and adds
+    at most 2 * 2^-53.  So |sum w - 1| grows by at most 2.2e-16 per iteration,
+    2.2e-11 at the default cap, far below the 1e-9 that ``debug`` asserts;
+    soundness never rested on it, as ``rationalize_weights`` repairs the sum
+    exactly.  A Frank-Wolfe step with gamma = 1 leaves the other weights at
+    exactly 0.  BPCG's next away step on such an atom is a drop step with
+    gamma = 0; vanilla Frank-Wolfe keeps them, and ``rationalize_weights``
+    skips them.
     """
 
     def __init__(self, scenario):
@@ -113,22 +129,6 @@ class ActiveSet:
         self.weights = np.delete(self.weights, i)
         for j in range(i, n - 1):
             self._index[self.atoms[j]] = j
-
-    def purge_zero_weights(self, tol=0.0):
-        keep = self.weights > tol
-        for r in self._rows:
-            r[: keep.sum()] = r[: len(keep)][keep]
-        self.atoms = [a for a, k in zip(self.atoms, keep) if k]
-        self.weights = self.weights[keep]
-        self._index = {a: j for j, a in enumerate(self.atoms)}
-
-    def renormalize(self, drift=1e-12):
-        s = self.weights.sum()
-        if abs(s - 1.0) > drift and s > 0:
-            self.weights /= s
-            self.x = None
-            return True
-        return False
 
     def atom_tensor(self, i):
         """Dense tensor of atom i: the outer product of its sign rows."""
@@ -238,32 +238,15 @@ class SolverResult:
         return self.status == STATUS_INSIDE
 
 
-def _zero_root(arr, scenario):
-    # the root slot is an affine constant; keep it out of gradient arithmetic
-    if scenario.marginals:
-        arr = arr.copy()
-        arr[(0,) * scenario.parties] = 0.0
-    return arr
-
-
 def frank_wolfe_vanilla(p, v0, cfg=None):
     """Classic Frank-Wolfe iteration for the distance to the local polytope.
 
     Each round moves from the iterate toward the oracle vertex with the exact
     quadratic line-search step, clamped to [0, 1]; the objective never
-    increases.
-
-    Parameters
-    ----------
-    p : CorrelationTensor
-        Correlation tensor of the target state at visibility 1.
-    v0 : float
-        Visibility of the membership query point v0 * p.
-    cfg : SolverConfig
-
-    Returns
-    -------
-    SolverResult with the final active set, distance, and verdict.
+    increases.  ``p`` is the correlation tensor of the target state at
+    visibility 1, ``v0`` the visibility of the query point v0 * p and ``cfg``
+    a SolverConfig.  Returns a SolverResult with the final active set,
+    distance and verdict.
     """
     return _solve(p, v0, cfg, lazy=False)
 
@@ -299,11 +282,13 @@ def _solve(p, v0, cfg, lazy):
     K = cfg.lazy_tolerance
     tol = 0.5 * cfg.eps**2
     sc = p.scenario
-    target = _zero_root(float(v0) * p.to_float().entries, sc)
+    target = float(v0) * p.to_float().entries
+    if sc.marginals:
+        target[(0,) * sc.parties] = 1.0  # the root of every strategy tensor
     target_t = CorrelationTensor(sc, target)
 
     def distance():
-        return float(np.linalg.norm(_zero_root(active.iterate(), sc) - target))
+        return float(np.linalg.norm(active.iterate() - target))
 
     active = ActiveSet(sc)
     seed = cfg.seed
@@ -352,24 +337,23 @@ def _solve(p, v0, cfg, lazy):
             cache.apply_pairwise(i_away, i_local, gamma)
             if gamma >= cap:
                 step = "drop"
-                active.weights[i_away] = 0.0
                 active.remove_atom(i_away)
                 cache.remove_atom(i_away)
             else:
                 step = "pairwise"
         else:
-            x = _zero_root(active.iterate(), sc)
-            grad = x - target
-            dist = float(np.linalg.norm(grad))
+            x = active.iterate()
+            grad = CorrelationTensor(sc, x - target)
+            dist = float(np.linalg.norm(grad.entries))
             if dist <= cfg.eps:
                 res.status = STATUS_INSIDE
                 break
             f = 0.5 * dist**2
             seed += 1
-            omega = heuristic_lmo(CorrelationTensor(sc, grad), cfg.restarts, seed)
+            omega = heuristic_lmo(grad, cfg.restarts, seed)
             lmo_calls += 1
             gx = float(active.weights @ vals)  # <grad, x>
-            gw = tensor_strategy_inner(CorrelationTensor(sc, grad), omega)
+            gw = tensor_strategy_inner(grad, omega)
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
             # accuracy the point cannot be inside (up to oracle suboptimality)
@@ -383,16 +367,13 @@ def _solve(p, v0, cfg, lazy):
                 i = active.add_atom(omega)
                 cache.add_atom(i)
                 d = active.atom_tensor(i)
-                diff = x - _zero_root(d, sc)
+                diff = x - d
                 denom = float(np.dot(diff.reshape(-1), diff.reshape(-1)))
                 gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
                 active.weights *= 1 - gamma
                 active.weights[i] += gamma
                 active.x = active.x + gamma * (d - active.x)
                 cache.apply_fw(i, gamma)
-                if gamma >= 1.0:
-                    active.purge_zero_weights()
-                    cache = InnerProductCache(active, target_t)
                 step = "fw"
             else:
                 # no progress available anywhere; a large lower bound already
@@ -403,8 +384,6 @@ def _solve(p, v0, cfg, lazy):
                 phi = phi / 2
                 step = "null"
 
-        if active.renormalize():
-            cache.rebuild()
         if cfg.trace and lazy:
             res.step_types.append(step)
         if cfg.debug:
@@ -419,12 +398,11 @@ def _solve(p, v0, cfg, lazy):
     else:
         t = cfg.max_iterations
 
-    grad = _zero_root(active.iterate(), sc) - target
-    res.distance = float(np.linalg.norm(grad))
+    res.gradient = CorrelationTensor(sc, active.iterate() - target)
+    res.distance = float(np.linalg.norm(res.gradient.entries))
     if res.distance <= cfg.eps:
         res.status = STATUS_INSIDE
     res.phi = phi if np.isfinite(phi) else 0.0
-    res.gradient = CorrelationTensor(sc, grad)
     res.iterations = t
     res.lmo_calls = lmo_calls
     return res
@@ -436,8 +414,6 @@ def extract_hyperplane(res, p, v0):
     <G, d> < <G, v0*p> for every strategy d certifies v0*p outside the
     polytope once the maximum is computed exactly; warn when the run actually
     converged inside."""
-    import warnings
-
     if res.status == STATUS_INSIDE:
         warnings.warn("extracting a hyperplane from a converged-inside run")
     return BellFunctional(CorrelationTensor(p.scenario, -res.gradient.entries))

@@ -16,6 +16,8 @@ from fractions import Fraction
 from .tensor import CorrelationTensor, DeterministicStrategy, _contract
 
 EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
+EXHAUSTIVE_BATCH = 1 << 14  # assignments per contraction, at most
+HEURISTIC_ROUNDS = 200  # max alternating-maximisation rounds per restart
 QUBO_CAP = 64  # max binary variables (2m) for the QUBO branch and bound
 
 
@@ -55,7 +57,7 @@ def _extended(mat, marginals):
     return np.vstack([np.ones((1, mat.shape[1]), dtype=mat.dtype), mat])
 
 
-def maximize_functional_heuristic(tensor, restarts=3000, seed=0, max_rounds=200):
+def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
     """Best strategy found by alternating maximisation of <tensor, d>.
 
     Every restart draws random signs for all parties and then cycles through
@@ -76,7 +78,7 @@ def maximize_functional_heuristic(tensor, restarts=3000, seed=0, max_rounds=200)
         for _ in range(N)
     ]
     prev = np.full(restarts, -np.inf)
-    for _ in range(max_rounds):
+    for _ in range(HEURISTIC_ROUNDS):
         for n in range(N):
             C = _contract(G, signs, free=n)
             signs[n][off:] = np.where(C[off:] >= 0, 1.0, -1.0)
@@ -113,7 +115,7 @@ def enumerable(scenario):
     return (scenario.parties - 1) * scenario.inputs <= EXHAUSTIVE_CAP
 
 
-def exhaustive_lmo(gradient, batch=1 << 14):
+def exhaustive_lmo(gradient):
     """Exact minimiser of <gradient, d> with lexicographically-smallest ties.
 
     Enumerates the first N-1 parties, (N-1)*m <= EXHAUSTIVE_CAP sign bits, and
@@ -139,7 +141,7 @@ def exhaustive_lmo(gradient, batch=1 << 14):
     if outer_vars and not sc.marginals:
         ids >>= 1
     # the first contraction holds batch * axis^(N-1) entries: keep it ~2^22
-    batch = max(1, min(batch, (1 << 22) // (G.size // sc.axis_size)))
+    batch = max(1, min(EXHAUSTIVE_BATCH, (1 << 22) // (G.size // sc.axis_size)))
     best_val = None
 
     for start in range(0, ids, batch):

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 _PHI = (1 + math.sqrt(5)) / 2
+MERGE_TOL = 1e-9  # float vertices closer than this in every coordinate merge
 
 ICOSAHEDRON_FACES = [
     (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
@@ -86,14 +87,14 @@ def pentakis_dodecahedron():
     return np.vstack([dodecahedron(), apex])
 
 
-def _merge_key(p, tol=1e-9):
-    return tuple(np.round(np.asarray(p) / tol).astype(np.int64))
+def _merge_key(p):
+    return tuple(np.round(np.asarray(p) / MERGE_TOL).astype(np.int64))
 
 
-def subdivide_projected(verts, faces, k, merge_tol=1e-9):
+def subdivide_projected(verts, faces, k):
     """Split each triangle edge k-fold and project all vertices onto the sphere."""
     verts = [np.asarray(v, dtype=float) for v in verts]
-    index = {_merge_key(v, merge_tol): i for i, v in enumerate(verts)}
+    index = {_merge_key(v): i for i, v in enumerate(verts)}
     new_faces = []
     for (ai, bi, ci) in faces:
         a, b, c = verts[ai], verts[bi], verts[ci]
@@ -102,7 +103,7 @@ def subdivide_projected(verts, faces, k, merge_tol=1e-9):
             for j in range(k + 1 - i):
                 p = (i * a + j * b + (k - i - j) * c) / k
                 p = p / np.linalg.norm(p)
-                key = _merge_key(p, merge_tol)
+                key = _merge_key(p)
                 if key not in index:
                     index[key] = len(verts)
                     verts.append(p)
@@ -203,7 +204,7 @@ def rationalize(p, tol=1e-6):
         if d2 <= tol_sq:
             return q
         if cap > 2**80:
-            raise RuntimeError("rational approximation did not converge")
+            raise ValueError(f"rational approximation did not converge to tol = {tol!r}")
         cap *= 8
 
 
@@ -403,8 +404,8 @@ def rationalize_all(float_vertices, tol=1e-6):
     out = []
     seen = {}
     for v in float_vertices:
-        key = _merge_key(v, 1e-9)
-        anti = _merge_key(-np.asarray(v), 1e-9)
+        key = _merge_key(v)
+        anti = _merge_key(-np.asarray(v))
         if key in seen:
             continue
         q = rationalize(v, tol)
@@ -495,10 +496,11 @@ def read_polyhedron_vertices(fp):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        xs = line.split()
-        if len(xs) != 3:
-            raise ValueError(f"bad vertex line {line!r}")
-        pts.append(RationalPoint(Fraction(xs[0]), Fraction(xs[1]), Fraction(xs[2])))
+        try:
+            x, y, z = (Fraction(t) for t in line.split())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad vertex line {line!r}") from None
+        pts.append(RationalPoint(x, y, z))
     return pts
 
 

@@ -423,10 +423,17 @@ def _format_value(x):
 
 
 def _parse_value(tok):
+    """An int, a Fraction or a finite float; ValueError for anything else."""
     if "/" in tok:
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in tensor entry {tok!r}") from None
     if "." in tok or "e" in tok or "E" in tok or "inf" in tok or "nan" in tok:
-        return float(tok)
+        x = float(tok)
+        if not np.isfinite(x):
+            raise ValueError(f"non-finite tensor entry {tok!r}")
+        return x
     return int(tok)
 
 

@@ -536,6 +536,23 @@ def test_verify_upper_past_the_cap_is_unproven():
     assert verify(dataclasses.replace(cert, q=cert.q + 1)) == (False, "quantum value mismatch")
 
 
+@pytest.mark.parametrize("q", [math.nan, 5.0, math.inf])
+def test_verify_upper_rejects_non_finite_target(q):
+    # every float comparison is False on nan: the checks must fail closed
+    p = CorrelationTensor(NM22, np.array([[math.nan, 0.7], [0.7, -0.7]]))
+    M = BellFunctional(CorrelationTensor(NM22, CHSH_INT.copy()))
+    cert = UpperBoundCertificate(NM22, TargetSpec("tensor", tensor=p), M, 2, q, 0.1, 0.0)
+    assert verify(cert)[0] is False
+
+
+def test_verify_upper_float_claim_past_the_float_range_is_invalid():
+    # an exact target whose value overflows a float cannot back a float claim
+    cert = chsh_corner_cert(NM22, CHSH_INT * 10**400, 2 * 10**400)
+    assert verify(cert) == (True, "ok")
+    floated = dataclasses.replace(cert, q=1.0, v_up=0.5, q_tol=1e-9)
+    assert verify(floated) == (False, "quantum value or local bound outside the float range")
+
+
 def test_assemble_upper_requires_violation():
     p = ghz_polygon_tensor(3, 2)
     M = np.zeros((2, 2, 2), dtype=object)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from localpolytope import cli
 from localpolytope.cli import GEODESIC_SCHEDULES, main
 from localpolytope.certify import read_certificate, write_certificate
 from localpolytope.polyhedra import geodesic_icosahedron
@@ -332,3 +333,65 @@ def test_solve_upper_three_party_m9_is_certified(tmp_path, capsys):
                 "--v0", "1", "--restarts", "50", "--out", str(cert)]) == 0
     assert "v_up = 0.522831 (ell = 1837092)" in capsys.readouterr().out
     assert run(["certify", "verify", "--in", str(cert)]) == 0
+
+
+NAN_TARGET_CERT = """UPPER-CERTIFICATE
+SCENARIO 2 2 false
+TARGET tensor
+TENSOR
+2 2 false
+nan 0.7
+0.7 -0.7
+M
+2 2 false
+1 1
+1 -1
+ELL 2
+Q nan TOL 0.0
+V_UP 0.1
+END
+"""
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"v.txt": "1/0 0 0\n"}, ["polyhedron", "eta", "--in", "v.txt"]),
+    ({"v.txt": "1/0 0 0\n"}, ["solve", "lower", "--polyhedron", "v.txt", "--v0", "0.5"]),
+    ({"f.txt": "2 2 false\n1/0 1 1 -1\n"}, ["bound", "--functional", "f.txt"]),
+    ({"f.txt": "2 2 false\ninf 1 1 -1\n"}, ["bound", "--functional", "f.txt"]),
+    ({}, ["polyhedron", "gen", "--tol", "1e-30", "--out", "g.txt"]),
+    ({"t.txt": "2 2 false\nnan 0.5 0.5 -0.5\n"},
+     ["solve", "upper", "--state", "custom", "--tensor", "t.txt", "--v0", "0.8"]),
+    ({"c.cert": NAN_TARGET_CERT}, ["certify", "verify", "--in", "c.cert"]),
+    ({"c.cert": NAN_TARGET_CERT.replace("Q nan", "Q 5.0")},
+     ["certify", "verify", "--in", "c.cert"]),
+], ids=["vertex-1/0", "solve-vertex-1/0", "tensor-1/0", "tensor-inf", "gen-tol-1e-30",
+        "custom-nan", "cert-nan-target", "cert-nan-target-q5"])
+def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "VALID" not in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["upper", "--state", "ghz", "--N", "3", "--polygon", "--m", "14", "--v0", "1"],
+     "exact local bound unavailable at this size"),
+    (["lower", "--state", "w", "--m", "6", "--v0", "0.25"], "full-correlation scenario"),
+    (["lower", "--state", "ghz", "--N", "3", "--polygon", "--m", "4", "--v0", "0.4"],
+     "exact rational target"),
+], ids=["upper-past-cap", "lower-marginals", "lower-inexact-target"])
+def test_uncertifiable_solve_is_refused_before_the_solver(tmp_path, monkeypatch, capsys,
+                                                          argv, reason):
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "bpcg", never)
+    out = tmp_path / "r.cert"
+    assert run(["solve", *argv, "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().out
+    assert not out.exists()
+    meta = json.loads((tmp_path / "r.cert.run.json").read_text())
+    assert meta["status"] == "refused" and set(meta["stages"]) == {"build"}

@@ -13,7 +13,12 @@ from localpolytope.fw import (
 )
 from localpolytope.certify import integerize_functional
 from localpolytope.lmo import local_bound
-from localpolytope.states import ghz_polygon_tensor
+from localpolytope.polyhedra import (
+    antipodal_representatives,
+    geodesic_icosahedron,
+    rationalize_all,
+)
+from localpolytope.states import build_quantum_tensor, ghz_polygon_tensor
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
@@ -238,6 +243,7 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
         active.weights *= 1 - gamma
         active.weights[i] += gamma
         cache.apply_fw(i, gamma)
+        return i
 
     def pairwise(i_from, i_to, gamma):
         active.weights[i_from] -= gamma
@@ -261,14 +267,38 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
     check()
     fw_step(0.5)
     check()
-    # purge keeps the order of the survivors; the solver then rebuilds the cache
-    active.weights[::2] = 0.0
-    active.renormalize()
-    survivors = [a for a, w in zip(active.atoms, active.weights) if w > 0]
-    active.purge_zero_weights()
-    assert active.atoms == survivors
-    cache = InnerProductCache(active, target)
+    # a gamma = 1 step leaves every other weight at exactly 0 and the atoms in
+    # order, and the cache stays valid without a rebuild
+    order = list(active.atoms)
+    i = fw_step(1.0)
+    assert active.atoms[: len(order)] == order
+    assert active.weights[i] == 1.0
+    assert np.all(np.delete(active.weights, i) == 0.0)
     check()
+    # the solver's next away step on a zero-weight atom is a drop step with
+    # gamma = 0, which removes it and leaves the weights unchanged
+    j = 0 if i else 1
+    order = list(active.atoms)
+    cap = active.weights[j]
+    gamma = min(0.25, cap)
+    assert gamma == 0.0 and gamma >= cap
+    pairwise(j, i, gamma)
+    active.remove_atom(j)
+    cache.remove_atom(j)
+    assert active.atoms == order[:j] + order[j + 1 :]
+    assert active.weights.sum() == 1.0
+    check()
+
+
+def test_weight_sum_stays_within_rounding_without_renormalisation():
+    # the ghz3-m6 solve: three parties with marginal slots, about 47k
+    # iterations; the drift bound is 2.2e-16 per iteration
+    points = rationalize_all(geodesic_icosahedron([]), 1e-6)
+    vecs = np.array([[float(c) for c in v.as_tuple()] for v in antipodal_representatives(points)])
+    p = build_quantum_tensor("ghz", [vecs] * 3, Scenario(3, 6, marginals=True))
+    res = bpcg(p, 0.80, SolverConfig(restarts=300, seed=0))
+    assert res.status == STATUS_SEPARATED and res.iterations > 40_000
+    assert abs(res.active_set.weights.sum() - 1) <= 1e-12
 
 
 def _run_summary(res):

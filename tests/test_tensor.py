@@ -239,6 +239,9 @@ def test_tensor_read_rejects_malformed():
         read_tensor(io.StringIO("2 2"))
     with pytest.raises(ValueError):
         read_tensor(io.StringIO("2 2 false\n1 2 3"))
+    for bad in ("nan", "inf", "-inf", "1/0", "1e400"):
+        with pytest.raises(ValueError):
+            read_tensor(io.StringIO(f"2 2 false\n{bad} 1 1 -1"))
 
 
 def test_w_state_valid():
