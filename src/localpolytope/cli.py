@@ -7,6 +7,7 @@ errors and invalid certificates.
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -171,7 +172,8 @@ def _write_run_metadata(path, args, stages, res=None):
             "seed": args.seed, "status": "refused"}
     if res is not None:
         meta.update(status=res.status, distance=res.distance, iterations=res.iterations,
-                    lmo_calls=res.lmo_calls, elapsed_seconds=stages["solve"])
+                    lmo_calls=res.lmo_calls, elapsed_seconds=stages["solve"],
+                    solver=dataclasses.asdict(res.stats))
     meta["stages"] = stages
     with open(path, "w") as fp:
         json.dump(meta, fp, indent=2)
@@ -430,10 +432,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, CertificateError, ValueError) as e:
+    except (CliError, OSError, CertificateError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

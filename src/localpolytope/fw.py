@@ -1,11 +1,8 @@
 """Conditional-gradient solvers for the local-polytope membership problem.
 
-Both solvers minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the
-deterministic strategies, calling the alternating-maximisation heuristic as
-linear minimisation oracle.  ``frank_wolfe_vanilla`` is the classic
-distance-to-polytope iteration; ``bpcg`` is the lazy blended pairwise variant,
-which keeps an active set and prefers weight transfers between its own atoms
-over oracle calls.
+Both solvers, ``frank_wolfe_vanilla`` and the lazy blended pairwise ``bpcg``,
+minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the deterministic
+strategies, with the alternating-minimisation heuristic as oracle.
 
 Atoms are per-party sign rows, never dense tensors.  A pairwise or drop step
 needs only the weights and the Gram matrix of the atoms, so it leaves the
@@ -24,6 +21,7 @@ returned convex decomposition stands on its own.  A separated verdict is only
 heuristic until the final hyperplane is checked with an exact local bound.
 """
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,6 +44,7 @@ from .tensor import (
 STATUS_INSIDE = "converged_inside"
 STATUS_SEPARATED = "separated"
 STATUS_CAP = "iteration_cap"
+STEP_TYPES = ("pairwise", "drop", "fw", "null")
 MIN_CAPACITY = 8  # atoms held by a fresh active set or Gram buffer
 
 
@@ -145,9 +144,6 @@ class ActiveSet:
             self.x = self.recompute_iterate()
         return self.x
 
-    def iterate_error(self):
-        return float(np.abs(self.iterate() - self.recompute_iterate()).max())
-
 
 def _gram(rows, other, marginals):
     """Inner products of strategy tensors from their sign rows: the product
@@ -163,9 +159,11 @@ class InnerProductCache:
 
     The values are s - b, with s = Gram @ weights and b_lambda =
     <v0 p, d_lambda>, so they need no dense iterate.  A step that changes at
-    most two weights updates s from one or two Gram columns.  A new atom's
-    Gram column comes from the sign rows, one matrix-vector product per
+    most two weights updates s from one or two Gram rows.  A new atom's
+    Gram row comes from the sign rows, one matrix-vector product per
     party; the Gram buffer grows by doubling and removals shift it in place.
+    Rows, contiguous, stand in for columns exactly: every entry is an exact
+    integer and ``add_atom`` writes each vector as row and column alike.
     """
 
     def __init__(self, active, v0p):
@@ -205,12 +203,15 @@ class InnerProductCache:
         self.b = np.delete(self.b, i)
         self.s = np.delete(self.s, i)
 
+    def distance_sq(self, i, j):  # ||d_i - d_j||^2 as a Python float
+        return self._gram.item(i, i) + self._gram.item(j, j) - 2 * self._gram.item(i, j)
+
     def apply_pairwise(self, i_from, i_to, gamma):
-        g = self.gram
-        self.s += gamma * (g[:, i_to] - g[:, i_from])
+        n, g = len(self.s), self._gram
+        self.s += gamma * (g[i_to, :n] - g[i_from, :n])
 
     def apply_fw(self, i_new, gamma):
-        self.s = (1 - gamma) * self.s + gamma * self.gram[:, i_new]
+        self.s = (1 - gamma) * self.s + gamma * self._gram[i_new, : len(self.s)]
 
     def values(self):
         """<grad f(x), d_lambda> for every active atom."""
@@ -221,14 +222,25 @@ class InnerProductCache:
 
 
 @dataclass
+class RunStats:
+    """Steps by type (they sum to the iterations), oracle calls and their wall
+    seconds, and the largest active set; counted on every run."""
+
+    steps: dict = field(default_factory=lambda: dict.fromkeys(STEP_TYPES, 0))
+    oracle_calls: int = 0
+    oracle_seconds: float = 0.0
+    peak_atoms: int = 1
+
+
+@dataclass
 class SolverResult:
     active_set: ActiveSet
     distance: float
     phi: float
     gradient: CorrelationTensor
     iterations: int
-    lmo_calls: int
     status: str
+    stats: RunStats = field(default_factory=RunStats)
     f_history: list = field(default_factory=list)
     phi_history: list = field(default_factory=list)
     step_types: list = field(default_factory=list)
@@ -237,34 +249,32 @@ class SolverResult:
     def converged(self):
         return self.status == STATUS_INSIDE
 
+    @property
+    def lmo_calls(self):
+        return self.stats.oracle_calls
+
 
 def frank_wolfe_vanilla(p, v0, cfg=None):
     """Classic Frank-Wolfe iteration for the distance to the local polytope.
 
-    Each round moves from the iterate toward the oracle vertex with the exact
-    quadratic line-search step, clamped to [0, 1]; the objective never
-    increases.  ``p`` is the correlation tensor of the target state at
-    visibility 1, ``v0`` the visibility of the query point v0 * p and ``cfg``
-    a SolverConfig.  Returns a SolverResult with the final active set,
-    distance and verdict.
-    """
+    Each round moves toward the oracle vertex by the exact line-search step,
+    clamped to [0, 1], so the objective never increases.  ``p`` is the target
+    tensor at visibility 1, ``v0`` the visibility of the query point v0 * p and
+    ``cfg`` a SolverConfig.  Returns a SolverResult: active set, distance,
+    verdict and RunStats."""
     return _solve(p, v0, cfg, lazy=False)
 
 
 def bpcg(p, v0, cfg=None):
     """Lazy blended pairwise conditional gradients over the local polytope.
 
-    Keeps the iterate as an explicit convex combination and takes one of four
-    step types per iteration: a pairwise transfer from the worst active atom
-    to the best one, a drop step when that transfer empties the worst atom, a
+    Each iteration takes one of four steps: a pairwise transfer from the worst
+    active atom to the best, a drop step when that empties the worst atom, a
     Frank-Wolfe step toward a fresh oracle vertex, or a null step that halves
     the primal-gap estimate Phi.  The oracle is consulted only when the active
-    atoms cannot supply enough progress (lazy tolerance K).
-
-    Parameters and return value as in ``frank_wolfe_vanilla``; the result
-    additionally carries the final Phi and, with ``cfg.trace``, the per-step
-    type sequence.
-    """
+    atoms cannot supply enough progress (lazy tolerance K).  Parameters and
+    result as in ``frank_wolfe_vanilla``, with the final Phi and, with
+    ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
 
 
@@ -290,28 +300,37 @@ def _solve(p, v0, cfg, lazy):
     def distance():
         return float(np.linalg.norm(active.iterate() - target))
 
+    stats = RunStats()
+
+    def oracle(gradient, seed):
+        t0 = time.perf_counter()
+        omega = heuristic_lmo(gradient, cfg.restarts, seed)
+        stats.oracle_seconds += time.perf_counter() - t0
+        stats.oracle_calls += 1
+        return omega
+
     active = ActiveSet(sc)
     seed = cfg.seed
-    lam0 = heuristic_lmo(CorrelationTensor(sc, -target), cfg.restarts, seed)
-    lmo_calls = 1
-    active.add_atom(lam0, 1.0)
+    active.add_atom(oracle(CorrelationTensor(sc, -target), seed), 1.0)
     active.x = active.atom_tensor(0)
     cache = InnerProductCache(active, target_t)
 
     dist = distance()
     phi = 0.5 * dist**2 if lazy else np.inf
-    res = SolverResult(active, dist, phi, target_t, 0, lmo_calls, STATUS_CAP)
+    res = SolverResult(active, dist, phi, target_t, 0, STATUS_CAP, stats)
 
     t = 0
     rebuild_every = 4096
+    trace, debug = cfg.trace, cfg.debug
+    every = cfg.callback_every if cfg.callback else 0
     for t in range(cfg.max_iterations):
         # the observers read the iterate, forming it if stale; the steps do
         # not depend on whether it was formed here
-        report = cfg.callback and cfg.callback_every and t % cfg.callback_every == 0
-        if cfg.trace or cfg.debug or report:
+        report = every and t % every == 0
+        if trace or debug or report:
             dist = distance()
             f = 0.5 * dist**2
-        if cfg.trace:
+        if trace:
             res.f_history.append(f)
             if lazy:
                 res.phi_history.append(phi)
@@ -319,20 +338,19 @@ def _solve(p, v0, cfg, lazy):
             res.status = STATUS_SEPARATED
             break
 
+        # Python floats round as numpy scalars do, at less call overhead
         vals = cache.values()
         i_away = int(vals.argmax())
         i_local = int(vals.argmin())
-        step = None
+        ga = vals.item(i_away) - vals.item(i_local)
 
-        if lazy and vals[i_away] - vals[i_local] >= phi:
+        if lazy and ga >= phi:
             # pairwise transfer along d_local - d_away, in Gram space
-            ga = vals[i_away] - vals[i_local]
-            g = cache.gram
-            asq = g[i_away, i_away] + g[i_local, i_local] - 2 * g[i_away, i_local]
-            cap = active.weights[i_away]
-            gamma = min(ga / asq, cap)
-            active.weights[i_away] -= gamma
-            active.weights[i_local] += gamma
+            w = active.weights
+            cap = w.item(i_away)
+            gamma = min(ga / cache.distance_sq(i_away, i_local), cap)
+            w[i_away] = cap - gamma
+            w[i_local] = w.item(i_local) + gamma
             active.x = None
             cache.apply_pairwise(i_away, i_local, gamma)
             if gamma >= cap:
@@ -350,8 +368,7 @@ def _solve(p, v0, cfg, lazy):
                 break
             f = 0.5 * dist**2
             seed += 1
-            omega = heuristic_lmo(grad, cfg.restarts, seed)
-            lmo_calls += 1
+            omega = oracle(grad, seed)
             gx = float(active.weights @ vals)  # <grad, x>
             gw = tensor_strategy_inner(grad, omega)
             gap = gx - gw
@@ -374,6 +391,7 @@ def _solve(p, v0, cfg, lazy):
                 active.weights[i] += gamma
                 active.x = active.x + gamma * (d - active.x)
                 cache.apply_fw(i, gamma)
+                stats.peak_atoms = max(stats.peak_atoms, len(active))
                 step = "fw"
             else:
                 # no progress available anywhere; a large lower bound already
@@ -384,9 +402,10 @@ def _solve(p, v0, cfg, lazy):
                 phi = phi / 2
                 step = "null"
 
-        if cfg.trace and lazy:
+        stats.steps[step] += 1
+        if trace and lazy:
             res.step_types.append(step)
-        if cfg.debug:
+        if debug:
             f_new = 0.5 * distance() ** 2
             assert f_new <= f + 1e-12, f"objective increased on {step} step"
             assert abs(active.weights.sum() - 1) <= 1e-9, "weights do not sum to 1"
@@ -404,7 +423,6 @@ def _solve(p, v0, cfg, lazy):
         res.status = STATUS_INSIDE
     res.phi = phi if np.isfinite(phi) else 0.0
     res.iterations = t
-    res.lmo_calls = lmo_calls
     return res
 
 

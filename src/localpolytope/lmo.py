@@ -1,8 +1,8 @@
 """Linear minimisation oracles over the deterministic strategies.
 
 Minimising a linear functional over the local polytope means optimising a
-multilinear +-1 assignment problem.  ``maximize_functional_heuristic`` is a
-batched alternating maximisation (fast, no optimality guarantee).
+multilinear +-1 assignment problem.  ``heuristic_lmo`` is a batched
+alternating minimisation (fast, no optimality guarantee).
 ``exhaustive_lmo`` is the one exact kernel, behind every local bound; its
 docstring gives the cap and the exactness argument.  The bipartite QUBO
 reformulation and its branch and bound remain library functions that no
@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor import CorrelationTensor, DeterministicStrategy, _contract
+from .tensor import CorrelationTensor, DeterministicStrategy, _contract_unfolded
 
 EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
 EXHAUSTIVE_BATCH = 1 << 14  # assignments per contraction, at most
@@ -50,55 +50,49 @@ class BellFunctional:
         return np.array(flat, dtype=object).reshape(self.tensor.entries.shape)
 
 
-def _extended(mat, marginals):
-    """Prepend the fixed marginal-slot row of ones to a (m, R) sign matrix."""
-    if not marginals:
-        return mat
-    return np.vstack([np.ones((1, mat.shape[1]), dtype=mat.dtype), mat])
-
-
 def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
-    """Best strategy found by alternating maximisation of <tensor, d>.
-
-    Every restart draws random signs for all parties and then cycles through
-    the parties, replacing each party's signs by the sign of its coefficient
-    vector (with sign(0) = +1) until a full round brings no improvement.  The
-    restarts run as the columns of one batch; a round's value is read off its
-    last contraction.  Returns (strategy, value) with the value
-    root-corrected, i.e. equal to inner(tensor, strategy_tensor(...)).
-    """
-    sc = tensor.scenario
-    N, m = sc.parties, sc.inputs
-    G = tensor.to_float().entries
-    off = 1 if sc.marginals else 0
-
-    rng = np.random.default_rng(seed)
-    signs = [
-        _extended(rng.choice([-1.0, 1.0], size=(m, restarts)), sc.marginals)
-        for _ in range(N)
-    ]
-    prev = np.full(restarts, -np.inf)
-    for _ in range(HEURISTIC_ROUNDS):
-        for n in range(N):
-            C = _contract(G, signs, free=n)
-            signs[n][off:] = np.where(C[off:] >= 0, 1.0, -1.0)
-        vals = (C * signs[N - 1]).sum(axis=0)
-        if np.all(vals <= prev + 1e-12):
-            break
-        prev = vals
-    i = int(np.argmax(prev))
-    strategy = DeterministicStrategy.from_signs(
-        [list(signs[n][off:, i].astype(int)) for n in range(N)]
-    )
-    root = float(G[(0,) * N]) if sc.marginals else 0.0
-    return strategy, prev[i] - root
+    """Best (strategy, value) found by alternating maximisation of
+    <tensor, d>, root-corrected: the minimisation of ``heuristic_lmo`` on
+    -tensor."""
+    s, v = _alternating_min(-tensor.to_float().entries, tensor.scenario, restarts, seed)
+    return s, -v
 
 
 def heuristic_lmo(gradient, restarts=3000, seed=0):
     """Strategy approximately minimising <gradient, d> over all strategies."""
-    neg = CorrelationTensor(gradient.scenario, -gradient.entries)
-    strategy, _ = maximize_functional_heuristic(neg, restarts=restarts, seed=seed)
-    return strategy
+    return _alternating_min(gradient.to_float().entries, gradient.scenario, restarts, seed)[0]
+
+
+def _alternating_min(G, sc, restarts, seed):
+    """Best (strategy, value) found by alternating minimisation of <G, d>.
+
+    Each restart, a column of one (N, axis, R) sign buffer, starts from random
+    signs and cycles through the parties, setting each party's signs opposite
+    to its coefficients (0 -> +1), until a round brings no improvement.  Each
+    party's unfolding of G is built once; a round's value is read off its last
+    contraction."""
+    N, m, a = sc.parties, sc.inputs, sc.axis_size
+    off = a - m
+
+    rng = np.random.default_rng(seed)
+    signs = np.ones((N, a, restarts))
+    for n in range(N):
+        # the values, and the random stream, of rng.choice([-1.0, 1.0], (m, R))
+        signs[n, off:] = rng.integers(0, 2, size=(m, restarts)) * 2.0 - 1.0
+    unfolded = [np.moveaxis(G, n, -1).reshape(-1, a) for n in range(N)]
+    others = [[signs[j] for j in range(N) if j != n] for n in range(N)]
+    prev = np.full(restarts, np.inf)
+    for _ in range(HEURISTIC_ROUNDS):
+        for n in range(N):
+            C = _contract_unfolded(unfolded[n], others[n], restarts)
+            signs[n, off:] = np.where(C[off:] <= 0, 1.0, -1.0)
+        vals = (C * signs[N - 1]).sum(axis=0)
+        if np.all(vals >= prev - 1e-12):
+            break
+        prev = vals
+    i = int(np.argmin(prev))
+    root = float(G[(0,) * N]) if sc.marginals else 0.0
+    return DeterministicStrategy.from_signs(signs[:, off:, i]), prev[i] - root
 
 
 def _lex_sign_batch(start, stop, num_vars, dtype):
@@ -146,26 +140,22 @@ def exhaustive_lmo(gradient):
 
     for start in range(0, ids, batch):
         rows = _lex_sign_batch(start, min(start + batch, ids), outer_vars, G.dtype)
-        signs = [
-            _extended(rows[:, j * m : (j + 1) * m].T, sc.marginals)
-            for j in range(N - 1)
-        ]
+        signs = np.ones((N - 1, sc.axis_size, len(rows)), G.dtype)
+        signs[:, sc.axis_size - m :] = rows.T.reshape(N - 1, m, len(rows))
 
         # contraction onto the last party's axis, batched over assignments
-        C = _contract(G, signs, free=N - 1)
+        C = _contract_unfolded(G.reshape(-1, sc.axis_size), list(signs), len(rows))
         coeff = C[1:] if sc.marginals else C
         vals = (C[0] if sc.marginals else 0) - np.abs(coeff).sum(axis=0)
         i = int(np.argmin(vals))
         v = vals[i]
         if best_val is None or v < best_val:
             best_val = v
-            best_outer = [rows[i, j * m : (j + 1) * m] for j in range(N - 1)]
+            best_outer = rows[i].reshape(N - 1, m)
             # minimise coeff . s: s = -sign(coeff), ties resolved to +1
             best_last = np.where(coeff[:, i] > 0, -1, 1)
 
-    strategy = DeterministicStrategy.from_signs(
-        [[int(x) for x in s] for s in best_outer + [best_last]]
-    )
+    strategy = DeterministicStrategy.from_signs([*best_outer, best_last])
     value = best_val - (G[(0,) * N] if sc.marginals else 0)
     return strategy, int(value) if integer else value
 
@@ -182,10 +172,8 @@ class QuboInstance:
         return self.Q.shape[0]
 
     def value(self, w):
-        w = np.asarray(w)
-        return self.c + 2 * int(w @ self.Q @ w) if self.Q.dtype == np.int64 else (
-            self.c + 2 * float(w @ self.Q @ w)
-        )
+        q = np.asarray(w) @ self.Q @ np.asarray(w)
+        return self.c + 2 * (int(q) if self.Q.dtype == np.int64 else float(q))
 
 
 def to_qubo(functional):

@@ -284,26 +284,35 @@ def strategy_inner(s1, s2, scenario):
     return prod
 
 
-def _contract(G, signs, free=None):
-    """Contract G with the (axis, R) sign columns of every party but ``free``.
+def _contract_unfolded(U, cols, R):
+    """The free party's (axis, R) coefficients from its unfolding ``U``, G as
+    an (axis^(N-1), axis) matrix with the free axis last, and the (axis, R)
+    sign columns ``cols`` of the other parties in order.  Column r of K, their
+    column-wise Kronecker (Khatri-Rao) product, is the others' strategy
+    tensor d_r in U's row order, so the coefficients are one product K^T U."""
+    K = cols[0] if cols else np.ones((1, R), U.dtype)
+    for c in cols[1:]:
+        K = (K[:, None, :] * c).reshape(-1, R)
+    return (K.T @ U).T
 
-    The first contracted party goes by one matrix product and each further
-    one by a product batched over the R columns, so float input runs on BLAS
-    while integer and object input stays exact.  Sign columns carry the
-    leading 1 of a marginal slot.  Returns the free party's (axis, R)
-    coefficients, or the (R,) values <G, d_r> when no party is free.  With
-    one party the coefficients are G itself, one column broadcasting over R.
-    """
-    order = [j for j in range(G.ndim) if j != free]
-    if not order:
-        return G[:, None]
-    if free is not None:
-        G = np.moveaxis(G, free, -1)
-    a = G.shape[0]
-    T = signs[order[0]].T @ G.reshape(a, -1)
-    for j in order[1:]:
-        T = np.matmul(signs[j].T[:, None, :], T.reshape(len(T), a, -1))[:, 0]
-    return T.T if free is not None else T[:, 0]
+
+def _contract(G, signs, free=None):
+    """Contract G with the (axis, R) sign columns ``signs[j]`` of every party
+    j but ``free``, each led by a 1 for a marginal slot: the free party's
+    (axis, R) coefficients, or with no party free the (R,) values <G, d_r>,
+    the last party's coefficients dotted with its columns.
+
+    The other parties enter by one Khatri-Rao product K of their sign columns
+    (axis^(N-1) * R entries) and one BLAS product.  K is exactly +-1, so
+    integer and object input stays exact in any summation order: every
+    partial sum is an integer of at most Sum |G|."""
+    if free is None:
+        free = G.ndim - 1
+        C = _contract(G, signs, free)
+        return np.matmul(signs[free].T[:, None, :], C.T[:, :, None])[:, 0, 0]
+    U = np.moveaxis(G, free, -1).reshape(-1, G.shape[free])
+    others = [s for j, s in enumerate(signs) if j != free]
+    return _contract_unfolded(U, others, signs[0].shape[1])
 
 
 def rows_inner(t, rows):

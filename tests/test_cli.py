@@ -70,6 +70,13 @@ def test_run_record_has_stage_times(tmp_path):
                                    "assemble", "verify", "write"}
     assert all(t >= 0 for t in meta["stages"].values())
     assert meta["elapsed_seconds"] == meta["stages"]["solve"]
+    # what the solver did, next to the stage times
+    solver = meta["solver"]
+    assert set(solver["steps"]) == {"pairwise", "drop", "fw", "null"}
+    assert sum(solver["steps"].values()) == meta["iterations"]
+    assert solver["oracle_calls"] == meta["lmo_calls"]
+    assert 0 < solver["oracle_seconds"] <= meta["stages"]["solve"]
+    assert solver["peak_atoms"] >= 1
 
 
 def test_run_record_written_on_inconclusive_exit(tmp_path):

@@ -104,7 +104,7 @@ def test_bpcg_m6_soundness(m6_run, ico_singlet):
     assert active.weights.min() >= 0
     assert abs(active.weights.sum() - 1) < 1e-9
     assert len(set(active.atoms)) == len(active.atoms)
-    assert active.iterate_error() < 1e-10
+    assert np.abs(active.iterate() - x).max() < 1e-10
 
 
 def test_bpcg_phi_halves_only_on_null_steps(m6_run):
@@ -129,6 +129,19 @@ def test_bpcg_linear_convergence_smoke(m6_run):
     t = np.arange(len(tail))
     slope = np.polyfit(t, tail, 1)[0]
     assert slope < 0
+
+
+def test_run_stats_count_every_step(m6_run, chsh_singlet):
+    stats = m6_run.stats
+    assert sum(stats.steps.values()) == m6_run.iterations
+    assert stats.steps == {t: m6_run.step_types.count(t) for t in stats.steps}
+    assert stats.oracle_calls == m6_run.lmo_calls
+    assert stats.oracle_calls >= 1 + stats.steps["fw"] + stats.steps["null"]
+    assert stats.oracle_seconds > 0
+    assert stats.peak_atoms >= len(m6_run.active_set)
+    # vanilla Frank-Wolfe takes one Frank-Wolfe step per iteration
+    van = frank_wolfe_vanilla(chsh_singlet, 0.65, FAST)
+    assert van.stats.steps == {"pairwise": 0, "drop": 0, "fw": van.iterations, "null": 0}
 
 
 def test_bpcg_single_atom_falls_through_to_lmo(chsh_singlet):

@@ -8,18 +8,20 @@ from localpolytope.lmo import (
     exhaustive_lmo,
     heuristic_lmo,
     local_bound,
+    maximize_functional_heuristic,
     qubo_branch_and_bound,
     to_qubo,
-    _contract,
 )
 from localpolytope.states import ghz_polygon_tensor
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
     Scenario,
+    _contract,
     inner,
     strategy_tensor,
 )
+from util import heuristic_reference
 
 NM22 = Scenario(2, 2, marginals=False)
 CHSH = CorrelationTensor(NM22, np.array([[1, 1], [1, -1]], dtype=object))
@@ -122,6 +124,27 @@ def test_heuristic_single_party_matches_exhaustive(marginals, inputs):
         s_opt, v_opt = exhaustive_lmo(g)
         assert s == s_opt
         assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
+
+
+@pytest.mark.parametrize("restarts", [7, 8])
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("parties", [1, 2, 3, 4])
+def test_heuristic_matches_pre_kernel_reference(parties, marginals, restarts):
+    # the sign buffer draws the reference's random stream; with two parties
+    # the Khatri-Rao kernel runs the reference's matrix products, so strategy
+    # and value are identical, and with more the summation order moves
+    rng = np.random.default_rng(10 * parties + marginals)
+    sc = Scenario(parties, 4 if parties <= 3 else 2, marginals)
+    for trial in range(4):
+        t = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        s, v = maximize_functional_heuristic(t, restarts=restarts, seed=trial)
+        s_ref, v_ref = heuristic_reference(t, restarts, trial)
+        if parties == 2:
+            assert (s, v) == (s_ref, v_ref)
+            neg = CorrelationTensor(sc, -t.entries)
+            assert heuristic_lmo(neg, restarts=restarts, seed=trial) == s_ref
+        else:
+            assert v == pytest.approx(v_ref, abs=1e-12)
 
 
 def test_heuristic_five_parties_matches_exhaustive():

@@ -298,7 +298,7 @@ def test_ghz4_polygon_formula():
     assert np.abs(q.entries - ref.entries).max() < 1e-12
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
 @pytest.mark.parametrize("marginals", [False, True])
 @pytest.mark.parametrize("parties", [1, 2, 3, 4, 5])
 def test_contract_matches_einsum_reference(parties, marginals, dtype):
@@ -307,16 +307,27 @@ def test_contract_matches_einsum_reference(parties, marginals, dtype):
     sc = Scenario(parties, m, marginals)
     if dtype is np.int64:
         G = rng.integers(-50, 51, size=sc.shape)
+    elif dtype is object:
+        # Python ints past 2^53, where float64 would round: exactness of the
+        # path exhaustive_lmo takes for large integer functionals
+        big = [int(x) * 2**60 + int(y) for x, y in zip(
+            rng.integers(-50, 51, size=sc.num_entries),
+            rng.integers(-50, 51, size=sc.num_entries))]
+        G = np.array(big, dtype=object).reshape(sc.shape)
     else:
         G = rng.normal(size=sc.shape)
     signs = [rng.choice([-1, 1], size=(m, R)).astype(dtype) for _ in range(parties)]
     cols = [np.vstack([np.ones((1, R), dtype), s]) if marginals else s for s in signs]
     for free in [None, *range(parties)]:
         ref = contract_reference(G, signs, marginals, free)
-        # with one party the kernel returns G as one column broadcasting over R
-        got = np.broadcast_to(_contract(G, cols, free), ref.shape)
+        got = _contract(G, cols, free)
+        assert got.shape == ref.shape
         if dtype is np.int64:
             assert got.dtype == np.int64
             assert np.array_equal(got, ref)
+        elif dtype is object:
+            assert got.dtype == object
+            assert all(type(x) is int for x in got.flat)
+            assert (got == ref).all()
         else:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)

@@ -8,7 +8,7 @@ import numpy as np
 from fractions import Fraction
 
 from localpolytope.certify import TargetSpec, assemble_upper
-from localpolytope.lmo import BellFunctional
+from localpolytope.lmo import HEURISTIC_ROUNDS, BellFunctional
 from localpolytope.polyhedra import (
     Face,
     RationalPolyhedron,
@@ -18,6 +18,7 @@ from localpolytope.polyhedra import (
 )
 from localpolytope.tensor import (
     CorrelationTensor,
+    DeterministicStrategy,
     norm2_sq,
     strategy_tensor,
     tensor_strategy_inner,
@@ -80,6 +81,52 @@ def contract_reference(G, signs, marginals, free=None):
         for j in parties
     ]
     return np.einsum(spec + "->" + out, G, *ops)
+
+
+def heuristic_reference(tensor, restarts, seed):
+    """maximize_functional_heuristic as it ran before the Khatri-Rao kernel;
+    the reference for the heuristic oracle.
+
+    Signs are drawn party by party with ``rng.choice``, and each round
+    contracts the other parties one at a time: a matrix product for the
+    first, then products batched over the restarts.
+    """
+    sc = tensor.scenario
+    N, m = sc.parties, sc.inputs
+    G = tensor.to_float().entries
+    off = 1 if sc.marginals else 0
+
+    def contract(free):
+        order = [j for j in range(N) if j != free]
+        if not order:
+            return G[:, None]
+        Gm = np.moveaxis(G, free, -1)
+        a = Gm.shape[0]
+        T = signs[order[0]].T @ Gm.reshape(a, -1)
+        for j in order[1:]:
+            T = np.matmul(signs[j].T[:, None, :], T.reshape(len(T), a, -1))[:, 0]
+        return T.T
+
+    rng = np.random.default_rng(seed)
+    signs = []
+    for _ in range(N):
+        s = rng.choice([-1.0, 1.0], size=(m, restarts))
+        signs.append(np.vstack([np.ones((1, restarts)), s]) if off else s)
+    prev = np.full(restarts, -np.inf)
+    for _ in range(HEURISTIC_ROUNDS):
+        for n in range(N):
+            C = contract(n)
+            signs[n][off:] = np.where(C[off:] >= 0, 1.0, -1.0)
+        vals = (C * signs[N - 1]).sum(axis=0)
+        if np.all(vals <= prev + 1e-12):
+            break
+        prev = vals
+    i = int(np.argmax(prev))
+    strategy = DeterministicStrategy.from_signs(
+        [list(signs[n][off:, i].astype(int)) for n in range(N)]
+    )
+    root = float(G[(0,) * N]) if sc.marginals else 0.0
+    return strategy, prev[i] - root
 
 
 def recomputed_values(active, gradient_entries):
