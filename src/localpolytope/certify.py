@@ -9,14 +9,13 @@ Bell functional with its exact local bound.
 
 Every irrational square root is replaced by a directed rational bound at
 denominator scale 10^18, always rounded in the direction that weakens the
-claimed bound.  Two float shortcuts run on BLAS only while every partial sum
-is an integer of magnitude at most 2^53, so they are exact: the integer
-tensor of a model in ``_exact_residual_sq``, and the local bound of an
-integer functional in ``lmo.exhaustive_lmo``.
+claimed bound.  Two float shortcuts run on BLAS only where
+``tensor.exact_operand`` proves them exact: the integer tensor of a model in
+``_exact_residual_sq``, and the local bound of an integer functional in
+``lmo.exhaustive_lmo``.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
@@ -32,16 +31,19 @@ from .tensor import (
     DeterministicStrategy,
     Scenario,
     combine_rows,
+    exact_operand,
     inner,
     norm2_sq,
     read_tensor,
+    sign_rows,
     strategy_tensor,
     tensor_strategy_inner,
     write_tensor,
 )
 
-# maximize_functional_heuristic is not called here: bench/tracing.py wraps it,
-# local_bound, strategy_tensor and tensor_strategy_inner in this namespace.
+# maximize_functional_heuristic and strategy_tensor are not called here:
+# bench/tracing.py wraps them, local_bound and tensor_strategy_inner in this
+# namespace.
 
 SQRT_SCALE = 10**18
 WEIGHT_DENOMINATOR = 2**48
@@ -112,14 +114,14 @@ class BallDecomposition:
         return all(isinstance(w, Fraction) for w in self.weights)
 
     def reconstruct(self):
-        exact = self.is_exact
-        out = CorrelationTensor.zeros(self.scenario, exact=exact)
-        ent = out.entries
-        for w, a in zip(self.weights, self.atoms):
-            ent = ent + w * strategy_tensor(a, self.scenario, exact=exact).entries
-        if self.scenario.marginals:
-            ent[(0,) * self.scenario.parties] = 1 if exact else 1.0
-        return CorrelationTensor(self.scenario, ent)
+        """sum_i w_i d_i, with the root at 1: one product of the weights with
+        the atoms' sign rows, in Fractions for exact weights."""
+        sc = self.scenario
+        w = np.array(self.weights, dtype=object if self.is_exact else np.float64)
+        ent = combine_rows(w, sign_rows(self.atoms, sc, w.dtype)).reshape(sc.shape)
+        if sc.marginals:
+            ent[(0,) * sc.parties] = 1
+        return CorrelationTensor(sc, ent)
 
 
 def _half_group(parties, inputs):
@@ -231,9 +233,8 @@ def ball_decomposition(r):
 @dataclass
 class RationalModel:
     atoms: list
-    weights: list            # Fractions when exact
-    residual_sq: object      # Fraction when exact
-    exact: bool
+    weights: list            # Fractions
+    residual_sq: Fraction
 
 
 def rationalize_weights(active, p, v0):
@@ -242,20 +243,10 @@ def rationalize_weights(active, p, v0):
     Weights are rounded to denominator 2^48 and clipped at zero; if rounding
     pushed the sum above 1 the excess is taken from the largest weight, and
     any deficit implicitly rides on the zero tensor.  The residual against
-    v0 * p is then recomputed in exact arithmetic.
+    v0 * p is then recomputed in exact arithmetic, so p must be exact.
     """
     if not p.is_exact:
-        warnings.warn("target tensor is not rational; residual stays floating point")
-        x = active.recompute_iterate()
-        diff = x - float(v0) * p.entries
-        if p.scenario.marginals:
-            diff[(0,) * p.scenario.parties] = 0.0
-        return RationalModel(
-            list(active.atoms),
-            [float(w) for w in active.weights],
-            float(np.dot(diff.reshape(-1), diff.reshape(-1))),
-            exact=False,
-        )
+        raise CertificateError(lower_refusal(p.scenario, False))
 
     v0 = Fraction(v0)
     atoms, weights = [], []
@@ -271,8 +262,7 @@ def rationalize_weights(active, p, v0):
         if weights[i] < 0:
             raise CertificateError("weight rounding could not be repaired")
 
-    residual_sq = _exact_residual_sq(atoms, weights, p, v0)
-    return RationalModel(atoms, weights, residual_sq, exact=True)
+    return RationalModel(atoms, weights, _exact_residual_sq(atoms, weights, p, v0))
 
 
 def _exact_residual_sq(atoms, weights, p, v0):
@@ -280,27 +270,15 @@ def _exact_residual_sq(atoms, weights, p, v0):
 
     With D the lcm of the weight denominators, k_i = w_i D are integers and
     X = sum_i k_i s_i^(1) x ... x s_i^(N) is an integer tensor, built as one
-    matrix product of the stacked +-1 sign matrices.  In float64 that product
-    is exact in any summation order while sum_i |k_i| <= 2^53: every term is
-    +-k_i and every partial sum is an integer of magnitude at most
-    sum_i |k_i|, hence representable.  Above that bound the same product runs
-    on Python ints.  With v0 = a/b and P the lcm of the denominators of p,
-    the residual is ||X b P - a D (p P)||^2 / (D b P)^2, summed in Python ints.
+    product of the k's with the atoms' sign rows, exact by ``exact_operand``.
+    With v0 = a/b and P the lcm of the denominators of p, the residual is
+    ||X b P - a D (p P)||^2 / (D b P)^2, summed in Python ints.
     """
     sc = p.scenario
     weights = [Fraction(w) for w in weights]
     D = math.lcm(*(w.denominator for w in weights))
-    k = [w.numerator * (D // w.denominator) for w in weights]
-    dtype = np.float64 if sum(abs(x) for x in k) <= 2**53 else object
-    signs = []
-    for n in range(sc.parties):
-        S = np.array([a.signs(n) for a in atoms], dtype=np.int8).reshape(len(atoms), sc.inputs)
-        if sc.marginals:
-            S = np.hstack([np.ones((len(atoms), 1), dtype=np.int8), S])
-        signs.append(S.astype(dtype))
-    X = combine_rows(np.array(k, dtype=dtype), signs).reshape(-1)
-    if dtype is np.float64:
-        X = X.astype(np.int64)
+    k = exact_operand([w.numerator * (D // w.denominator) for w in weights])
+    X = combine_rows(k, sign_rows(atoms, sc, k.dtype)).reshape(-1)
 
     v0 = Fraction(v0)
     target = [Fraction(x) for x in p.entries.reshape(-1)]
@@ -327,16 +305,6 @@ class TargetSpec:
     alice: tuple = None           # Bloch triples, rational or float (singlet)
     bob: tuple = None
     tensor: CorrelationTensor = None
-
-    @property
-    def is_exact(self):
-        if self.kind == "singlet":
-            return all(
-                isinstance(c, (Fraction, int)) for v in self.alice + self.bob for c in v
-            )
-        if self.kind == "ghz-polygon":
-            return True
-        return self.tensor is not None and self.tensor.is_exact
 
     def build(self, scenario):
         if self.kind == "singlet":
@@ -386,7 +354,6 @@ class UpperBoundCertificate:
     ell: int
     q: object                     # Fraction (exact) or float
     v_up: object
-    q_tol: float = 0.0
 
     @property
     def kind(self):
@@ -415,7 +382,7 @@ def assemble_lower(scenario, poly, v0, model, target):
     bounded below by an integer-sqrt floor for odd N; without a polyhedron the
     certificate is scoped to the finite scenario and the eta factor is 1.
     """
-    refusal = lower_refusal(scenario, getattr(model, "exact", False))  # no model: inexact
+    refusal = lower_refusal(scenario, True)  # rationalize_weights refused inexact targets
     if refusal:
         raise CertificateError(refusal)
     v0 = Fraction(v0)
@@ -478,14 +445,12 @@ def assemble_upper(functional, ell, p, target):
         if q <= ell:
             raise CertificateError("no violation: quantum value does not exceed the local bound")
         v_up = Fraction(ell) / q
-        tol = 0.0
     else:
         q = float(q)
         if q <= ell + Q_TOL:
             raise CertificateError("no violation beyond tolerance; rerun or rescale")
         v_up = ell / q
-        tol = Q_TOL
-    return UpperBoundCertificate(p.scenario, target, functional, ell, q, v_up, tol)
+    return UpperBoundCertificate(p.scenario, target, functional, ell, q, v_up)
 
 
 # --- derived constants -------------------------------------------------------
@@ -569,8 +534,6 @@ def _verify_lower(cert):
             return _fail("duplicate atom")
         seen.add(key)
 
-    if not cert.target.is_exact:
-        return _fail("target is not exactly rational")
     try:
         p = cert.target.build(sc)
     except Exception as e:  # malformed embedded target
@@ -651,7 +614,7 @@ def _verify_upper(cert):
         if cert.v_up != Fraction(cert.ell) / q:
             return _fail("v_up mismatch")
     else:
-        # the file's TOL is informational: it must not widen this check.
+        # the file's TOL is not read: it must not widen this check.
         # Every comparison below is False on nan, so non-finite values fail here
         try:
             qf, file_q, v_up, ell = (float(v) for v in (q, cert.q, cert.v_up, cert.ell))
@@ -731,7 +694,7 @@ def write_certificate(cert, fp):
             fp.write(f"Q {_frac_str(cert.q)}\n")
             fp.write(f"V_UP {_frac_str(cert.v_up)}\n")
         else:
-            fp.write(f"Q {float(cert.q)!r} TOL {cert.q_tol!r}\n")
+            fp.write(f"Q {float(cert.q)!r} TOL {Q_TOL!r}\n")
             fp.write(f"V_UP {float(cert.v_up)!r}\n")
     fp.write("END\n")
 
@@ -852,13 +815,11 @@ def _read_certificate(lines):
     if len(qvals) == 3:
         if qvals[1] != "TOL":
             raise CertificateError("expected a Q line")
-        q = float(qvals[0])
-        q_tol = float(qvals[2])
+        q, _ = float(qvals[0]), float(qvals[2])  # verify does not use the TOL
         v_up = float(lines.keyed("V_UP")[0])
     else:
         q = Fraction(qvals[0])
-        q_tol = 0.0
         v_up = Fraction(lines.keyed("V_UP")[0])
     if lines.next() != "END":
         raise CertificateError("missing END")
-    return UpperBoundCertificate(sc, target, functional, ell, q, v_up, q_tol)
+    return UpperBoundCertificate(sc, target, functional, ell, q, v_up)

@@ -30,6 +30,7 @@ from .certify import (
     verify,
     write_certificate,
 )
+# frank_wolfe_vanilla is not called here: bench/tracing.py wraps it in this namespace
 from .fw import SolverConfig, bpcg, extract_hyperplane, frank_wolfe_vanilla
 from .lmo import BellFunctional, enumerable, local_bound
 from .polyhedra import (
@@ -156,7 +157,6 @@ def _build_problem(args):
 
 def _solver_config(args):
     return SolverConfig(
-        lazy_tolerance=args.K,
         max_iterations=args.max_iter,
         eps=args.eps,
         restarts=args.restarts,
@@ -211,10 +211,9 @@ def cmd_solve(args):
         if args.out:
             _write_run_metadata(args.out + ".run.json", args, stages)
         return 2
-    solver = bpcg if args.algo == "bpcg" else frank_wolfe_vanilla
 
     with _stage(stages, "solve"):
-        res = solver(p, float(v0), cfg)
+        res = bpcg(p, float(v0), cfg)
     print(
         f"status={res.status} distance={res.distance:.3e} iterations={res.iterations} "
         f"lmo_calls={res.lmo_calls} ({stages['solve']:.2f}s)"
@@ -274,17 +273,14 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
 def _assemble_upper_cert(args, res, p, target, v0):
     """Integerize the separating hyperplane until it certifies; None if it never does."""
     G = extract_hyperplane(res, p, float(v0))
-    scale = args.scale
-    while True:
+    for scale in (10**4, 10**5, 10**6, 10**7, 10**8):
         M = integerize_functional(G, scale)
-        lb = local_bound(M)
         try:
-            return assemble_upper(M, lb.value, p, target)
+            return assemble_upper(M, local_bound(M).value, p, target)
         except CertificateError:
-            scale *= 10
-            if scale > 10**8:
-                print("inconclusive: no violation after integerization")
-                return None
+            pass
+    print("inconclusive: no violation after integerization")
+    return None
 
 
 def _print_derived(cert):
@@ -399,14 +395,11 @@ def build_parser():
     ps.add_argument("--polygon", action="store_true",
                     help="XY-plane polygon measurements (ghz)")
     ps.add_argument("--v0", required=True, help="initial visibility, exact decimal")
-    ps.add_argument("--algo", default="bpcg", choices=["bpcg", "fw"])
-    ps.add_argument("--K", type=float, default=2.0, help="lazy tolerance")
     ps.add_argument("--eps", type=float, default=1e-6)
     ps.add_argument("--max-iter", type=int, default=100_000)
     ps.add_argument("--restarts", type=int, default=3000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--tol", type=float, default=1e-6, help="rationalization tolerance")
-    ps.add_argument("--scale", type=int, default=10**4, help="integerization scale")
     ps.add_argument("--out", help="certificate output file")
     ps.set_defaults(func=cmd_solve)
 

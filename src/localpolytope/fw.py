@@ -32,8 +32,8 @@ from .tensor import (
     CorrelationTensor,
     combine_rows,
     rows_inner,
+    sign_rows,
     strategy_inner,
-    strategy_rows,
     strategy_tensor,
     tensor_strategy_inner,
 )
@@ -111,8 +111,8 @@ class ActiveSet:
             i = len(self.atoms)
             if i == len(self._rows[0]):
                 self._rows = [np.pad(r, ((0, i), (0, 0))) for r in self._rows]
-            for r, v in zip(self._rows, strategy_rows(s, self.scenario.marginals)):
-                r[i] = v
+            for r, v in zip(self._rows, sign_rows([s], self.scenario)):
+                r[i] = v[0]
             self.atoms.append(s)
             self._index[s] = i
             self.weights = np.append(self.weights, 0.0)

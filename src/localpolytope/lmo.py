@@ -13,7 +13,8 @@ import numpy as np
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor import CorrelationTensor, DeterministicStrategy, _contract_unfolded
+from .tensor import (CorrelationTensor, DeterministicStrategy, _contract_unfolded,
+                     exact_operand)
 
 EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
 EXHAUSTIVE_BATCH = 1 << 14  # assignments per contraction, at most
@@ -116,9 +117,8 @@ def exhaustive_lmo(gradient):
     solves the last in closed form: min_s c . s = -Sum_j |c_j|, ties to +1.
     Without marginal slots, flipping one party negates c, so only ids below
     2^(bits-1) run (first sign +): the lexicographically first half.
-    Integer input gives an exact int: in float64 BLAS while Sum |G| <= 2^53,
-    as every partial sum is then an integer of at most that size, else on
-    Python ints.  Other input runs in float64.
+    Integer input gives an exact int, on ``exact_operand``'s float64 or Python
+    ints.  Other input runs in float64.
     """
     sc = gradient.scenario
     N, m = sc.parties, sc.inputs
@@ -126,9 +126,7 @@ def exhaustive_lmo(gradient):
         raise ValueError(f"exhaustive oracle capped at (N-1)*m <= {EXHAUSTIVE_CAP}")
     functional = BellFunctional(gradient)
     integer = functional.is_integer
-    G = functional.integer_array() if integer else gradient.to_float().entries
-    if integer and np.abs(G).sum() <= 2**53:
-        G = G.astype(np.float64)
+    G = exact_operand(functional.integer_array()) if integer else gradient.to_float().entries
 
     outer_vars = (N - 1) * m
     ids = 1 << outer_vars

@@ -70,7 +70,7 @@ class CorrelationTensor:
                 f"entries shape {entries.shape} does not match scenario shape {scenario.shape}"
             )
         if entries.dtype != object:
-            entries = entries.astype(np.float64)
+            entries = entries.astype(np.float64, copy=False)
         self.scenario = scenario
         self.entries = entries
 
@@ -254,20 +254,35 @@ class DeterministicStrategy:
         return f"DeterministicStrategy({self.to_string()!r})"
 
 
-def strategy_rows(s, marginals, dtype=np.float64):
-    """Per-party sign vectors of a strategy, each led by a 1 for the marginal slot."""
-    lead = np.ones(1 if marginals else 0, dtype)
-    return [np.concatenate([lead, s.signs(n).astype(dtype)]) for n in range(s.parties)]
+def sign_rows(strategies, scenario, dtype=np.float64):
+    """Per-party (len(strategies), axis) sign matrices: row i holds strategy
+    i's signs for that party, led by a 1 for the marginal slot.  Built in int8
+    and cast once, so ``dtype`` may be float64, int64 or object."""
+    n, m, a = len(strategies), scenario.inputs, scenario.axis_size
+    out = []
+    for p in range(scenario.parties):
+        S = np.ones((n, a), np.int8)
+        S[:, a - m :] = np.array([s.signs(p) for s in strategies], np.int8).reshape(n, m)
+        out.append(S.astype(dtype))
+    return out
+
+
+def exact_operand(ints):
+    """Integers k for an exact product with +-1 sign matrices (``combine_rows``,
+    ``_contract_unfolded``): float64 while Sum |k| <= 2^53, else Python ints.
+    Every partial sum of such a product is a signed sum of k's, an integer of
+    magnitude at most Sum |k|: in float64 BLAS it is exact in any order."""
+    k = np.asarray(ints, dtype=object)
+    return k.astype(np.float64) if np.abs(k).sum() <= 2**53 else k
 
 
 def strategy_tensor(s, scenario, exact=False):
-    """Rank-one tensor induced by a strategy; marginal slots contribute factor 1."""
+    """Rank-one tensor induced by a strategy; marginal slots contribute factor 1.
+    Exact tensors hold ``Fraction`` entries."""
     if s.parties != scenario.parties or s.inputs != scenario.inputs:
         raise ValueError("strategy does not match scenario")
-    vecs = strategy_rows(s, scenario.marginals, np.int64 if exact else np.float64)
-    if exact:
-        vecs = [np.array([Fraction(int(x)) for x in v], dtype=object) for v in vecs]
-    out = combine_rows(np.ones(1, vecs[0].dtype), [v[None] for v in vecs])
+    one = np.array([Fraction(1)], object) if exact else np.ones(1)
+    out = combine_rows(one, sign_rows([s], scenario, one.dtype))
     return CorrelationTensor(scenario, out.reshape(scenario.shape))
 
 
@@ -284,40 +299,36 @@ def strategy_inner(s1, s2, scenario):
     return prod
 
 
+def _khatri_rao(mats, axis):
+    """Khatri-Rao product of 2-D arrays of equal length along ``axis``: slice
+    k along ``axis`` is the Kronecker product of the arrays' slices k, in
+    order; the other axis runs over their index tuples, last fastest."""
+    K = mats[0]
+    for c in mats[1:]:
+        if axis:
+            K = (K[:, None, :] * c).reshape(len(K) * len(c), K.shape[1])
+        else:
+            K = (K[:, :, None] * c[:, None, :]).reshape(len(K), K.shape[1] * c.shape[1])
+    return K
+
+
 def _contract_unfolded(U, cols, R):
     """The free party's (axis, R) coefficients from its unfolding ``U``, G as
     an (axis^(N-1), axis) matrix with the free axis last, and the (axis, R)
-    sign columns ``cols`` of the other parties in order.  Column r of K, their
-    column-wise Kronecker (Khatri-Rao) product, is the others' strategy
-    tensor d_r in U's row order, so the coefficients are one product K^T U."""
-    K = cols[0] if cols else np.ones((1, R), U.dtype)
-    for c in cols[1:]:
-        K = (K[:, None, :] * c).reshape(-1, R)
+    sign columns ``cols`` of the other parties in order.  Column r of their
+    Khatri-Rao product K, exactly +-1, is the others' strategy tensor d_r in
+    U's row order, so the coefficients are one product K^T U."""
+    K = _khatri_rao(cols, 1) if cols else np.ones((1, R), U.dtype)
     return (K.T @ U).T
 
 
-def _contract(G, signs, free=None):
-    """Contract G with the (axis, R) sign columns ``signs[j]`` of every party
-    j but ``free``, each led by a 1 for a marginal slot: the free party's
-    (axis, R) coefficients, or with no party free the (R,) values <G, d_r>,
-    the last party's coefficients dotted with its columns.
-
-    The other parties enter by one Khatri-Rao product K of their sign columns
-    (axis^(N-1) * R entries) and one BLAS product.  K is exactly +-1, so
-    integer and object input stays exact in any summation order: every
-    partial sum is an integer of at most Sum |G|."""
-    if free is None:
-        free = G.ndim - 1
-        C = _contract(G, signs, free)
-        return np.matmul(signs[free].T[:, None, :], C.T[:, :, None])[:, 0, 0]
-    U = np.moveaxis(G, free, -1).reshape(-1, G.shape[free])
-    others = [s for j, s in enumerate(signs) if j != free]
-    return _contract_unfolded(U, others, signs[0].shape[1])
-
-
-def rows_inner(t, rows):
-    """<t, d_r>, root excluded, for the strategies given by ``_contract`` columns."""
-    v = _contract(t.entries, rows)
+def rows_inner(t, cols):
+    """<t, d_r>, root excluded, for the strategies given by every party's
+    (axis, R) sign columns: the last party's coefficients dotted with its
+    columns."""
+    G = t.entries
+    C = _contract_unfolded(G.reshape(-1, G.shape[-1]), cols[:-1], cols[0].shape[1])
+    v = np.matmul(cols[-1].T[:, None, :], C.T[:, :, None])[:, 0, 0]
     return v - t.root if t.scenario.marginals else v
 
 
@@ -325,17 +336,13 @@ def combine_rows(weights, rows):
     """sum_i weights[i] rows[0][i] x ... x rows[-1][i], shape (axis^(N-1), axis),
     as one product of the weighted per-party (n, axis) rows with the last's."""
     *lead, last = rows
-    left = np.asarray(weights).reshape(-1, 1)
-    for r in lead:
-        left = (left[:, :, None] * r[:, None, :]).reshape(len(r), left.shape[1] * r.shape[1])
-    return left.T @ last
+    return _khatri_rao([np.asarray(weights).reshape(-1, 1), *lead], 0).T @ last
 
 
 def tensor_strategy_inner(t, s):
     """<t, strategy_tensor(s)> without materialising it; exact for exact t."""
     dtype = np.int64 if t.entries.dtype == object else t.entries.dtype
-    vecs = strategy_rows(s, t.scenario.marginals, dtype)
-    return rows_inner(t, [v[:, None] for v in vecs])[0]
+    return rows_inner(t, [r[0][:, None] for r in sign_rows([s], t.scenario, dtype)])[0]
 
 
 @dataclass(frozen=True)
@@ -417,7 +424,7 @@ def quantum_tensor(setup, scenario, tol=1e-8):
     vals = np.einsum(spec, *ops, rho_t)
     if np.abs(vals.imag).max() > 1e-12:
         raise ValueError("correlation tensor has a non-negligible imaginary part")
-    return CorrelationTensor(scenario, vals.real)
+    return CorrelationTensor(scenario, vals.real.copy())  # a view would pin the complex vals
 
 
 # --- text serialisation ---------------------------------------------------

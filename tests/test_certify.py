@@ -162,6 +162,24 @@ def test_ball_marginal_scenario_with_vanishing_partials():
     assert bd.weight_sum() <= 1
 
 
+def test_reconstruct_is_the_exact_weighted_atom_sum():
+    # a (3, 2) marginal model with arbitrary atoms and weights, against the
+    # per-atom Fraction sum; the root is 1 whatever the weights
+    sc = Scenario(3, 2, marginals=True)
+    rng = np.random.default_rng(7)
+    atoms = [DeterministicStrategy([int(b) for b in rng.integers(0, 4, 3)], 2)
+             for _ in range(9)]
+    weights = [Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50))) for _ in atoms]
+    rec = certify.BallDecomposition(sc, atoms, weights, Fraction(0)).reconstruct()
+    ref = sum(w * strategy_tensor(a, sc, exact=True).entries for w, a in zip(weights, atoms))
+    ref[0, 0, 0] = 1
+    assert rec.is_exact
+    assert all(type(x) is Fraction for x in rec.entries.reshape(-1)[1:])
+    assert (rec.entries == ref).all()
+    floats = certify.BallDecomposition(sc, atoms, [float(w) for w in weights], 0.0)
+    np.testing.assert_allclose(floats.reconstruct().entries, ref.astype(float), atol=1e-12)
+
+
 def test_ball_rejects_nonvanishing_partials():
     sc = Scenario(2, 2, marginals=True)
     ent = np.full(sc.shape, Fraction(0), dtype=object)
@@ -191,14 +209,13 @@ def test_rationalize_weights_exact_vertex():
     res = bpcg(CorrelationTensor(NM22, p.entries.astype(float)), 1.0,
                SolverConfig(restarts=50, seed=0))
     model = rationalize_weights(res.active_set, p, Fraction(1))
-    assert model.exact
     assert model.residual_sq == 0
 
 
 def test_rationalize_weights_m6_run(ico_singlet):
     res = bpcg(ico_singlet, 0.60, SolverConfig(restarts=500, seed=2))
     model = rationalize_weights(res.active_set, ico_singlet, Fraction(3, 5))
-    assert model.exact
+    assert all(type(w) is Fraction for w in model.weights)
     assert model.residual_sq <= Fraction(1, 10**10)
     float_plus = (res.distance + 2.0**-30) ** 2
     assert float(model.residual_sq) <= float_plus
@@ -235,11 +252,10 @@ def test_rationalize_weights_sensitivity(ico_singlet):
     assert abs(r2 - model.residual_sq) <= Fraction(D, 2**46)
 
 
-def test_rationalize_weights_float_target_warns(chsh_singlet):
+def test_rationalize_weights_float_target_refused(chsh_singlet):
     res = bpcg(chsh_singlet, 0.65, SolverConfig(restarts=100, seed=1))
-    with pytest.warns(UserWarning):
-        model = rationalize_weights(res.active_set, chsh_singlet, 0.65)
-    assert not model.exact
+    with pytest.raises(CertificateError, match="exact rational target"):
+        rationalize_weights(res.active_set, chsh_singlet, 0.65)
 
 
 # --- lower certificates ---------------------------------------------------------
@@ -298,7 +314,7 @@ def test_assemble_lower_rejects_marginal_scenario():
 def test_assemble_lower_rejects_large_residual(ico_poly, ico_points, ico_singlet):
     from localpolytope.certify import RationalModel
 
-    model = RationalModel([], [], Fraction(4), exact=True)  # nu = 1/3
+    model = RationalModel([], [], Fraction(4))  # nu = 1/3
     reps = antipodal_representatives(ico_points)
     vecs = tuple(p.as_tuple() for p in reps)
     with pytest.raises(CertificateError):
@@ -541,7 +557,7 @@ def test_verify_upper_rejects_non_finite_target(q):
     # every float comparison is False on nan: the checks must fail closed
     p = CorrelationTensor(NM22, np.array([[math.nan, 0.7], [0.7, -0.7]]))
     M = BellFunctional(CorrelationTensor(NM22, CHSH_INT.copy()))
-    cert = UpperBoundCertificate(NM22, TargetSpec("tensor", tensor=p), M, 2, q, 0.1, 0.0)
+    cert = UpperBoundCertificate(NM22, TargetSpec("tensor", tensor=p), M, 2, q, 0.1)
     assert verify(cert)[0] is False
 
 
@@ -549,7 +565,7 @@ def test_verify_upper_float_claim_past_the_float_range_is_invalid():
     # an exact target whose value overflows a float cannot back a float claim
     cert = chsh_corner_cert(NM22, CHSH_INT * 10**400, 2 * 10**400)
     assert verify(cert) == (True, "ok")
-    floated = dataclasses.replace(cert, q=1.0, v_up=0.5, q_tol=1e-9)
+    floated = dataclasses.replace(cert, q=1.0, v_up=0.5)
     assert verify(floated) == (False, "quantum value or local bound outside the float range")
 
 

@@ -17,8 +17,9 @@ from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
     Scenario,
-    _contract,
+    _contract_unfolded,
     inner,
+    rows_inner,
     strategy_tensor,
 )
 from util import heuristic_reference
@@ -163,8 +164,10 @@ def test_contract_has_no_party_limit():
     # subscript could name; column r holds the signs (+1, -1)[r] everywhere
     G = np.full((1,) * 52, 3.0)
     signs = [np.array([[1.0, -1.0]])] * G.ndim
-    assert np.array_equal(_contract(G, signs), [3.0, 3.0])
-    assert np.array_equal(_contract(G, signs, free=7), [[3.0, -3.0]])
+    t = CorrelationTensor(Scenario(52, 1, marginals=False), G)
+    assert np.array_equal(rows_inner(t, signs), [3.0, 3.0])
+    U = np.moveaxis(G, 7, -1).reshape(-1, 1)
+    assert np.array_equal(_contract_unfolded(U, signs[:51], 2), [[3.0, -3.0]])
 
 
 # --- exhaustive oracle ---------------------------------------------------------

@@ -12,7 +12,7 @@ from localpolytope.states import (
     w_state,
 )
 from localpolytope.tensor import (
-    _contract,
+    _contract_unfolded,
     CorrelationTensor,
     DeterministicStrategy,
     QuantumSetup,
@@ -23,7 +23,9 @@ from localpolytope.tensor import (
     norm2_sq,
     quantum_tensor,
     read_tensor,
+    rows_inner,
     scale,
+    sign_rows,
     strategy_inner,
     strategy_tensor,
     tensor_strategy_inner,
@@ -320,10 +322,16 @@ def test_contract_matches_einsum_reference(parties, marginals, dtype):
     cols = [np.vstack([np.ones((1, R), dtype), s]) if marginals else s for s in signs]
     for free in [None, *range(parties)]:
         ref = contract_reference(G, signs, marginals, free)
-        got = _contract(G, cols, free)
+        if free is None:
+            # CorrelationTensor holds int64 input as float64, exactly at this size
+            t = CorrelationTensor(sc, G)
+            got = rows_inner(t, cols) + (t.root if marginals else 0)
+        else:
+            U = np.moveaxis(G, free, -1).reshape(-1, sc.axis_size)
+            got = _contract_unfolded(U, cols[:free] + cols[free + 1:], R)
         assert got.shape == ref.shape
         if dtype is np.int64:
-            assert got.dtype == np.int64
+            assert got.dtype == (np.float64 if free is None else np.int64)
             assert np.array_equal(got, ref)
         elif dtype is object:
             assert got.dtype == object
@@ -331,3 +339,33 @@ def test_contract_matches_einsum_reference(parties, marginals, dtype):
             assert (got == ref).all()
         else:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("parties, m, count", [
+    (1, 3, 4), (2, 2, 0), (2, 65, 5), (3, 4, 6), (4, 2, 3)])
+@pytest.mark.parametrize("marginals", [False, True])
+def test_sign_rows_match_strategy_signs(parties, m, count, marginals):
+    rng = np.random.default_rng(100 * parties + m)
+    sc = Scenario(parties, m, marginals)
+    strategies = [
+        DeterministicStrategy(
+            [int.from_bytes(rng.bytes(9), "little") % (1 << m) for _ in range(parties)], m)
+        for _ in range(count)]
+    for dtype in (np.float64, np.int64, object):
+        rows = sign_rows(strategies, sc, dtype)
+        assert len(rows) == parties
+        for n, S in enumerate(rows):
+            assert S.shape == (count, sc.axis_size) and S.dtype == dtype
+            assert S.flags.c_contiguous
+            for i, s in enumerate(strategies):
+                expected = [1, *s.signs(n)] if marginals else list(s.signs(n))
+                assert list(S[i]) == expected
+
+
+def test_float64_entries_are_wrapped_without_a_copy():
+    sc = Scenario(2, 2, marginals=True)
+    e = np.zeros(sc.shape)
+    assert CorrelationTensor(sc, e).entries is e
+    # other dtypes are still converted to float64
+    ints = np.zeros(sc.shape, dtype=np.int64)
+    assert CorrelationTensor(sc, ints).entries.dtype == np.float64

@@ -64,7 +64,8 @@ def chsh_corner_cert(sc, corner, ell):
 
 def contract_reference(G, signs, marginals, free=None):
     """G contracted with every party's (m, R) signs but ``free``'s, batched
-    over R, by one einsum; the reference for tensor._contract.
+    over R, by one einsum; the reference for tensor._contract_unfolded and
+    tensor.rows_inner.
 
     Returns the free party's (axis, R) coefficients, or the (R,) values
     <G, d_r> when no party is free.
