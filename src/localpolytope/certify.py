@@ -15,10 +15,11 @@ claimed bound.  Two float shortcuts run on BLAS only where
 ``lmo.exhaustive_lmo``.
 """
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from io import StringIO
 
 import numpy as np
 
@@ -32,11 +33,16 @@ from .tensor import (
     Scenario,
     combine_rows,
     exact_operand,
+    format_number,
+    format_row,
     inner,
     norm2_sq,
-    read_tensor,
+    parse_exact,
+    parse_value,
+    scenario_from_tokens,
     sign_rows,
     strategy_tensor,
+    tensor_from_tokens,
     tensor_strategy_inner,
     write_tensor,
 )
@@ -50,36 +56,26 @@ WEIGHT_DENOMINATOR = 2**48
 BALL_CAP = 22  # max N*m for materialising the ball decomposition
 Q_TOL = 1e-9  # float quantum values: violation margin and verify's match tolerance
 MIN_NU = Fraction(1, 2)  # smallest contraction factor a lower certificate accepts
+DIGITS_PER_INPUT = 32  # digit budget of one measurement's denominators; see _digit_limit
 
 
 class CertificateError(ValueError):
     pass
 
 
-def sqrt_upper(q, scale=SQRT_SCALE):
-    """Smallest n/scale with (n/scale)^2 >= q."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    t = q.numerator * scale * scale
-    n = math.isqrt(t // q.denominator)
-    while n * n * q.denominator < t:
-        n += 1
-    return Fraction(n, scale)
-
-
 def sqrt_lower(q, scale=SQRT_SCALE):
-    """Largest n/scale with (n/scale)^2 <= q."""
+    """Largest n/scale with (n/scale)^2 <= q: with q = a/b, the integer n^2 is
+    at most a scale^2 / b exactly when it is at most its floor."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
-    t = q.numerator * scale * scale
-    n = math.isqrt(t // q.denominator)
-    while n * n * q.denominator > t:
-        n -= 1
-    while (n + 1) * (n + 1) * q.denominator <= t:
-        n += 1
-    return Fraction(n, scale)
+    return Fraction(math.isqrt(q.numerator * scale * scale // q.denominator), scale)
+
+
+def sqrt_upper(q, scale=SQRT_SCALE):
+    """Smallest n/scale with (n/scale)^2 >= q: sqrt_lower, or one step above."""
+    lo = sqrt_lower(q, scale)
+    return lo if lo * lo == q else lo + Fraction(1, scale)
 
 
 def nu_factor(residual_sq):
@@ -107,17 +103,13 @@ class BallDecomposition:
     deficit: object
 
     def weight_sum(self):
-        return sum(self.weights, Fraction(0) if self.is_exact else 0.0)
-
-    @property
-    def is_exact(self):
-        return all(isinstance(w, Fraction) for w in self.weights)
+        return sum(self.weights, Fraction(0))
 
     def reconstruct(self):
         """sum_i w_i d_i, with the root at 1: one product of the weights with
-        the atoms' sign rows, in Fractions for exact weights."""
+        the atoms' sign rows, in Fractions."""
         sc = self.scenario
-        w = np.array(self.weights, dtype=object if self.is_exact else np.float64)
+        w = np.array(self.weights, dtype=object)
         ent = combine_rows(w, sign_rows(self.atoms, sc, w.dtype)).reshape(sc.shape)
         if sc.marginals:
             ent[(0,) * sc.parties] = 1
@@ -153,15 +145,14 @@ def ball_decomposition(r):
     is then symmetrised over even party flips, which kills the atoms' own
     lower-order correlators exactly).
 
-    With s = sqrt_upper(||r||^2) (sqrt(||r||^2) for float input), r/s is
+    The tensor must be exact.  With s = sqrt_upper(||r||^2), r/s is
     decomposed with weights |<r/s, d_a>| / 2^(Nm-1) over the assignments whose
     first signs multiply to +1, signs folded into the first party.  By
     Cauchy-Schwarz these sum to at most ||r||_2 / s <= 1; the slack is put,
     half each, on an explicit antipodal pair d, -d, which cancel.  Every
     weight is then multiplied by s, so the weights are nonnegative and sum to
-    s (exactly, for exact input), and the deficit 1 - s rides on the zero
-    tensor.  A tensor of unit norm thus gets a full distribution over
-    strategies.
+    s exactly, and the deficit 1 - s rides on the zero tensor.  A tensor of
+    unit norm thus gets a full distribution over strategies.
     """
     sc = r.scenario
     N, m = sc.parties, sc.inputs
@@ -170,10 +161,10 @@ def ball_decomposition(r):
             f"decomposition materialises 2^(N*m-1) atoms; capped at N*m <= {BALL_CAP}, "
             "certify through the contraction factor instead"
         )
-    exact = r.is_exact
-
+    if not r.is_exact:
+        raise CertificateError("the ball decomposition needs an exact tensor")
     nsq = norm2_sq(r)
-    if (nsq > 1) if exact else (nsq > 1 + 1e-12):
+    if nsq > 1:
         raise CertificateError("tensor lies outside the unit 2-norm ball")
 
     if sc.marginals:
@@ -191,7 +182,7 @@ def ball_decomposition(r):
         )
         base = ball_decomposition(core)
         atoms, weights = [], []
-        split = Fraction(1, 1 << (N - 1)) if exact else 1.0 / (1 << (N - 1))
+        split = Fraction(1, 1 << (N - 1))
         for a, w in zip(base.atoms, base.weights):
             for variant in _even_flip_orbit(a, N):
                 atoms.append(variant)
@@ -206,15 +197,12 @@ def ball_decomposition(r):
             continue
         atom = a if w > 0 else a.flip_parties([0])
         atom = atom.canonical(sc)
-        weight = (
-            Fraction(abs(w)) / denom if exact else abs(float(w)) / denom
-        )
-        merged[atom] = merged.get(atom, Fraction(0) if exact else 0.0) + weight
+        merged[atom] = merged.get(atom, 0) + Fraction(abs(w), denom)
 
     # s * |<r/s, d_a>| / denom is the weight above; fill it up to s
-    s = sqrt_upper(nsq) if exact else math.sqrt(nsq)
-    total = sum(merged.values(), Fraction(0) if exact else 0.0)
-    if exact and total > s:
+    s = sqrt_upper(nsq)
+    total = sum(merged.values(), Fraction(0))
+    if total > s:
         raise AssertionError("weight sum exceeded the norm bound on an in-ball tensor")
     if total < s:
         d = DeterministicStrategy([0] * N, m)
@@ -637,66 +625,65 @@ def _verify_upper(cert):
 # --- certificate files -------------------------------------------------------
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+@contextlib.contextmanager
+def _digit_limit(sc):
+    """Lift the int/str digit limit for one certificate's numbers, then restore it.
 
-
-def _triple_str(v):
-    return " ".join(
-        _frac_str(c) if isinstance(c, (Fraction, int)) else repr(float(c)) for c in v
-    )
-
-
-def _parse_number(tok):
-    if "/" in tok:
-        return Fraction(tok)
-    return float(tok)
+    The longest is RESIDUAL_SQ, over (D b P)^2 (``_exact_residual_sq``), with P
+    the lcm of the target's denominators.  P divides the product of the N*m
+    measurements' denominators, at most DIGITS_PER_INPUT digits each, and the
+    interpreter's default 4300 digits covers D b and the numerator's overhang:
+    2 (32 N m + 4300) digits, 60568 at the paper's m = 406, where P has 2542.
+    """
+    old = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(2 * (DIGITS_PER_INPUT * sc.parties * sc.inputs + default))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def write_certificate(cert, fp):
     sc = cert.scenario
-    fp.write(f"{cert.kind.upper()}-CERTIFICATE\n")
-    fp.write(f"SCENARIO {sc.parties} {sc.inputs} {'true' if sc.marginals else 'false'}\n")
-    fp.write(f"TARGET {cert.target.kind}\n")
-    if cert.target.kind == "singlet":
-        fp.write(f"MEASUREMENTS_A {len(cert.target.alice)}\n")
-        for v in cert.target.alice:
-            fp.write(_triple_str(v) + "\n")
-        fp.write(f"MEASUREMENTS_B {len(cert.target.bob)}\n")
-        for v in cert.target.bob:
-            fp.write(_triple_str(v) + "\n")
-    elif cert.target.kind == "tensor":
-        fp.write("TENSOR\n")
-        write_tensor(cert.target.tensor, fp)
+    with _digit_limit(sc):
+        fp.write(f"{cert.kind.upper()}-CERTIFICATE\n")
+        fp.write(f"SCENARIO {sc.parties} {sc.inputs} {'true' if sc.marginals else 'false'}\n")
+        fp.write(f"TARGET {cert.target.kind}\n")
+        if cert.target.kind == "singlet":
+            for key, vecs in (("MEASUREMENTS_A", cert.target.alice),
+                              ("MEASUREMENTS_B", cert.target.bob)):
+                fp.write(f"{key} {len(vecs)}\n")
+                fp.writelines(format_row(v) + "\n" for v in vecs)
+        elif cert.target.kind == "tensor":
+            fp.write("TENSOR\n")
+            write_tensor(cert.target.tensor, fp)
 
-    if cert.kind == "lower":
-        if cert.vertices is not None:
-            fp.write(f"VERTICES {len(cert.vertices)}\n")
-            for v in cert.vertices:
-                fp.write(_triple_str(v.as_tuple()) + "\n")
-        fp.write(f"ETA_SQ {_frac_str(cert.eta_sq) if cert.eta_sq is not None else 'none'}\n")
-        fp.write(f"V0 {_frac_str(cert.v0)}\n")
-        fp.write(f"ATOMS {len(cert.atoms)}\n")
-        for a in cert.atoms:
-            fp.write(a.to_string() + "\n")
-        fp.write(f"WEIGHTS {len(cert.weights)}\n")
-        for w in cert.weights:
-            fp.write(_frac_str(w) + "\n")
-        fp.write(f"RESIDUAL_SQ {_frac_str(cert.residual_sq)}\n")
-        fp.write(f"NU {_frac_str(cert.nu)}\n")
-        fp.write(f"V_LOW {_frac_str(cert.v_low)}\n")
-    else:
-        fp.write("M\n")
-        write_tensor(cert.functional.tensor, fp)
-        fp.write(f"ELL {cert.ell}\n")
-        if cert.q_exact:
-            fp.write(f"Q {_frac_str(cert.q)}\n")
-            fp.write(f"V_UP {_frac_str(cert.v_up)}\n")
+        if cert.kind == "lower":
+            if cert.vertices is not None:
+                fp.write(f"VERTICES {len(cert.vertices)}\n")
+                fp.writelines(format_row(v.as_tuple()) + "\n" for v in cert.vertices)
+            eta = "none" if cert.eta_sq is None else format_number(cert.eta_sq)
+            fp.write(f"ETA_SQ {eta}\n")
+            fp.write(f"V0 {format_number(cert.v0)}\n")
+            fp.write(f"ATOMS {len(cert.atoms)}\n")
+            fp.writelines(a.to_string() + "\n" for a in cert.atoms)
+            fp.write(f"WEIGHTS {len(cert.weights)}\n")
+            fp.writelines(format_number(w) + "\n" for w in cert.weights)
+            fp.write(f"RESIDUAL_SQ {format_number(cert.residual_sq)}\n")
+            fp.write(f"NU {format_number(cert.nu)}\n")
+            fp.write(f"V_LOW {format_number(cert.v_low)}\n")
         else:
-            fp.write(f"Q {float(cert.q)!r} TOL {Q_TOL!r}\n")
-            fp.write(f"V_UP {float(cert.v_up)!r}\n")
-    fp.write("END\n")
+            fp.write("M\n")
+            write_tensor(cert.functional.tensor, fp)
+            fp.write(f"ELL {format_number(cert.ell)}\n")
+            if cert.q_exact:
+                fp.write(f"Q {format_number(cert.q)}\n")
+                fp.write(f"V_UP {format_number(cert.v_up)}\n")
+            else:
+                fp.write(f"Q {format_number(float(cert.q))} TOL {format_number(Q_TOL)}\n")
+                fp.write(f"V_UP {format_number(float(cert.v_up))}\n")
+        fp.write("END\n")
 
 
 class _Lines:
@@ -721,86 +708,69 @@ class _Lines:
         return toks[1:]
 
     def peek(self):
-        p = self.pos
-        try:
-            ln = self.next()
-        except CertificateError:
-            return None
-        self.pos = p
+        ln = self.next()
+        self.pos -= 1  # next() returned the line just before pos
         return ln
 
 
-def _read_triples(lines, count):
-    out = []
-    for _ in range(count):
-        toks = lines.next().split()
-        if len(toks) != 3:
-            raise CertificateError("malformed vector line")
-        out.append(tuple(_parse_number(t) for t in toks))
-    return tuple(out)
+def _read_triples(lines, count, parse):
+    rows = [lines.next().split() for _ in range(count)]
+    if any(len(r) != 3 for r in rows):
+        raise CertificateError("malformed vector line")
+    return tuple(tuple(map(parse, r)) for r in rows)
 
 
 def _read_embedded_tensor(lines):
-    header = lines.next()
-    toks = header.split()
-    sc = Scenario(int(toks[0]), int(toks[1]), toks[2] == "true")
-    body = [header]
-    got = 0
-    while got < sc.num_entries:
-        ln = lines.next()
-        body.append(ln)
-        got += len(ln.split())
-    return read_tensor(StringIO("\n".join(body)))
+    sc = scenario_from_tokens(lines.next().split())
+    toks = []
+    while len(toks) < sc.num_entries:
+        toks += lines.next().split()
+    return tensor_from_tokens(sc, toks)
 
 
 def read_certificate(fp):
     """Parse a certificate file; every malformed input raises CertificateError."""
     try:
-        return _read_certificate(_Lines(fp))
+        lines = _Lines(fp)
+        head = lines.next()
+        if head not in ("LOWER-CERTIFICATE", "UPPER-CERTIFICATE"):
+            raise CertificateError(f"unrecognised header {head!r}")
+        sc = scenario_from_tokens(lines.keyed("SCENARIO", 3))
+        with _digit_limit(sc):
+            return _read_certificate(lines, head == "LOWER-CERTIFICATE", sc)
     except CertificateError:
         raise
-    except (IndexError, KeyError, ValueError, ZeroDivisionError) as e:
+    except (IndexError, KeyError, OverflowError, ValueError, ZeroDivisionError) as e:
         raise CertificateError(f"malformed certificate: {e}") from e
 
 
-def _read_certificate(lines):
-    head = lines.next()
-    if head not in ("LOWER-CERTIFICATE", "UPPER-CERTIFICATE"):
-        raise CertificateError(f"unrecognised header {head!r}")
-    kind = "lower" if head.startswith("LOWER") else "upper"
-
-    parties, inputs, marginals = lines.keyed("SCENARIO", 3)
-    sc = Scenario(int(parties), int(inputs), marginals == "true")
-
+def _read_certificate(lines, lower, sc):
     (target_kind,) = lines.keyed("TARGET")
     alice = bob = tensor = None
     if target_kind == "singlet":
-        alice = _read_triples(lines, int(lines.keyed("MEASUREMENTS_A")[0]))
-        bob = _read_triples(lines, int(lines.keyed("MEASUREMENTS_B")[0]))
+        alice = _read_triples(lines, int(lines.keyed("MEASUREMENTS_A")[0]), parse_value)
+        bob = _read_triples(lines, int(lines.keyed("MEASUREMENTS_B")[0]), parse_value)
     elif target_kind == "tensor":
         if lines.next() != "TENSOR":
             raise CertificateError("missing TENSOR section")
         tensor = _read_embedded_tensor(lines)
     target = TargetSpec(target_kind, alice, bob, tensor)
 
-    if kind == "lower":
+    if lower:
         vertices = None
-        nxt = lines.peek()
-        if nxt and nxt.startswith("VERTICES"):
-            raw = _read_triples(lines, int(lines.keyed("VERTICES")[0]))
-            vertices = tuple(
-                RationalPoint(Fraction(a), Fraction(b), Fraction(c)) for a, b, c in raw
-            )
+        if lines.peek().startswith("VERTICES"):
+            raw = _read_triples(lines, int(lines.keyed("VERTICES")[0]), parse_exact)
+            vertices = tuple(RationalPoint(*v) for v in raw)
         (eta_tok,) = lines.keyed("ETA_SQ")
-        eta_sq = None if eta_tok == "none" else Fraction(eta_tok)
-        v0 = Fraction(lines.keyed("V0")[0])
+        eta_sq = None if eta_tok == "none" else parse_exact(eta_tok)
+        v0 = parse_exact(lines.keyed("V0")[0])
         n_atoms = int(lines.keyed("ATOMS")[0])
         atoms = [DeterministicStrategy.from_string(lines.next()) for _ in range(n_atoms)]
         n_weights = int(lines.keyed("WEIGHTS")[0])
-        weights = [Fraction(lines.next()) for _ in range(n_weights)]
-        residual_sq = Fraction(lines.keyed("RESIDUAL_SQ")[0])
-        nu = Fraction(lines.keyed("NU")[0])
-        v_low = Fraction(lines.keyed("V_LOW")[0])
+        weights = [parse_exact(lines.next()) for _ in range(n_weights)]
+        residual_sq = parse_exact(lines.keyed("RESIDUAL_SQ")[0])
+        nu = parse_exact(lines.keyed("NU")[0])
+        v_low = parse_exact(lines.keyed("V_LOW")[0])
         if lines.next() != "END":
             raise CertificateError("missing END")
         return LowerBoundCertificate(
@@ -810,16 +780,15 @@ def _read_certificate(lines):
     if lines.next() != "M":
         raise CertificateError("missing M section")
     functional = BellFunctional(_read_embedded_tensor(lines))
-    ell = int(lines.keyed("ELL")[0])
+    ell = parse_value(lines.keyed("ELL")[0])
     qvals = lines.keyed("Q", 1, 3)
     if len(qvals) == 3:
         if qvals[1] != "TOL":
             raise CertificateError("expected a Q line")
-        q, _ = float(qvals[0]), float(qvals[2])  # verify does not use the TOL
-        v_up = float(lines.keyed("V_UP")[0])
+        parse_value(qvals[2])  # the TOL must be a number, but verify does not use it
+        q, v_up = float(parse_value(qvals[0])), float(parse_value(lines.keyed("V_UP")[0]))
     else:
-        q = Fraction(qvals[0])
-        v_up = Fraction(lines.keyed("V_UP")[0])
+        q, v_up = parse_exact(qvals[0]), parse_exact(lines.keyed("V_UP")[0])
     if lines.next() != "END":
         raise CertificateError("missing END")
     return UpperBoundCertificate(sc, target, functional, ell, q, v_up)

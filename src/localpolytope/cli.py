@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .polyhedra import (
     write_polyhedron_vertices,
 )
 from .states import build_quantum_tensor, chsh_vectors, ghz_polygon_tensor, singlet_tensor
-from .tensor import Scenario, read_tensor
+from .tensor import Scenario, format_number, parse_exact, read_tensor
 
 # schedules reproducing the named geodesic polyhedra by input count
 GEODESIC_SCHEDULES = {6: [], 21: [2], 46: [3], 81: [4], 406: [3, 3]}
@@ -52,13 +51,6 @@ GEODESIC_SCHEDULES = {6: [], 21: [2], 46: [3], 81: [4], 406: [3, 3]}
 
 class CliError(Exception):
     pass
-
-
-def _rationalize_fraction(text):
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise CliError(f"cannot parse {text!r} as an exact number")
 
 
 def _gen_vertices(args):
@@ -73,10 +65,13 @@ def _gen_vertices(args):
 
 
 def cmd_polyhedron(args):
+    flag = "out" if args.action == "gen" else "in"
+    if not getattr(args, flag):
+        raise CliError(f"polyhedron {args.action} needs --{flag}")
     if args.action == "gen":
         floats = _gen_vertices(args)
         points = rationalize_all(floats, args.tol)
-        with open(args.out, "w") as fp:
+        with _atomic_open(args.out) as fp:
             write_polyhedron_vertices(points, fp)
         print(f"wrote {len(points)} vertices to {args.out}")
         return 0
@@ -84,7 +79,7 @@ def cmd_polyhedron(args):
         points = read_polyhedron_vertices(fp)
     poly = faces_and_eta(points)
     e = poly.eta_sq
-    print(f"eta^2 = {e.numerator}/{e.denominator} = {float(e)!r}")
+    print(f"eta^2 = {format_number(e)} = {float(e)!r}")
     print(f"eta   = {poly.eta!r}")
     return 0
 
@@ -175,8 +170,22 @@ def _write_run_metadata(path, args, stages, res=None):
                     lmo_calls=res.lmo_calls, elapsed_seconds=stages["solve"],
                     solver=dataclasses.asdict(res.stats))
     meta["stages"] = stages
-    with open(path, "w") as fp:
+    with _atomic_open(path) as fp:
         json.dump(meta, fp, indent=2)
+
+
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file that appears at ``path`` whole or not at all: written beside
+    it, renamed over it on success and removed on failure."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fp:
+            yield fp
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 @contextlib.contextmanager
@@ -203,7 +212,7 @@ def cmd_solve(args):
     stages = {}
     with _stage(stages, "build"):
         p, target, poly_points = _build_problem(args)
-        v0 = _rationalize_fraction(args.v0)
+        v0 = parse_exact(args.v0)
         cfg = _solver_config(args)
         refusal = _refusal(args, p)
     if refusal:
@@ -261,10 +270,11 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
         print(f"certified lower bound v_low = {float(cert.v_low):.6f} for {cert.scope}")
     else:
         print(f"certified upper bound v_up = {float(cert.v_up):.6f} (ell = {cert.ell})")
-    _print_derived(cert)
+    for ln in derived_bounds(cert)[1]:
+        print("  " + ln)
     if args.out:
         with _stage(stages, "write"):
-            with open(args.out, "w") as fp:
+            with _atomic_open(args.out) as fp:
                 write_certificate(cert, fp)
         print(f"certificate written to {args.out}")
     return 0
@@ -281,12 +291,6 @@ def _assemble_upper_cert(args, res, p, target, v0):
             pass
     print("inconclusive: no violation after integerization")
     return None
-
-
-def _print_derived(cert):
-    _, lines = derived_bounds(cert)
-    for ln in lines:
-        print("  " + ln)
 
 
 def cmd_bound(args):
@@ -355,7 +359,7 @@ def cmd_report(args):
     for r in rows:
         print(fmt.format(*r))
     if args.csv:
-        with open(args.csv, "w") as fp:
+        with _atomic_open(args.csv) as fp:
             fp.write(",".join(header) + "\n")
             for r in rows:
                 fp.write(",".join(r) + "\n")

@@ -46,11 +46,11 @@ STATUS_SEPARATED = "separated"
 STATUS_CAP = "iteration_cap"
 STEP_TYPES = ("pairwise", "drop", "fw", "null")
 MIN_CAPACITY = 8  # atoms held by a fresh active set or Gram buffer
+LAZY_TOLERANCE = 2.0  # K: take an FW step only when its gap reaches Phi / K
 
 
 @dataclass
 class SolverConfig:
-    lazy_tolerance: float = 2.0      # K >= 1
     max_iterations: int = 100_000
     eps: float = 1e-6                # stop when ||x - v0 p||_2 <= eps
     restarts: int = 3000             # LMO restarts per call
@@ -61,10 +61,6 @@ class SolverConfig:
     trace: bool = False              # record per-iteration step data
     early_separation: bool = False   # settle 'separated' from the dual bound
                                      # (faster verdicts, cruder final gradient)
-
-    def __post_init__(self):
-        if self.lazy_tolerance < 1:
-            raise ValueError("lazy tolerance K must be >= 1")
 
 
 class ActiveSet:
@@ -272,9 +268,9 @@ def bpcg(p, v0, cfg=None):
     active atom to the best, a drop step when that empties the worst atom, a
     Frank-Wolfe step toward a fresh oracle vertex, or a null step that halves
     the primal-gap estimate Phi.  The oracle is consulted only when the active
-    atoms cannot supply enough progress (lazy tolerance K).  Parameters and
-    result as in ``frank_wolfe_vanilla``, with the final Phi and, with
-    ``cfg.trace``, the step sequence."""
+    atoms cannot supply enough progress (lazy tolerance K = ``LAZY_TOLERANCE``).
+    Parameters and result as in ``frank_wolfe_vanilla``, with the final Phi
+    and, with ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
 
 
@@ -289,7 +285,6 @@ def _solve(p, v0, cfg, lazy):
         cfg = SolverConfig()
     if not 0 <= v0 <= 1:
         raise ValueError("v0 must lie in [0, 1]")
-    K = cfg.lazy_tolerance
     tol = 0.5 * cfg.eps**2
     sc = p.scenario
     target = float(v0) * p.to_float().entries
@@ -379,7 +374,7 @@ def _solve(p, v0, cfg, lazy):
                 if gap <= tol or f - gap > tol:
                     res.status = STATUS_SEPARATED
                     break
-            if not lazy or gap >= phi / K:
+            if not lazy or gap >= phi / LAZY_TOLERANCE:
                 # Frank-Wolfe step toward the oracle vertex: a rank-one update
                 i = active.add_atom(omega)
                 cache.add_atom(i)

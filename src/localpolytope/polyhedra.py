@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .tensor import format_row, parse_exact
+
 _PHI = (1 + math.sqrt(5)) / 2
 MERGE_TOL = 1e-9  # float vertices closer than this in every coordinate merge
 
@@ -481,13 +483,7 @@ def shrink_weights(poly, direction, tol=1e-12):
 
 
 def write_polyhedron_vertices(vertices, fp):
-    for p in vertices:
-        x, y, z = p.as_tuple()
-        fp.write(
-            f"{x.numerator}/{x.denominator} "
-            f"{y.numerator}/{y.denominator} "
-            f"{z.numerator}/{z.denominator}\n"
-        )
+    fp.writelines(format_row(p.as_tuple()) + "\n" for p in vertices)
 
 
 def read_polyhedron_vertices(fp):
@@ -497,8 +493,8 @@ def read_polyhedron_vertices(fp):
         if not line or line.startswith("#"):
             continue
         try:
-            x, y, z = (Fraction(t) for t in line.split())
-        except (ValueError, ZeroDivisionError):
+            x, y, z = map(parse_exact, line.split())
+        except ValueError:
             raise ValueError(f"bad vertex line {line!r}") from None
         pts.append(RationalPoint(x, y, z))
     return pts

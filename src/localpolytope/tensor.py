@@ -9,6 +9,8 @@ excluded from inner products and norms.  Scenarios without marginals keep only
 the full-body correlators (indices 1..m, stored 0-based).
 """
 
+import math
+import sys
 import numpy as np
 from dataclasses import dataclass
 from fractions import Fraction
@@ -428,9 +430,13 @@ def quantum_tensor(setup, scenario, tol=1e-8):
 
 
 # --- text serialisation ---------------------------------------------------
+# One number grammar for tensor, vertex and certificate files: an int, ``num/den``
+# or a finite decimal, read exactly in exact fields and as a float where a float
+# may stand (tensor entries, float measurements, a float Q).
 
 
-def _format_value(x):
+def format_number(x):
+    """``num/den`` for a Fraction, the digits of an int, else a float's repr."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (int, np.integer)):
@@ -438,19 +444,33 @@ def _format_value(x):
     return repr(float(x))
 
 
-def _parse_value(tok):
+def format_row(values):
+    return " ".join(map(format_number, values))
+
+
+def parse_value(tok):
     """An int, a Fraction or a finite float; ValueError for anything else."""
     if "/" in tok:
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in tensor entry {tok!r}") from None
+        return parse_exact(tok)
     if "." in tok or "e" in tok or "E" in tok or "inf" in tok or "nan" in tok:
         x = float(tok)
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite tensor entry {tok!r}")
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite number {tok!r}")
         return x
     return int(tok)
+
+
+def parse_exact(tok):
+    """The exact Fraction of an int, ``num/den`` or decimal token.  A decimal
+    exponent may not pass the int/str digit limit, as 10**exp would."""
+    if "e" in tok or "E" in tok:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(int(tok.lower().partition("e")[2])) > limit:
+            raise ValueError(f"decimal exponent past the {limit}-digit limit")
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok!r}") from None
 
 
 def write_tensor(t, fp):
@@ -459,20 +479,21 @@ def write_tensor(t, fp):
     fp.write(f"{sc.parties} {sc.inputs} {'true' if sc.marginals else 'false'}\n")
     flat = t.entries.reshape(-1)
     for start in range(0, flat.size, sc.axis_size):
-        fp.write(" ".join(_format_value(x) for x in flat[start : start + sc.axis_size]))
-        fp.write("\n")
+        fp.write(format_row(flat[start : start + sc.axis_size]) + "\n")
 
 
-def read_tensor(fp):
-    tokens = fp.read().split()
-    if len(tokens) < 3:
-        raise ValueError("truncated tensor file")
-    N, m = int(tokens[0]), int(tokens[1])
-    marg = tokens[2].lower()
-    if marg not in ("true", "false", "0", "1"):
-        raise ValueError(f"bad marginals flag {tokens[2]!r}")
-    sc = Scenario(N, m, marg in ("true", "1"))
-    vals = [_parse_value(tok) for tok in tokens[3:]]
+def scenario_from_tokens(toks):
+    """The Scenario of an ``N m marginals`` header; the flag is true/false/1/0."""
+    n, m, flag = toks
+    if flag.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(f"bad marginals flag {flag!r}")
+    return Scenario(int(n), int(m), flag.lower() in ("true", "1"))
+
+
+def tensor_from_tokens(sc, tokens):
+    """The tensor over ``sc`` whose row-major entries are ``tokens``: exact if
+    any entry is a fraction or all are ints, else float."""
+    vals = [parse_value(tok) for tok in tokens]
     if len(vals) != sc.num_entries:
         raise ValueError(f"expected {sc.num_entries} entries, found {len(vals)}")
     if any(isinstance(v, Fraction) for v in vals):
@@ -482,3 +503,10 @@ def read_tensor(fp):
     else:
         arr = np.array(vals, dtype=float)
     return CorrelationTensor(sc, arr.reshape(sc.shape))
+
+
+def read_tensor(fp):
+    tokens = fp.read().split()
+    if len(tokens) < 3:
+        raise ValueError("truncated tensor file")
+    return tensor_from_tokens(scenario_from_tokens(tokens[:3]), tokens[3:])

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,7 +68,10 @@ def test_sqrt_bounds_bracket():
         q = Fraction(int(rng.integers(0, 10**6)), int(rng.integers(1, 10**6)))
         lo, hi = sqrt_lower(q), sqrt_upper(q)
         assert lo**2 <= q <= hi**2
+        assert (lo + Fraction(1, 10**18)) ** 2 > q  # the tightest such bounds
+        assert hi == lo or (hi - Fraction(1, 10**18)) ** 2 < q
         assert hi - lo <= Fraction(2, 10**18)
+    assert sqrt_lower(Fraction(9, 4)) == sqrt_upper(Fraction(9, 4)) == Fraction(3, 2)
 
 
 def test_nu_factor_values():
@@ -176,8 +180,6 @@ def test_reconstruct_is_the_exact_weighted_atom_sum():
     assert rec.is_exact
     assert all(type(x) is Fraction for x in rec.entries.reshape(-1)[1:])
     assert (rec.entries == ref).all()
-    floats = certify.BallDecomposition(sc, atoms, [float(w) for w in weights], 0.0)
-    np.testing.assert_allclose(floats.reconstruct().entries, ref.astype(float), atol=1e-12)
 
 
 def test_ball_rejects_nonvanishing_partials():
@@ -193,6 +195,11 @@ def test_ball_rejects_outside_unit_ball():
     e[0, 0] = Fraction(11, 10)
     with pytest.raises(CertificateError):
         ball_decomposition(CorrelationTensor(NM22, e))
+
+
+def test_ball_rejects_float_tensor():
+    with pytest.raises(CertificateError):
+        ball_decomposition(CorrelationTensor(NM22, np.array([[0.5, 0.0], [0.0, 0.5]])))
 
 
 def test_ball_size_cap():
@@ -446,6 +453,49 @@ def test_verify_lower_rejects_one_weight_quantum(m6_cert):
     weights = list(m6_cert.weights)
     weights[i] -= Fraction(1, 2**48)
     assert verify(dataclasses.replace(m6_cert, weights=weights)) == (False, "residual mismatch")
+
+
+# --- certificate files ------------------------------------------------------------
+
+
+def _long_number_cert():
+    """A lower certificate whose residual has more than 4300 digits above and
+    below the line: the target is d/2 for a strategy d, plus 2^7200 / 3^4600
+    in one entry, met by d at weight 1/2 with v0 = 1."""
+    d = DeterministicStrategy([0, 0], 2)
+    ent = strategy_tensor(d, NM22, exact=True).entries / 2
+    ent[0, 1] += Fraction(2**7200, 3**4600)
+    p = CorrelationTensor(NM22, ent)
+    model = certify.RationalModel([d], [Fraction(1, 2)],
+                                  _exact_residual_sq([d], [Fraction(1, 2)], p, 1))
+    return assemble_lower(NM22, None, 1, model, TargetSpec("tensor", tensor=p))
+
+
+def test_numbers_past_the_default_digit_limit_round_trip():
+    cert = _long_number_cert()
+    limit = sys.get_int_max_str_digits()
+    assert min(cert.residual_sq.numerator, cert.residual_sq.denominator) > 10**4300
+    with pytest.raises(ValueError):
+        str(cert.residual_sq.denominator)  # the interpreter's limit outside the I/O
+    buf = io.StringIO()
+    write_certificate(cert, buf)
+    assert sys.get_int_max_str_digits() == limit
+    back = read_certificate(io.StringIO(buf.getvalue()))
+    assert sys.get_int_max_str_digits() == limit
+    assert dataclasses.replace(back, target=cert.target) == cert
+    assert (back.target.tensor.entries == cert.target.tensor.entries).all()
+    assert verify(back) == (True, "ok")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_measurement_is_a_read_error(m6_cert, bad):
+    buf = io.StringIO()
+    write_certificate(m6_cert, buf)
+    lines = buf.getvalue().splitlines()
+    i = lines.index(next(ln for ln in lines if ln.startswith("MEASUREMENTS_A"))) + 1
+    lines[i] = f"{bad} 0 0"
+    with pytest.raises(CertificateError):
+        read_certificate(io.StringIO("\n".join(lines)))
 
 # --- upper certificates ----------------------------------------------------------
 

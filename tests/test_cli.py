@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,41 @@ def test_certify_malformed_line_is_a_clean_error(chsh_lower_text, tmp_path, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
 
+
+def test_million_digit_numbers_are_a_quick_clean_error(chsh_lower_text, tmp_path,
+                                                       monkeypatch, capsys):
+    # past every digit limit: no quadratic-time parse, no traceback
+    monkeypatch.chdir(tmp_path)
+    big = "7" * 10**6
+    line = [ln for ln in chsh_lower_text.splitlines() if ln.startswith("RESIDUAL_SQ")][0]
+    (tmp_path / "c.cert").write_text(chsh_lower_text.replace(line, "RESIDUAL_SQ 1/" + big))
+    (tmp_path / "t.txt").write_text(f"2 2 false\n{big} 1 1 -1\n")
+    for argv in (["certify", "verify", "--in", "c.cert"],
+                 ["solve", "upper", "--state", "custom", "--tensor", "t.txt", "--v0", "0.8"]):
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - t0 < 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "digits" in err and "VALID" not in out
+
+
+def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "up.cert"
+    out.write_text("old\n")
+
+    def broken(cert, fp):
+        fp.write("UPPER-CERT")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_certificate", broken)
+    assert run(["solve", "upper", "--state", "werner", "--m", "2", "--v0", "0.75",
+                "--out", str(out)]) == 1
+    assert "error: disk full" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["up.cert", "up.cert.run.json"]
+
+
 def test_report_table_and_csv(tmp_path, capsys):
     low = tmp_path / "low.cert"
     up = tmp_path / "up.cert"
@@ -371,8 +407,10 @@ END
     ({"c.cert": NAN_TARGET_CERT}, ["certify", "verify", "--in", "c.cert"]),
     ({"c.cert": NAN_TARGET_CERT.replace("Q nan", "Q 5.0")},
      ["certify", "verify", "--in", "c.cert"]),
+    ({}, ["solve", "lower", "--m", "2", "--v0", "1/0"]),
+    ({}, ["polyhedron", "gen"]),
 ], ids=["vertex-1/0", "solve-vertex-1/0", "tensor-1/0", "tensor-inf", "gen-tol-1e-30",
-        "custom-nan", "cert-nan-target", "cert-nan-target-q5"])
+        "custom-nan", "cert-nan-target", "cert-nan-target-q5", "v0-1/0", "gen-no-out"])
 def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

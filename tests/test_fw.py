@@ -39,11 +39,6 @@ def m6_run(ico_singlet):
     return bpcg(ico_singlet, 0.60, cfg)
 
 
-def test_config_validates_K():
-    with pytest.raises(ValueError):
-        SolverConfig(lazy_tolerance=0.5)
-
-
 def test_vanilla_zero_target(chsh_singlet):
     res = frank_wolfe_vanilla(chsh_singlet, 0.0, FAST)
     assert res.status == STATUS_INSIDE

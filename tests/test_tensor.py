@@ -17,10 +17,13 @@ from localpolytope.tensor import (
     DeterministicStrategy,
     QuantumSetup,
     Scenario,
+    format_number,
     inner,
     norm1,
     norm2,
     norm2_sq,
+    parse_exact,
+    parse_value,
     quantum_tensor,
     read_tensor,
     rows_inner,
@@ -244,6 +247,19 @@ def test_tensor_read_rejects_malformed():
     for bad in ("nan", "inf", "-inf", "1/0", "1e400"):
         with pytest.raises(ValueError):
             read_tensor(io.StringIO(f"2 2 false\n{bad} 1 1 -1"))
+
+
+
+def test_number_codec():
+    for x in (Fraction(-3, 7), 5, -0.125, 1e-300):
+        back = parse_value(format_number(x))
+        assert back == x and type(back) is type(x)
+    assert parse_exact("0.1") == Fraction(1, 10)
+    assert parse_exact("-2.5e-3") == Fraction(-1, 400)
+    assert parse_exact("7") == 7
+    for bad in ("nan", "inf", "1/0", "0.5/2", "x", "1e99999999"):
+        with pytest.raises(ValueError):
+            parse_exact(bad)  # the last would build a 10^8-digit integer
 
 
 def test_w_state_valid():
