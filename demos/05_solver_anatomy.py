@@ -3,8 +3,10 @@
 Classic Frank-Wolfe calls the oracle every iteration and zig-zags near facets.
 The blended pairwise variant keeps an active set and prefers transferring
 weight from its worst atom to its best one; the oracle is consulted only when
-the active atoms cannot supply progress phi/K, and a fruitless oracle answer
-halves the progress estimate phi instead of moving.
+the active atoms cannot supply progress phi/K.  Then it answers a
+weak-separation query: it stops at the first vertex whose gap reaches phi/K.
+Only a full search that finds none halves the progress estimate phi instead
+of moving.
 """
 
 import collections
@@ -29,6 +31,8 @@ steps = collections.Counter(res.step_types)
 print(f"bpcg at v0=0.60: {res.status} in {res.iterations} iterations")
 print(f"  step mix: {dict(steps)}")
 print(f"  oracle calls: {res.lmo_calls}  active set: {len(res.active_set)} atoms")
+print(f"  oracle rounds: {res.stats.oracle_rounds}, "
+      f"{res.stats.oracle_early_exits} calls stopped at phi/K")
 
 van = frank_wolfe_vanilla(p, 0.60, SolverConfig(restarts=500, seed=2))
 print(f"vanilla frank-wolfe: {van.status} with {van.lmo_calls} oracle calls "

@@ -2,7 +2,10 @@
 
 Both solvers, ``frank_wolfe_vanilla`` and the lazy blended pairwise ``bpcg``,
 minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the deterministic
-strategies, with the alternating-minimisation heuristic as oracle.
+strategies, with the alternating-minimisation heuristic as oracle.  BPCG asks
+it a weak-separation query (Braun, Pokutta, Zink 2017): any vertex with gap
+at least Phi / K, at which the oracle stops.  Only a call that ran its full
+batch without finding one is followed by a null step.
 
 Atoms are per-party sign rows, never dense tensors.  A pairwise or drop step
 needs only the weights and the Gram matrix of the atoms, so it leaves the
@@ -38,8 +41,9 @@ from .tensor import (
     tensor_strategy_inner,
 )
 
-# strategy_inner and strategy_tensor are not called here: atoms live as sign
-# rows.  bench/tracing.py counts calls to them through this namespace.
+# strategy_inner, strategy_tensor and tensor_strategy_inner are not called
+# here: atoms live as sign rows, and the oracle returns its vertex's value.
+# bench/tracing.py counts calls to them through this namespace.
 
 STATUS_INSIDE = "converged_inside"
 STATUS_SEPARATED = "separated"
@@ -219,12 +223,15 @@ class InnerProductCache:
 
 @dataclass
 class RunStats:
-    """Steps by type (they sum to the iterations), oracle calls and their wall
-    seconds, and the largest active set; counted on every run."""
+    """Steps by type (they sum to the iterations), oracle calls, their wall
+    seconds and alternating rounds, the calls that returned at the lazy
+    threshold, and the largest active set; counted on every run."""
 
     steps: dict = field(default_factory=lambda: dict.fromkeys(STEP_TYPES, 0))
     oracle_calls: int = 0
     oracle_seconds: float = 0.0
+    oracle_rounds: int = 0
+    oracle_early_exits: int = 0
     peak_atoms: int = 1
 
 
@@ -268,7 +275,9 @@ def bpcg(p, v0, cfg=None):
     active atom to the best, a drop step when that empties the worst atom, a
     Frank-Wolfe step toward a fresh oracle vertex, or a null step that halves
     the primal-gap estimate Phi.  The oracle is consulted only when the active
-    atoms cannot supply enough progress (lazy tolerance K = ``LAZY_TOLERANCE``).
+    atoms cannot supply enough progress (lazy tolerance K = ``LAZY_TOLERANCE``),
+    and then returns the first vertex whose gap reaches Phi / K.  A null step
+    follows only a call that ran its full batch and found none.
     Parameters and result as in ``frank_wolfe_vanilla``, with the final Phi
     and, with ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
@@ -297,16 +306,21 @@ def _solve(p, v0, cfg, lazy):
 
     stats = RunStats()
 
-    def oracle(gradient, seed):
+    def oracle(gradient, seed, threshold=None):
+        """The oracle's vertex, its value <gradient, d>, and whether it
+        cleared ``threshold``, which only a call cut short can do."""
         t0 = time.perf_counter()
-        omega = heuristic_lmo(gradient, cfg.restarts, seed)
+        omega, value, rounds = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
         stats.oracle_seconds += time.perf_counter() - t0
         stats.oracle_calls += 1
-        return omega
+        stats.oracle_rounds += rounds
+        cleared = threshold is not None and value <= threshold
+        stats.oracle_early_exits += cleared
+        return omega, value, cleared
 
     active = ActiveSet(sc)
     seed = cfg.seed
-    active.add_atom(oracle(CorrelationTensor(sc, -target), seed), 1.0)
+    active.add_atom(oracle(CorrelationTensor(sc, -target), seed)[0], 1.0)
     active.x = active.atom_tensor(0)
     cache = InnerProductCache(active, target_t)
 
@@ -363,9 +377,11 @@ def _solve(p, v0, cfg, lazy):
                 break
             f = 0.5 * dist**2
             seed += 1
-            omega = oracle(grad, seed)
             gx = float(active.weights @ vals)  # <grad, x>
-            gw = tensor_strategy_inner(grad, omega)
+            # lazy: any vertex with gap >= Phi / K will do, so the oracle may
+            # stop at the first one; only a full batch ends in a null step
+            threshold = gx - phi / LAZY_TOLERANCE if lazy else None
+            omega, gw, cleared = oracle(grad, seed, threshold)
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
             # accuracy the point cannot be inside (up to oracle suboptimality)
@@ -374,7 +390,7 @@ def _solve(p, v0, cfg, lazy):
                 if gap <= tol or f - gap > tol:
                     res.status = STATUS_SEPARATED
                     break
-            if not lazy or gap >= phi / LAZY_TOLERANCE:
+            if not lazy or cleared:
                 # Frank-Wolfe step toward the oracle vertex: a rank-one update
                 i = active.add_atom(omega)
                 cache.add_atom(i)

@@ -2,7 +2,10 @@
 
 Minimising a linear functional over the local polytope means optimising a
 multilinear +-1 assignment problem.  ``heuristic_lmo`` is a batched
-alternating minimisation (fast, no optimality guarantee).
+alternating minimisation (fast, no optimality guarantee).  Given a
+threshold it answers a weak-separation query: it returns the first vertex at
+or below the threshold, and otherwise runs the full batch, each restart until
+its first round without improvement.
 ``exhaustive_lmo`` is the one exact kernel, behind every local bound; its
 docstring gives the cap and the exactness argument.  The bipartite QUBO
 reformulation and its branch and bound remain library functions that no
@@ -55,25 +58,38 @@ def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
     """Best (strategy, value) found by alternating maximisation of
     <tensor, d>, root-corrected: the minimisation of ``heuristic_lmo`` on
     -tensor."""
-    s, v = _alternating_min(-tensor.to_float().entries, tensor.scenario, restarts, seed)
+    s, v, _ = _alternating_min(-tensor.to_float().entries, tensor.scenario, restarts, seed)
     return s, -v
 
 
-def heuristic_lmo(gradient, restarts=3000, seed=0):
-    """Strategy approximately minimising <gradient, d> over all strategies."""
-    return _alternating_min(gradient.to_float().entries, gradient.scenario, restarts, seed)[0]
+def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
+    """(strategy, value, rounds): a strategy approximately minimising
+    <gradient, d>, its value with the root entry left out, as
+    ``tensor_strategy_inner`` counts it, and the alternating rounds run.
+
+    With a ``threshold`` this is a weak-separation query: the first strategy
+    whose value is at or below it is returned.  A value above it means the
+    full batch ran and none of its restarts cleared it."""
+    G = gradient.to_float().entries
+    return _alternating_min(G, gradient.scenario, restarts, seed, threshold)
 
 
-def _alternating_min(G, sc, restarts, seed):
-    """Best (strategy, value) found by alternating minimisation of <G, d>.
+def _alternating_min(G, sc, restarts, seed, threshold=None):
+    """Best (strategy, value, rounds) found by alternating minimisation of
+    <G, d>, the value with the root entry left out.
 
     Each restart, a column of one (N, axis, R) sign buffer, starts from random
     signs and cycles through the parties, setting each party's signs opposite
-    to its coefficients (0 -> +1), until a round brings no improvement.  Each
-    party's unfolding of G is built once; a round's value is read off its last
-    contraction."""
+    to its coefficients (0 -> +1).  A round's values are read off its last
+    contraction.  After each round the best value is compared with
+    ``threshold``; at or below it, that restart returns at once.  Otherwise a
+    restart leaves the batch after its first round without improvement, its
+    signs and value written back, and the loop ends when none is left: the
+    full batch, whose argmin covers every restart.  Each party's unfolding of
+    G is built once."""
     N, m, a = sc.parties, sc.inputs, sc.axis_size
     off = a - m
+    root = float(G[(0,) * N]) if sc.marginals else 0.0
 
     rng = np.random.default_rng(seed)
     signs = np.ones((N, a, restarts))
@@ -81,19 +97,33 @@ def _alternating_min(G, sc, restarts, seed):
         # the values, and the random stream, of rng.choice([-1.0, 1.0], (m, R))
         signs[n, off:] = rng.integers(0, 2, size=(m, restarts)) * 2.0 - 1.0
     unfolded = [np.moveaxis(G, n, -1).reshape(-1, a) for n in range(N)]
-    others = [[signs[j] for j in range(N) if j != n] for n in range(N)]
+    final = np.empty(restarts)  # the value of each restart's written-back signs
+    live = np.arange(restarts)  # restarts still in the batch, columns of work
+    work = signs
     prev = np.full(restarts, np.inf)
-    for _ in range(HEURISTIC_ROUNDS):
+    rounds = 0
+    while live.size and rounds < HEURISTIC_ROUNDS:
+        rounds += 1
         for n in range(N):
-            C = _contract_unfolded(unfolded[n], others[n], restarts)
-            signs[n, off:] = np.where(C[off:] <= 0, 1.0, -1.0)
-        vals = (C * signs[N - 1]).sum(axis=0)
-        if np.all(vals >= prev - 1e-12):
-            break
+            others = [work[j] for j in range(N) if j != n]
+            C = _contract_unfolded(unfolded[n], others, live.size)
+            work[n, off:] = np.where(C[off:] <= 0, 1.0, -1.0)
+        vals = (C * work[N - 1]).sum(axis=0)
+        i = int(np.argmin(vals))
+        best = vals.item(i) - root
+        if threshold is not None and best <= threshold:
+            return DeterministicStrategy.from_signs(work[:, off:, i]), best, rounds
+        done = vals >= prev - 1e-12
+        if done.any():
+            signs[:, :, live[done]] = work[:, :, done]
+            final[live[done]] = vals[done]
+            keep = ~done
+            live, work, vals = live[keep], work[:, :, keep], vals[keep]
         prev = vals
-    i = int(np.argmin(prev))
-    root = float(G[(0,) * N]) if sc.marginals else 0.0
-    return DeterministicStrategy.from_signs(signs[:, off:, i]), prev[i] - root
+    signs[:, :, live] = work
+    final[live] = prev
+    i = int(np.argmin(final))
+    return DeterministicStrategy.from_signs(signs[:, off:, i]), final.item(i) - root, rounds
 
 
 def _lex_sign_batch(start, stop, num_vars, dtype):

@@ -297,7 +297,7 @@ def test_criterion_8_solver_soundness(tmp_path, chsh_singlet):
         gradient = CorrelationTensor(p406.scenario, x0.entries - 0.69 * p406.entries)
         from localpolytope.lmo import heuristic_lmo
 
-        omega = heuristic_lmo(gradient, restarts=16, seed=0)
+        omega = heuristic_lmo(gradient, restarts=16, seed=0)[0]
         val = tensor_strategy_inner(gradient, omega)
     smoke_ok = code == 0 and len(points) == 812 and val < 0 and t.elapsed < 60
 

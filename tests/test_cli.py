@@ -78,6 +78,8 @@ def test_run_record_has_stage_times(tmp_path):
     assert solver["oracle_calls"] == meta["lmo_calls"]
     assert 0 < solver["oracle_seconds"] <= meta["stages"]["solve"]
     assert solver["peak_atoms"] >= 1
+    assert solver["oracle_rounds"] >= solver["oracle_calls"]
+    assert 0 <= solver["oracle_early_exits"] <= solver["steps"]["fw"]
 
 
 def test_run_record_written_on_inconclusive_exit(tmp_path):

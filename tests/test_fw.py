@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from localpolytope import fw
 from localpolytope.fw import (
     ActiveSet,
     InnerProductCache,
@@ -12,7 +13,7 @@ from localpolytope.fw import (
     frank_wolfe_vanilla,
 )
 from localpolytope.certify import integerize_functional
-from localpolytope.lmo import local_bound
+from localpolytope.lmo import heuristic_lmo, local_bound
 from localpolytope.polyhedra import (
     antipodal_representatives,
     geodesic_icosahedron,
@@ -134,9 +135,35 @@ def test_run_stats_count_every_step(m6_run, chsh_singlet):
     assert stats.oracle_calls >= 1 + stats.steps["fw"] + stats.steps["null"]
     assert stats.oracle_seconds > 0
     assert stats.peak_atoms >= len(m6_run.active_set)
-    # vanilla Frank-Wolfe takes one Frank-Wolfe step per iteration
+    assert stats.oracle_rounds >= stats.oracle_calls
+    assert stats.oracle_early_exits <= stats.steps["fw"]
+    # vanilla Frank-Wolfe takes one Frank-Wolfe step per iteration, and its
+    # oracle always runs the full batch
     van = frank_wolfe_vanilla(chsh_singlet, 0.65, FAST)
     assert van.stats.steps == {"pairwise": 0, "drop": 0, "fw": van.iterations, "null": 0}
+    assert van.stats.oracle_rounds >= van.stats.oracle_calls
+    assert van.stats.oracle_early_exits == 0
+
+
+def test_no_null_step_follows_an_early_exit(monkeypatch, ico_singlet):
+    calls = []
+
+    def recording(gradient, restarts, seed, threshold=None):
+        omega, value, rounds = heuristic_lmo(gradient, restarts, seed, threshold)
+        calls.append(threshold is not None and value <= threshold)
+        return omega, value, rounds
+
+    monkeypatch.setattr(fw, "heuristic_lmo", recording)
+    res = bpcg(ico_singlet, 0.60, SolverConfig(restarts=500, seed=2, trace=True))
+    assert res.stats.oracle_calls == len(calls)
+    assert res.stats.oracle_early_exits == sum(calls) > 0
+    assert not calls[0]  # the first call, on -v0 p, has no threshold
+    # every call after the first answers one fw or null step, in order
+    answered = [s for s in res.step_types if s in ("fw", "null")]
+    assert "null" in answered
+    for exited, step in zip(calls[1:], answered):
+        if exited:
+            assert step == "fw"
 
 
 def test_bpcg_single_atom_falls_through_to_lmo(chsh_singlet):
@@ -425,7 +452,7 @@ def test_heuristic_matches_exhaustive_on_chsh(chsh_singlet):
     from localpolytope.lmo import exhaustive_lmo, heuristic_lmo
 
     g = CorrelationTensor(NM22, 0.5 * chsh_singlet.entries)
-    s = heuristic_lmo(g, restarts=64, seed=0)
+    s = heuristic_lmo(g, restarts=64, seed=0)[0]
     _, v_opt = exhaustive_lmo(g)
     # tiny instance: the heuristic finds the optimum
     assert inner(g, strategy_tensor(s, NM22)) == pytest.approx(v_opt, abs=1e-12)

@@ -3,6 +3,7 @@ import pytest
 from itertools import product
 
 from localpolytope.lmo import (
+    HEURISTIC_ROUNDS,
     BellFunctional,
     QuboInstance,
     exhaustive_lmo,
@@ -21,6 +22,7 @@ from localpolytope.tensor import (
     inner,
     rows_inner,
     strategy_tensor,
+    tensor_strategy_inner,
 )
 from util import heuristic_reference
 
@@ -44,7 +46,7 @@ def brute_force_min(gradient):
 
 def test_heuristic_zero_gradient_all_plus():
     z = CorrelationTensor.zeros(NM22)
-    s = heuristic_lmo(z, restarts=7, seed=5)
+    s = heuristic_lmo(z, restarts=7, seed=5)[0]
     assert s.to_string() == "++|++"
 
 
@@ -54,7 +56,7 @@ def test_heuristic_finds_aligned_vertex():
     for trial in range(10):
         s0 = DeterministicStrategy([int(b) for b in rng.integers(0, 32, 2)], 5)
         g = CorrelationTensor(sc, -strategy_tensor(s0, sc).entries)
-        s = heuristic_lmo(g, restarts=20, seed=trial)
+        s = heuristic_lmo(g, restarts=20, seed=trial)[0]
         assert inner(g, strategy_tensor(s, sc)) == -25
 
 
@@ -62,8 +64,8 @@ def test_heuristic_deterministic_given_seed():
     rng = np.random.default_rng(2)
     sc = Scenario(2, 4, marginals=False)
     g = CorrelationTensor(sc, rng.normal(size=(4, 4)))
-    a = heuristic_lmo(g, restarts=50, seed=123)
-    b = heuristic_lmo(g, restarts=50, seed=123)
+    a = heuristic_lmo(g, restarts=50, seed=123)[0]
+    b = heuristic_lmo(g, restarts=50, seed=123)[0]
     assert a == b
 
 
@@ -92,7 +94,7 @@ def test_heuristic_matches_exhaustive_rate():
     hits = 0
     for trial in range(100):
         g = CorrelationTensor(sc, rng.normal(size=(5, 5)))
-        s = heuristic_lmo(g, restarts=3000, seed=trial)
+        s = heuristic_lmo(g, restarts=3000, seed=trial)[0]
         v = inner(g, strategy_tensor(s, sc))
         _, v_opt = exhaustive_lmo(g)
         assert v >= v_opt - 1e-12  # heuristic output is always feasible
@@ -106,7 +108,7 @@ def test_heuristic_multipartite_with_marginals():
     sc = Scenario(3, 2, marginals=True)
     for trial in range(20):
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
-        s = heuristic_lmo(g, restarts=500, seed=trial)
+        s = heuristic_lmo(g, restarts=500, seed=trial)[0]
         v = inner(g, strategy_tensor(s, sc))
         _, v_opt = exhaustive_lmo(g)
         assert v >= v_opt - 1e-12
@@ -121,7 +123,7 @@ def test_heuristic_single_party_matches_exhaustive(marginals, inputs):
     sc = Scenario(1, inputs, marginals=marginals)
     for trial in range(5):
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
-        s = heuristic_lmo(g, restarts=7, seed=trial)
+        s = heuristic_lmo(g, restarts=7, seed=trial)[0]
         s_opt, v_opt = exhaustive_lmo(g)
         assert s == s_opt
         assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
@@ -143,9 +145,62 @@ def test_heuristic_matches_pre_kernel_reference(parties, marginals, restarts):
         if parties == 2:
             assert (s, v) == (s_ref, v_ref)
             neg = CorrelationTensor(sc, -t.entries)
-            assert heuristic_lmo(neg, restarts=restarts, seed=trial) == s_ref
+            assert heuristic_lmo(neg, restarts=restarts, seed=trial)[0] == s_ref
         else:
             assert v == pytest.approx(v_ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("parties", [2, 3])
+def test_unreachable_threshold_runs_the_full_batch(parties, marginals):
+    # nothing clears a threshold below the exact minimum, so the answer is
+    # the one without a threshold
+    rng = np.random.default_rng(20 + parties + marginals)
+    sc = Scenario(parties, 4, marginals)
+    for trial in range(5):
+        g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        _, v_opt = exhaustive_lmo(g)
+        plain = heuristic_lmo(g, restarts=50, seed=trial)
+        capped = heuristic_lmo(g, restarts=50, seed=trial, threshold=v_opt - 1e-9)
+        assert capped == plain
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("parties", [2, 3])
+def test_reachable_threshold_returns_a_vertex_that_clears_it(parties, marginals):
+    # halfway between the minimum and the value of a fixed strategy: some
+    # restart clears it, and the call returns that restart's answer
+    rng = np.random.default_rng(30 + parties + marginals)
+    sc = Scenario(parties, 5, marginals)
+    plus = DeterministicStrategy.from_signs([[1] * 5] * parties)
+    for trial in range(5):
+        g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        _, v_opt = exhaustive_lmo(g)
+        threshold = 0.5 * (v_opt + tensor_strategy_inner(g, plus))
+        s, v, rounds = heuristic_lmo(g, restarts=200, seed=trial, threshold=threshold)
+        assert v <= threshold
+        assert tensor_strategy_inner(g, s) <= threshold + 1e-12
+        assert tensor_strategy_inner(g, s) == pytest.approx(v, abs=1e-12)
+        assert rounds >= 1
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+@pytest.mark.parametrize("parties", [2, 3])
+def test_restart_stop_matches_reference(parties, marginals):
+    # the reference keeps every restart in the batch until the last one
+    # stalls; a restart that leaves at its first stalled round is at a fixed
+    # point, so the best value, and with two parties the vertex, agree
+    rng = np.random.default_rng(40 + parties + marginals)
+    sc = Scenario(parties, 6 if parties == 2 else 4, marginals)
+    for trial in range(5):
+        t = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        neg = CorrelationTensor(sc, -t.entries)
+        s, v, rounds = heuristic_lmo(neg, restarts=300, seed=trial)
+        s_ref, v_ref = heuristic_reference(t, 300, trial)
+        assert -v == pytest.approx(v_ref, abs=1e-12)
+        assert 1 <= rounds <= HEURISTIC_ROUNDS
+        if parties == 2:
+            assert s.canonical(sc) == s_ref.canonical(sc)
 
 
 def test_heuristic_five_parties_matches_exhaustive():
@@ -154,7 +209,7 @@ def test_heuristic_five_parties_matches_exhaustive():
     sc = Scenario(5, 2, marginals=False)
     for trial in range(5):
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
-        s = heuristic_lmo(g, restarts=200, seed=trial)
+        s = heuristic_lmo(g, restarts=200, seed=trial)[0]
         _, v_opt = exhaustive_lmo(g)
         assert inner(g, strategy_tensor(s, sc)) == pytest.approx(v_opt, abs=1e-12)
 
