@@ -6,12 +6,13 @@ certificate: the tiny leftover y = x_T - v0*p (suitably rescaled to unit norm)
 is itself local, so nu*v0*p = nu*x_T + (1-nu)*y is exactly local.
 
 With s = sqrt_upper(||r||^2), a rational upper bound on ||r||_2, the model
-decomposes r/s by assigning weight |<r/s, d_a>| / 2^(Nm-1) to each sign
-assignment whose first signs multiply to +1 (sign folded into party one). By
-Cauchy-Schwarz these weights sum to at most 1, with equality on standard-basis
-directions; any slack goes, half each, on an explicit antipodal strategy pair.
-Scaling by s gives weights that sum to s exactly: 1 for every unit-norm input,
-with the deficit 1 - s on the zero tensor.
+decomposes r/s with one atom per correlation tensor +-d, d a strategy whose
+every first sign is +: weight |<r/s, d>| / 2^(N(m-1)), on d when <r, d> > 0
+and on -d (the last party flipped) when it is negative. By Cauchy-Schwarz
+these weights sum to at most 1, with equality on standard-basis directions;
+any slack goes, half each, on an explicit antipodal strategy pair. Scaling by
+s gives weights that sum to s exactly: 1 for every unit-norm input, with the
+deficit 1 - s on the zero tensor. Atoms print in lexicographic order of d.
 """
 
 import numpy as np

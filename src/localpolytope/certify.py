@@ -9,16 +9,17 @@ Bell functional with its exact local bound.
 
 Every irrational square root is replaced by a directed rational bound at
 denominator scale 10^18, always rounded in the direction that weakens the
-claimed bound.  Two float shortcuts run on BLAS only where
-``tensor.exact_operand`` proves them exact: the integer tensor of a model in
-``_exact_residual_sq``, and the local bound of an integer functional in
-``lmo.exhaustive_lmo``.
+claimed bound.  Float shortcuts on integer lifts (``tensor.common_denominator``)
+run on BLAS only where ``tensor.exact_operand`` proves them exact: the models
+of ``_exact_residual_sq`` and ``BallDecomposition.reconstruct``, the <r, d> of
+``ball_decomposition``, and integer local bounds in ``lmo.exhaustive_lmo``.
 """
 
 import contextlib
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,9 @@ from .tensor import (
     CorrelationTensor,
     DeterministicStrategy,
     Scenario,
+    _lex_sign_batch,
     combine_rows,
+    common_denominator,
     exact_operand,
     format_number,
     format_row,
@@ -47,9 +50,8 @@ from .tensor import (
     write_tensor,
 )
 
-# maximize_functional_heuristic and strategy_tensor are not called here:
-# bench/tracing.py wraps them, local_bound and tensor_strategy_inner in this
-# namespace.
+# maximize_functional_heuristic, strategy_tensor and tensor_strategy_inner are
+# not called here: bench/tracing.py wraps them and local_bound in this namespace.
 
 SQRT_SCALE = 10**18
 WEIGHT_DENOMINATOR = 2**48
@@ -106,24 +108,16 @@ class BallDecomposition:
         return sum(self.weights, Fraction(0))
 
     def reconstruct(self):
-        """sum_i w_i d_i, with the root at 1: one product of the weights with
-        the atoms' sign rows, in Fractions."""
+        """sum_i w_i d_i, with the root at 1: one product of the weights'
+        integer lift with the atoms' sign rows, exact by ``exact_operand``."""
         sc = self.scenario
-        w = np.array(self.weights, dtype=object)
-        ent = combine_rows(w, sign_rows(self.atoms, sc, w.dtype)).reshape(sc.shape)
+        k, D = common_denominator(self.weights)
+        k = exact_operand(k)
+        X = combine_rows(k, sign_rows(self.atoms, sc, k.dtype)).reshape(-1)
+        ent = np.array([Fraction(int(x), D) for x in X], dtype=object).reshape(sc.shape)
         if sc.marginals:
             ent[(0,) * sc.parties] = 1
         return CorrelationTensor(sc, ent)
-
-
-def _half_group(parties, inputs):
-    """All sign assignments whose per-party first signs multiply to +1."""
-    total_bits = parties * inputs
-    mask = (1 << inputs) - 1
-    for g in range(1 << total_bits):
-        chunks = [(g >> (n * inputs)) & mask for n in range(parties)]
-        if sum(c & 1 for c in chunks) % 2 == 0:
-            yield DeterministicStrategy(chunks, inputs)
 
 
 def _even_flip_orbit(strategy, parties):
@@ -145,20 +139,25 @@ def ball_decomposition(r):
     is then symmetrised over even party flips, which kills the atoms' own
     lower-order correlators exactly).
 
-    The tensor must be exact.  With s = sqrt_upper(||r||^2), r/s is
-    decomposed with weights |<r/s, d_a>| / 2^(Nm-1) over the assignments whose
-    first signs multiply to +1, signs folded into the first party.  By
-    Cauchy-Schwarz these sum to at most ||r||_2 / s <= 1; the slack is put,
-    half each, on an explicit antipodal pair d, -d, which cancel.  Every
-    weight is then multiplied by s, so the weights are nonnegative and sum to
-    s exactly, and the deficit 1 - s rides on the zero tensor.  A tensor of
-    unit norm thus gets a full distribution over strategies.
+    The tensor must be exact.  Flipping an even set of parties keeps a
+    strategy's tensor, so each class +-d has one member d with every first
+    sign +, and its weight is |<r, d>| / 2^(N(m-1)) (the half-group weights
+    |<r, d_a>| / 2^(Nm-1) of its 2^(N-1) members), on d if <r, d> > 0 and
+    else on d with the last party flipped, the canonical -d.  By
+    Cauchy-Schwarz they sum to at most ||r||_2 <= s = sqrt_upper(||r||^2);
+    the slack goes half each on an antipodal pair d, -d, which cancel.  The
+    weights sum to s and the deficit 1 - s rides on the zero tensor.
+
+    With r = K / L over integers, <K, d> is K contracted on each axis with
+    one (2^(m-1), m) sign matrix of first column +1: every partial sum is a
+    signed sum of distinct entries of K, exact in float64 in any order while
+    Sum |K| <= 2^53 (``exact_operand``), and in Python ints above it.
     """
     sc = r.scenario
     N, m = sc.parties, sc.inputs
     if N * m > BALL_CAP:
         raise CertificateError(
-            f"decomposition materialises 2^(N*m-1) atoms; capped at N*m <= {BALL_CAP}, "
+            f"decomposition materialises 2^(N(m-1)) atoms; capped at N*m <= {BALL_CAP}, "
             "certify through the contraction factor instead"
         )
     if not r.is_exact:
@@ -177,9 +176,7 @@ def ball_decomposition(r):
             raise CertificateError(
                 "decomposition requires all lower-order correlators to vanish"
             )
-        core = CorrelationTensor(
-            Scenario(N, m, marginals=False), r.entries[full]
-        )
+        core = CorrelationTensor(Scenario(N, m, marginals=False), r.entries[full])
         base = ball_decomposition(core)
         atoms, weights = [], []
         split = Fraction(1, 1 << (N - 1))
@@ -189,19 +186,22 @@ def ball_decomposition(r):
                 weights.append(w * split)
         return BallDecomposition(sc, atoms, weights, base.deficit)
 
-    denom = 1 << (N * m - 1)
+    K, L = common_denominator(r.entries.reshape(-1))
+    V = exact_operand(K).reshape(sc.shape)
+    S = _lex_sign_batch(0, 1 << (m - 1), m, V.dtype)
+    for _ in range(N):
+        V = np.tensordot(V, S, axes=([0], [1]))  # V[i_0, ..., i_N-1] = <K, d_i>
+    codes = [int(c) for c in (S < 0) @ (1 << np.arange(m))]  # packed signs of row i
+    denom = L << (N * (m - 1))
     merged = {}
-    for a in _half_group(N, m):
-        w = tensor_strategy_inner(r, a)
-        if w == 0:
-            continue
-        atom = a if w > 0 else a.flip_parties([0])
-        atom = atom.canonical(sc)
-        merged[atom] = merged.get(atom, 0) + Fraction(abs(w), denom)
+    for i in zip(*np.nonzero(V)):
+        v, bits = int(V[i]), [codes[j] for j in i]
+        bits[-1] ^= (1 << m) - 1 if v < 0 else 0  # -d: the last party flipped
+        merged[DeterministicStrategy(bits, m)] = Fraction(abs(v), denom)
 
-    # s * |<r/s, d_a>| / denom is the weight above; fill it up to s
+    # s * |<r/s, d>| / 2^(N(m-1)) is the weight above; fill it up to s
     s = sqrt_upper(nsq)
-    total = sum(merged.values(), Fraction(0))
+    total = Fraction(sum(abs(int(x)) for x in V.flat), denom)
     if total > s:
         raise AssertionError("weight sum exceeded the norm bound on an in-ball tensor")
     if total < s:
@@ -263,20 +263,15 @@ def _exact_residual_sq(atoms, weights, p, v0):
     ||X b P - a D (p P)||^2 / (D b P)^2, summed in Python ints.
     """
     sc = p.scenario
-    weights = [Fraction(w) for w in weights]
-    D = math.lcm(*(w.denominator for w in weights))
-    k = exact_operand([w.numerator * (D // w.denominator) for w in weights])
+    k, D = common_denominator(weights)
+    k = exact_operand(k)
     X = combine_rows(k, sign_rows(atoms, sc, k.dtype)).reshape(-1)
 
     v0 = Fraction(v0)
-    target = [Fraction(x) for x in p.entries.reshape(-1)]
-    P = math.lcm(*(t.denominator for t in target))
+    target, P = common_denominator(p.entries.reshape(-1))
     scale_x = v0.denominator * P
     scale_p = v0.numerator * D
-    diff = [
-        int(x) * scale_x - scale_p * t.numerator * (P // t.denominator)
-        for x, t in zip(X, target)
-    ]
+    diff = [int(x) * scale_x - scale_p * t for x, t in zip(X, target)]
     if sc.marginals:
         diff[0] = 0  # the root entry, index (0, ..., 0)
     return Fraction(sum(d * d for d in diff), (D * scale_x) ** 2)
@@ -298,8 +293,7 @@ class TargetSpec:
         if self.kind == "singlet":
             return singlet_tensor(list(self.alice), list(self.bob), scenario)
         if self.kind == "ghz-polygon":
-            exact = scenario.inputs <= 3
-            t = ghz_polygon_tensor(scenario.parties, scenario.inputs, exact=exact)
+            t = ghz_polygon_tensor(scenario.parties, scenario.inputs)
             if t.scenario != scenario:
                 raise CertificateError("polygon target does not match scenario")
             return t
@@ -458,9 +452,11 @@ def derived_bounds(cert):
             povm = POVM_FACTOR * v
             values["povm_lower"] = povm
             lines.append(f"POVM threshold lower bound 2/3 * v_low = {float(povm):.5f}")
-            kg = 1 / v
-            values["grothendieck_upper"] = kg
-            lines.append(f"K_G(3) <= 1/v_low = {float(kg):.5f}")
+            if v:  # v_low = 0 bounds nothing; past the float range 1/v_low shows in Decimal
+                kg = 1 / v
+                values["grothendieck_upper"] = kg
+                lines.append("K_G(3) <= 1/v_low = " + (f"{float(kg):.5f}" if kg < 2**1023
+                             else f"{Decimal(kg.numerator) / kg.denominator:.5e}"))
     else:
         v = cert.v_up
         if singlet:

@@ -139,7 +139,7 @@ def _build_problem(args):
 
     alice, bob, poly_points, sc = _measurements_for(args)
     if args.polygon:
-        p = ghz_polygon_tensor(sc.parties, sc.inputs, exact=(sc.inputs <= 3))
+        p = ghz_polygon_tensor(sc.parties, sc.inputs)
         return p, TargetSpec("ghz-polygon"), None
     if args.state in ("werner", "singlet"):
         p = singlet_tensor(alice, bob, sc)
@@ -213,6 +213,8 @@ def cmd_solve(args):
     with _stage(stages, "build"):
         p, target, poly_points = _build_problem(args)
         v0 = parse_exact(args.v0)
+        if not 0 <= v0 <= 1:
+            raise CliError("v0 must lie in [0, 1]")
         cfg = _solver_config(args)
         refusal = _refusal(args, p)
     if refusal:

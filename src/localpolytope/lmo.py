@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .tensor import (CorrelationTensor, DeterministicStrategy, _contract_unfolded,
-                     exact_operand)
+                     _lex_sign_batch, exact_operand)
 
 EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
 EXHAUSTIVE_BATCH = 1 << 14  # assignments per contraction, at most
@@ -124,15 +124,6 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     final[live] = prev
     i = int(np.argmin(final))
     return DeterministicStrategy.from_signs(signs[:, off:, i]), final.item(i) - root, rounds
-
-
-def _lex_sign_batch(start, stop, num_vars, dtype):
-    """Sign rows for assignment ids start..stop-1; id order equals the
-    lexicographic order of the '+'/'-' strings (bit 0 -> '+')."""
-    ids = np.arange(start, stop, dtype=np.uint64)
-    shifts = np.arange(num_vars - 1, -1, -1, dtype=np.uint64)
-    bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-    return (1 - 2 * bits).astype(dtype)  # bit 0 -> +1
 
 
 def enumerable(scenario):

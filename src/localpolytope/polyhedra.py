@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import format_row, parse_exact
+from .tensor import common_denominator, format_row, parse_exact
 
 _PHI = (1 + math.sqrt(5)) / 2
 MERGE_TOL = 1e-9  # float vertices closer than this in every coordinate merge
@@ -215,14 +215,8 @@ def rationalize(p, tol=1e-6):
 
 def _homogeneous(pt):
     """(x, y, z, d) integers with d > 0 representing (x/d, y/d, z/d)."""
-    x, y, z = pt.as_tuple()
-    d = math.lcm(x.denominator, y.denominator, z.denominator)
-    return (
-        x.numerator * (d // x.denominator),
-        y.numerator * (d // y.denominator),
-        z.numerator * (d // z.denominator),
-        d,
-    )
+    (x, y, z), d = common_denominator(pt.as_tuple())
+    return x, y, z, d
 
 
 def _normal(p, q, r):
@@ -297,9 +291,9 @@ def _exact_hull_faces(hpts):
     seed = (i0, i1, i2, i3)
 
     # interior reference point: centroid of the initial tetrahedron
-    den = math.lcm(*(hpts[i][3] for i in seed))
-    interior = tuple(sum(hpts[i][k] * (den // hpts[i][3]) for i in seed) for k in range(3))
-    interior += (4 * den,)
+    xyz, den = common_denominator(
+        sum(Fraction(hpts[i][k], 4 * hpts[i][3]) for i in seed) for k in range(3))
+    interior = (*xyz, den)
 
     faces = {}
 

@@ -9,7 +9,8 @@ lists coming from a polyhedron on the sphere.
 import numpy as np
 from fractions import Fraction
 
-from .tensor import CorrelationTensor, QuantumSetup, Scenario, quantum_tensor
+from .tensor import (CorrelationTensor, QuantumSetup, Scenario, common_denominator,
+                     quantum_tensor)
 
 
 def singlet_state():
@@ -53,24 +54,20 @@ def singlet_tensor(alice, bob, scenario=None):
     yields an exact tensor.  Marginals of the singlet vanish, so the scenario
     defaults to the m x m correlation matrix without marginal slots.
     """
-    exact = _is_rational_vectors(alice) and _is_rational_vectors(bob)
+    exact = all(isinstance(c, (Fraction, int)) for v in (*alice, *bob) for c in v)
     m = len(alice)
     if scenario is None:
         scenario = Scenario(2, m, marginals=False)
     if scenario != Scenario(2, m, marginals=False):
         raise ValueError("singlet tensors live in the bipartite no-marginal scenario")
     if exact:
-        ent = np.empty((m, m), dtype=object)
-        for x, a in enumerate(alice):
-            for y, b in enumerate(bob):
-                ent[x, y] = -(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+        A, da = zip(*map(common_denominator, alice))
+        B, db = zip(*map(common_denominator, bob))
+        num = -(np.array(A, dtype=object) @ np.array(B, dtype=object).T)
+        ent = np.frompyfunc(Fraction, 2, 1)(num, np.outer(np.array(da, object), db))
     else:
         ent = -np.asarray(alice, dtype=float) @ np.asarray(bob, dtype=float).T
     return CorrelationTensor(scenario, ent)
-
-
-def _is_rational_vectors(vecs):
-    return all(all(isinstance(c, (Fraction, int)) for c in v) for v in vecs)
 
 
 def _cos_pi_times(num, den):

@@ -269,6 +269,23 @@ def sign_rows(strategies, scenario, dtype=np.float64):
     return out
 
 
+def common_denominator(values):
+    """(ints, D) with values[i] = ints[i] / D exactly, D the lcm of the
+    denominators (1 for none); ints and Fractions are read unconverted."""
+    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    D = math.lcm(*(v.denominator for v in fr))
+    return [v.numerator * (D // v.denominator) for v in fr], D
+
+
+def _lex_sign_batch(start, stop, num_vars, dtype):
+    """Sign rows for assignment ids start..stop-1; id order equals the
+    lexicographic order of the '+'/'-' strings (bit 0 -> '+')."""
+    ids = np.arange(start, stop, dtype=np.uint64)
+    shifts = np.arange(num_vars - 1, -1, -1, dtype=np.uint64)
+    bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.int64)
+    return (1 - 2 * bits).astype(dtype)  # bit 0 -> +1
+
+
 def exact_operand(ints):
     """Integers k for an exact product with +-1 sign matrices (``combine_rows``,
     ``_contract_unfolded``): float64 while Sum |k| <= 2^53, else Python ints.

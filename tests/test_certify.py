@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -35,10 +36,12 @@ from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
     Scenario,
+    common_denominator,
+    exact_operand,
     norm2_sq,
     strategy_tensor,
 )
-from util import chsh_corner_cert, residual_sq_reference
+from util import ball_reference, chsh_corner_cert, residual_sq_reference
 
 NM22 = Scenario(2, 2, marginals=False)
 
@@ -180,6 +183,60 @@ def test_reconstruct_is_the_exact_weighted_atom_sum():
     assert rec.is_exact
     assert all(type(x) is Fraction for x in rec.entries.reshape(-1)[1:])
     assert (rec.entries == ref).all()
+
+
+def _with_marginal_slots(r):
+    """r as the full-correlation block of the marginal scenario, root 1."""
+    N, m = r.scenario.parties, r.scenario.inputs
+    sc = Scenario(N, m, marginals=True)
+    e = np.full(sc.shape, Fraction(0), dtype=object)
+    e[(0,) * N] = Fraction(1)
+    e[(slice(1, None),) * N] = r.entries
+    return CorrelationTensor(sc, e)
+
+
+def _assert_ball_matches_reference(r):
+    bd = ball_decomposition(r)
+    ref, deficit = ball_reference(r)
+    assert len(bd.atoms) == len(ref)
+    assert dict(zip(bd.atoms, bd.weights)) == ref
+    assert bd.deficit == deficit
+    assert (bd.reconstruct().entries == r.entries).all()
+
+
+@pytest.mark.parametrize("parties,inputs",
+                         [(1, 1), (1, 3), (2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_ball_matches_the_half_group_loop(parties, inputs):
+    # zero, basis, unit and interior tensors, with and without marginal slots
+    sc = Scenario(parties, inputs, marginals=False)
+    rng = np.random.default_rng(31 * parties + inputs)
+    basis = np.full(sc.shape, Fraction(0), dtype=object)
+    basis.reshape(-1)[-1] = Fraction(1)
+    unit = unit_rational_tensor(sc, rng)
+    cases = [CorrelationTensor.zeros(sc, exact=True), CorrelationTensor(sc, basis), unit,
+             unit_rational_tensor(sc, rng),
+             CorrelationTensor(sc, unit.entries * Fraction(2, 3))]
+    for r in cases:
+        _assert_ball_matches_reference(r)
+        _assert_ball_matches_reference(_with_marginal_slots(r))
+
+
+def test_ball_past_2_53_runs_on_python_ints():
+    # denominators near 2^20 lift the entries to integers whose sum passes 2^53
+    e = np.array([[Fraction(1, 1048573), Fraction(-1, 1048571)],
+                  [Fraction(1, 1048559), Fraction(1, 2)]], dtype=object)
+    assert exact_operand(common_denominator(e.reshape(-1))[0]).dtype == object
+    _assert_ball_matches_reference(CorrelationTensor(NM22, e))
+
+
+def test_ball_at_2_9_is_exact_and_quick():
+    r = unit_rational_tensor(Scenario(2, 9, marginals=False), np.random.default_rng(9))
+    t0 = time.perf_counter()
+    bd = ball_decomposition(r)
+    rec = bd.reconstruct()
+    assert time.perf_counter() - t0 < 20
+    assert all(w > 0 for w in bd.weights) and bd.weight_sum() <= 1
+    assert (rec.entries == r.entries).all()
 
 
 def test_ball_rejects_nonvanishing_partials():

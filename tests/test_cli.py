@@ -62,6 +62,18 @@ def test_solve_lower_chsh(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("v0", ["0", "1e-400"])
+def test_solve_lower_at_a_vanishing_v0_writes_a_valid_certificate(tmp_path, capsys, v0):
+    # v_low = 0 has no 1/v_low; at 1e-400 that bound is past the float range
+    cert = tmp_path / "v.cert"
+    assert run(["solve", "lower", "--m", "6", "--v0", v0, "--restarts", "300",
+                "--out", str(cert)]) == 0
+    assert run(["certify", "verify", "--in", str(cert)]) == 0
+    out, err = capsys.readouterr()
+    assert "VALID lower certificate" in out and err == ""
+    assert ("K_G(3) <= 1/v_low = 1.58359e+400" in out) == (v0 == "1e-400")
+
+
 def test_run_record_has_stage_times(tmp_path):
     cert = tmp_path / "m6.cert"
     assert run(["solve", "lower", "--m", "6", "--v0", "0.60", "--seed", "2",
@@ -411,8 +423,11 @@ END
      ["certify", "verify", "--in", "c.cert"]),
     ({}, ["solve", "lower", "--m", "2", "--v0", "1/0"]),
     ({}, ["polyhedron", "gen"]),
+    ({}, ["solve", "lower", "--m", "2", "--v0", "1e400"]),
+    ({}, ["solve", "lower", "--m", "2", "--v0", "2"]),
 ], ids=["vertex-1/0", "solve-vertex-1/0", "tensor-1/0", "tensor-inf", "gen-tol-1e-30",
-        "custom-nan", "cert-nan-target", "cert-nan-target-q5", "v0-1/0", "gen-no-out"])
+        "custom-nan", "cert-nan-target", "cert-nan-target-q5", "v0-1/0", "gen-no-out",
+        "v0-1e400", "v0-2"])
 def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from localpolytope.polyhedra import (
+    antipodal_representatives,
+    geodesic_icosahedron,
+    rationalize_all,
+)
 from localpolytope.states import (
     ghz_polygon_tensor,
     ghz_state,
     polygon_vectors,
     singlet_state,
+    singlet_tensor,
     w_state,
 )
 from localpolytope.tensor import (
@@ -17,6 +23,7 @@ from localpolytope.tensor import (
     DeterministicStrategy,
     QuantumSetup,
     Scenario,
+    common_denominator,
     format_number,
     inner,
     norm1,
@@ -35,7 +42,7 @@ from localpolytope.tensor import (
     write_tensor,
 )
 
-from util import contract_reference
+from util import contract_reference, singlet_reference
 
 NO_MARG_22 = Scenario(2, 2, marginals=False)
 
@@ -294,6 +301,25 @@ def test_signs_unpack_matches_bit_loop(m):
         got = DeterministicStrategy([b], m).signs(0)
         assert got.dtype == np.int8
         assert np.array_equal(got, expected)
+
+
+def test_common_denominator():
+    assert common_denominator([]) == ([], 1)
+    assert common_denominator([3, -2, 0]) == ([3, -2, 0], 1)
+    vals = [Fraction(1, 6), Fraction(-3, 4), 2, Fraction(5, 9)]
+    assert common_denominator(vals) == ([6, -27, 72, 20], 36)
+
+
+def test_exact_singlet_matches_the_entry_loop():
+    points = rationalize_all(geodesic_icosahedron([3]), 1e-6)
+    vecs = [p.as_tuple() for p in antipodal_representatives(points)]
+    assert len(vecs) == 46
+    ints = [(1, 0, 0), (0, -2, 1), (3, 1, -1)]
+    mixed = [(Fraction(3, 5), 0, Fraction(-4, 5)), (0, 1, 0), (Fraction(1, 3), 2, -1)]
+    for alice, bob in ((vecs, vecs), (ints, ints), (ints, mixed)):
+        t = singlet_tensor(alice, bob)
+        assert t.is_exact and (t.entries == singlet_reference(alice, bob)).all()
+
 
 def test_werner_mixture_equals_scaled_singlet():
     from localpolytope.states import chsh_vectors, singlet_tensor

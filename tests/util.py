@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 from fractions import Fraction
 
-from localpolytope.certify import TargetSpec, assemble_upper
+from localpolytope.certify import TargetSpec, _even_flip_orbit, assemble_upper, sqrt_upper
 from localpolytope.lmo import HEURISTIC_ROUNDS, BellFunctional
 from localpolytope.polyhedra import (
     Face,
@@ -19,6 +19,7 @@ from localpolytope.polyhedra import (
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
+    Scenario,
     norm2_sq,
     strategy_tensor,
     tensor_strategy_inner,
@@ -204,3 +205,57 @@ def faces_and_eta_reference(vertices):
                 raise AssertionError("hull construction produced a violated face")
 
     return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)
+
+
+def ball_reference(r):
+    """({atom: weight}, deficit) of ball_decomposition by a loop over every
+    sign assignment; the reference for certify.ball_decomposition.
+
+    Each of the 2^(Nm-1) sign assignments whose first signs multiply to +1
+    gets |<r, d_a>| / 2^(Nm-1), sign folded into the first party; the
+    2^(N-1) copies of every tensor class are merged by canonical form, and
+    the slack up to sqrt_upper(||r||^2) goes half each on d and -d.  With
+    marginal slots the full-correlation core is decomposed and every atom
+    spread over its even-flip orbit.
+    """
+    sc = r.scenario
+    N, m = sc.parties, sc.inputs
+    nsq = norm2_sq(r)
+    if sc.marginals:
+        core = CorrelationTensor(Scenario(N, m, marginals=False),
+                                 r.entries[(slice(1, None),) * N])
+        base, deficit = ball_reference(core)
+        split = Fraction(1, 1 << (N - 1))
+        return {v: w * split for a, w in base.items() for v in _even_flip_orbit(a, N)}, deficit
+
+    denom = 1 << (N * m - 1)
+    mask = (1 << m) - 1
+    merged = {}
+    for g in range(1 << (N * m)):
+        chunks = [(g >> (n * m)) & mask for n in range(N)]
+        if sum(c & 1 for c in chunks) % 2:
+            continue
+        a = DeterministicStrategy(chunks, m)
+        w = tensor_strategy_inner(r, a)
+        if w == 0:
+            continue
+        atom = (a if w > 0 else a.flip_parties([0])).canonical(sc)
+        merged[atom] = merged.get(atom, 0) + Fraction(abs(w), denom)
+    s = sqrt_upper(nsq)
+    total = sum(merged.values(), Fraction(0))
+    if total < s:
+        d = DeterministicStrategy([0] * N, m)
+        for atom in (d, d.flip_parties([0])):
+            atom = atom.canonical(sc)
+            merged[atom] = merged.get(atom, 0) + (s - total) / 2
+    return merged, 1 - s
+
+
+def singlet_reference(alice, bob):
+    """-a_x . b_y entry by entry in exact arithmetic; the reference for the
+    exact branch of states.singlet_tensor."""
+    ent = np.empty((len(alice), len(bob)), dtype=object)
+    for x, a in enumerate(alice):
+        for y, b in enumerate(bob):
+            ent[x, y] = -(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+    return ent
