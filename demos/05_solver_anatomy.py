@@ -2,11 +2,12 @@
 
 Classic Frank-Wolfe calls the oracle every iteration and zig-zags near facets.
 The blended pairwise variant keeps an active set and prefers transferring
-weight from its worst atom to its best one; the oracle is consulted only when
-the active atoms cannot supply progress phi/K.  Then it answers a
-weak-separation query: it stops at the first vertex whose gap reaches phi/K.
-Only a full search that finds none halves the progress estimate phi instead
-of moving.
+weight from its worst atom to its best one.  It keeps doing so while that
+transfer's gap reaches min(phi, g)/K, g the gap of the last Frank-Wolfe step
+(never below the stopping accuracy eps^2/2), and consults the oracle only
+below it.  Then the oracle answers a weak-separation query: it stops at the
+first vertex whose gap reaches phi/K.  Only a full search that finds none
+halves the progress estimate phi instead of moving.
 """
 
 import collections

@@ -122,13 +122,8 @@ class BallDecomposition:
 
 def _even_flip_orbit(strategy, parties):
     """The 2^(N-1) even-party-flip variants of a strategy."""
-    out = []
-    for mask in range(1 << parties):
-        if bin(mask).count("1") % 2 == 0:
-            out.append(
-                strategy.flip_parties([n for n in range(parties) if mask >> n & 1])
-            )
-    return out
+    masks = [k for k in range(1 << parties) if bin(k).count("1") % 2 == 0]
+    return [strategy.flip_parties([n for n in range(parties) if k >> n & 1]) for k in masks]
 
 
 def ball_decomposition(r):
@@ -530,26 +525,20 @@ def _verify_lower(cert):
 
     if not (0 < cert.nu <= 1):
         return _fail("nu outside (0, 1]")
-    if cert.nu < 1:
-        if cert.residual_sq > (1 / cert.nu - 1) ** 2:
-            return _fail("nu too large for the residual")
-    elif cert.residual_sq != 0:
+    if cert.residual_sq > (1 / cert.nu - 1) ** 2:  # at nu = 1: a nonzero residual
         return _fail("nu too large for the residual")
 
     if cert.eta_sq is None:
-        bound = cert.nu * cert.v0
-        if cert.v_low > bound:
+        if cert.v_low > cert.nu * cert.v0:
             return _fail("v_low exceeds nu * v0")
     else:
         if cert.vertices is None:
             return _fail("eta claimed without polyhedron vertices")
-        for v in cert.vertices:
-            if v.x**2 + v.y**2 + v.z**2 != 1:
-                return _fail("vertex off the unit sphere")
+        if any(v.x**2 + v.y**2 + v.z**2 != 1 for v in cert.vertices):
+            return _fail("vertex off the unit sphere")
         vertex_set = {v.as_tuple() for v in cert.vertices}
-        for v in cert.vertices:
-            if (-v.x, -v.y, -v.z) not in vertex_set:
-                return _fail("vertex set not closed under antipodes")
+        if any((-v.x, -v.y, -v.z) not in vertex_set for v in cert.vertices):
+            return _fail("vertex set not closed under antipodes")
         if cert.target.kind == "singlet":
             meas = set(cert.target.alice) | set(cert.target.bob)
             if not meas <= vertex_set:

@@ -402,7 +402,7 @@ def build_parser():
                     help="XY-plane polygon measurements (ghz)")
     ps.add_argument("--v0", required=True, help="initial visibility, exact decimal")
     ps.add_argument("--eps", type=float, default=1e-6)
-    ps.add_argument("--max-iter", type=int, default=100_000)
+    ps.add_argument("--max-iter", type=int, default=1_000_000)
     ps.add_argument("--restarts", type=int, default=3000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--tol", type=float, default=1e-6, help="rationalization tolerance")

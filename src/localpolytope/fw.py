@@ -5,7 +5,11 @@ minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the deterministic
 strategies, with the alternating-minimisation heuristic as oracle.  BPCG asks
 it a weak-separation query (Braun, Pokutta, Zink 2017): any vertex with gap
 at least Phi / K, at which the oracle stops.  Only a call that ran its full
-batch without finding one is followed by a null step.
+batch without finding one is followed by a null step, which halves Phi.
+Between calls BPCG takes pairwise and drop steps while their gap ga reaches
+max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap and tol = eps^2 / 2
+(lazified BPCG, Tsuji, Tanaka, Pokutta 2022): a local step costs microseconds,
+a call far more.  The clamp at tol stops local work the stopping test cannot see.
 
 Atoms are per-party sign rows, never dense tensors.  A pairwise or drop step
 needs only the weights and the Gram matrix of the atoms, so it leaves the
@@ -50,12 +54,12 @@ STATUS_SEPARATED = "separated"
 STATUS_CAP = "iteration_cap"
 STEP_TYPES = ("pairwise", "drop", "fw", "null")
 MIN_CAPACITY = 8  # atoms held by a fresh active set or Gram buffer
-LAZY_TOLERANCE = 2.0  # K: take an FW step only when its gap reaches Phi / K
+LAZY_TOLERANCE = 2.0  # K: FW steps need gap Phi / K, local ones min(Phi, g) / K
 
 
 @dataclass
 class SolverConfig:
-    max_iterations: int = 100_000
+    max_iterations: int = 1_000_000  # steps of every type; most are cheap local ones
     eps: float = 1e-6                # stop when ||x - v0 p||_2 <= eps
     restarts: int = 3000             # LMO restarts per call
     seed: int = 0
@@ -80,7 +84,7 @@ class ActiveSet:
     step moves the sum by at most two roundings of 2^-53, a drop step removes
     an exact 0, and a Frank-Wolfe step scales the error by 1 - gamma and adds
     at most 2 * 2^-53.  So |sum w - 1| grows by at most 2.2e-16 per iteration,
-    2.2e-11 at the default cap, far below the 1e-9 that ``debug`` asserts;
+    2.2e-10 at the default cap, below the 1e-9 that ``debug`` asserts;
     soundness never rested on it, as ``rationalize_weights`` repairs the sum
     exactly.  A Frank-Wolfe step with gamma = 1 leaves the other weights at
     exactly 0.  BPCG's next away step on such an atom is a drop step with
@@ -104,15 +108,20 @@ class ActiveSet:
         """Per-party (atoms, axis) sign rows of the active atoms."""
         return [r[: len(self.atoms)] for r in self._rows]
 
-    def add_atom(self, strategy, weight=0.0):
+    def add_atom(self, strategy, weight=0.0, rows=None):
+        """Index of the strategy's atom, added if new, plus ``weight``.  ``rows``:
+        its sign rows as ``sign_rows`` lays them out (the oracle's), or None."""
         s = strategy.canonical(self.scenario)
         i = self._index.get(s)
         if i is None:
             i = len(self.atoms)
             if i == len(self._rows[0]):
                 self._rows = [np.pad(r, ((0, i), (0, 0))) for r in self._rows]
-            for r, v in zip(self._rows, sign_rows([s], self.scenario)):
-                r[i] = v[0]
+            if rows is None:
+                strategy, rows = s, [v[0] for v in sign_rows([s], self.scenario)]
+            # canonical() flips whole parties, whose rows flip with them
+            for r, v, b, c in zip(self._rows, rows, strategy.bits, s.bits):
+                r[i] = v if b == c else -v
             self.atoms.append(s)
             self._index[s] = i
             self.weights = np.append(self.weights, 0.0)
@@ -157,13 +166,13 @@ def _gram(rows, other, marginals):
 class InnerProductCache:
     """Incrementally maintained <grad f(x_t), d_lambda> over the active set.
 
-    The values are s - b, with s = Gram @ weights and b_lambda =
-    <v0 p, d_lambda>, so they need no dense iterate.  A step that changes at
-    most two weights updates s from one or two Gram rows.  A new atom's
-    Gram row comes from the sign rows, one matrix-vector product per
-    party; the Gram buffer grows by doubling and removals shift it in place.
-    Rows, contiguous, stand in for columns exactly: every entry is an exact
-    integer and ``add_atom`` writes each vector as row and column alike.
+    The values are Gram @ weights - b, with b_lambda = <v0 p, d_lambda>, so
+    they need no dense iterate.  A step that changes at most two weights
+    updates them from one or two Gram rows.  A new atom's Gram row comes
+    from the sign rows, one matrix-vector product per party; the Gram buffer
+    grows by doubling and removals shift it in place.  Rows, contiguous,
+    stand in for columns exactly: every entry is an exact integer and
+    ``add_atom`` writes each vector as row and column alike.
     """
 
     def __init__(self, active, v0p):
@@ -174,7 +183,7 @@ class InnerProductCache:
         self._gram = np.zeros((max(n, MIN_CAPACITY),) * 2)
         self._gram[:n, :n] = _gram(rows, rows, active.scenario.marginals)
         self.b = rows_inner(v0p, [r.T for r in rows])
-        self.s = self.gram @ active.weights
+        self.rebuild()
 
     @property
     def gram(self):
@@ -192,8 +201,9 @@ class InnerProductCache:
         col = _gram(rows, new, self.active.scenario.marginals)
         self._gram[i, : n + 1] = col
         self._gram[: n + 1, i] = col
-        self.b = np.append(self.b, rows_inner(self.v0p, [v[:, None] for v in new]))
-        self.s = np.append(self.s, col @ self.active.weights)
+        b = rows_inner(self.v0p, [v[:, None] for v in new])
+        self.b = np.append(self.b, b)
+        self.v = np.append(self.v, col @ self.active.weights - b)
 
     def remove_atom(self, i):
         n = len(self.b)
@@ -201,24 +211,27 @@ class InnerProductCache:
         g[i : n - 1, :n] = g[i + 1 : n, :n]
         g[: n - 1, i : n - 1] = g[: n - 1, i + 1 : n]
         self.b = np.delete(self.b, i)
-        self.s = np.delete(self.s, i)
+        self.v = np.delete(self.v, i)
 
     def distance_sq(self, i, j):  # ||d_i - d_j||^2 as a Python float
         return self._gram.item(i, i) + self._gram.item(j, j) - 2 * self._gram.item(i, j)
 
     def apply_pairwise(self, i_from, i_to, gamma):
-        n, g = len(self.s), self._gram
-        self.s += gamma * (g[i_to, :n] - g[i_from, :n])
+        n, g = len(self.v), self._gram
+        step = g[i_to, :n] - g[i_from, :n]
+        step *= gamma
+        self.v += step
 
     def apply_fw(self, i_new, gamma):
-        self.s = (1 - gamma) * self.s + gamma * self._gram[i_new, : len(self.s)]
+        self.v = (1 - gamma) * self.v + gamma * (self._gram[i_new, : len(self.v)] - self.b)
 
     def values(self):
-        """<grad f(x), d_lambda> for every active atom."""
-        return self.s - self.b
+        """<grad f(x), d_lambda> for every active atom, updated in place by
+        the next pairwise step."""
+        return self.v
 
     def rebuild(self):
-        self.s = self.gram @ self.active.weights
+        self.v = self.gram @ self.active.weights - self.b
 
 
 @dataclass
@@ -274,10 +287,11 @@ def bpcg(p, v0, cfg=None):
     Each iteration takes one of four steps: a pairwise transfer from the worst
     active atom to the best, a drop step when that empties the worst atom, a
     Frank-Wolfe step toward a fresh oracle vertex, or a null step that halves
-    the primal-gap estimate Phi.  The oracle is consulted only when the active
-    atoms cannot supply enough progress (lazy tolerance K = ``LAZY_TOLERANCE``),
-    and then returns the first vertex whose gap reaches Phi / K.  A null step
-    follows only a call that ran its full batch and found none.
+    the primal-gap estimate Phi.  The oracle is consulted only when the local
+    gap falls below max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
+    ``LAZY_TOLERANCE`` and tol = eps^2 / 2, and then returns the first vertex
+    whose gap reaches Phi / K.  A null step follows only a call that ran its
+    full batch and found none.
     Parameters and result as in ``frank_wolfe_vanilla``, with the final Phi
     and, with ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
@@ -307,25 +321,28 @@ def _solve(p, v0, cfg, lazy):
     stats = RunStats()
 
     def oracle(gradient, seed, threshold=None):
-        """The oracle's vertex, its value <gradient, d>, and whether it
-        cleared ``threshold``, which only a call cut short can do."""
+        """The oracle's vertex and its sign rows, its value <gradient, d>, and
+        whether it cleared ``threshold``, which only a call cut short can do."""
         t0 = time.perf_counter()
-        omega, value, rounds = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
+        omega, value, rounds, rows = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
         stats.oracle_seconds += time.perf_counter() - t0
         stats.oracle_calls += 1
         stats.oracle_rounds += rounds
         cleared = threshold is not None and value <= threshold
         stats.oracle_early_exits += cleared
-        return omega, value, cleared
+        return omega, rows, value, cleared
 
     active = ActiveSet(sc)
     seed = cfg.seed
-    active.add_atom(oracle(CorrelationTensor(sc, -target), seed)[0], 1.0)
+    omega, rows = oracle(CorrelationTensor(sc, -target), seed)[:2]
+    active.add_atom(omega, 1.0, rows)
     active.x = active.atom_tensor(0)
     cache = InnerProductCache(active, target_t)
 
     dist = distance()
     phi = 0.5 * dist**2 if lazy else np.inf
+    g_last = np.inf  # the gap of the last Frank-Wolfe step
+    floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)  # the local-step test
     res = SolverResult(active, dist, phi, target_t, 0, STATUS_CAP, stats)
 
     t = 0
@@ -353,7 +370,7 @@ def _solve(p, v0, cfg, lazy):
         i_local = int(vals.argmin())
         ga = vals.item(i_away) - vals.item(i_local)
 
-        if lazy and ga >= phi:
+        if lazy and ga >= floor:
             # pairwise transfer along d_local - d_away, in Gram space
             w = active.weights
             cap = w.item(i_away)
@@ -381,7 +398,7 @@ def _solve(p, v0, cfg, lazy):
             # lazy: any vertex with gap >= Phi / K will do, so the oracle may
             # stop at the first one; only a full batch ends in a null step
             threshold = gx - phi / LAZY_TOLERANCE if lazy else None
-            omega, gw, cleared = oracle(grad, seed, threshold)
+            omega, rows, gw, cleared = oracle(grad, seed, threshold)
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
             # accuracy the point cannot be inside (up to oracle suboptimality)
@@ -392,7 +409,7 @@ def _solve(p, v0, cfg, lazy):
                     break
             if not lazy or cleared:
                 # Frank-Wolfe step toward the oracle vertex: a rank-one update
-                i = active.add_atom(omega)
+                i = active.add_atom(omega, 0.0, rows)
                 cache.add_atom(i)
                 d = active.atom_tensor(i)
                 diff = x - d
@@ -403,6 +420,7 @@ def _solve(p, v0, cfg, lazy):
                 active.x = active.x + gamma * (d - active.x)
                 cache.apply_fw(i, gamma)
                 stats.peak_atoms = max(stats.peak_atoms, len(active))
+                g_last = gap
                 step = "fw"
             else:
                 # no progress available anywhere; a large lower bound already
@@ -412,6 +430,7 @@ def _solve(p, v0, cfg, lazy):
                     break
                 phi = phi / 2
                 step = "null"
+            floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)
 
         stats.steps[step] += 1
         if trace and lazy:

@@ -58,14 +58,16 @@ def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
     """Best (strategy, value) found by alternating maximisation of
     <tensor, d>, root-corrected: the minimisation of ``heuristic_lmo`` on
     -tensor."""
-    s, v, _ = _alternating_min(-tensor.to_float().entries, tensor.scenario, restarts, seed)
+    s, v = _alternating_min(-tensor.to_float().entries, tensor.scenario, restarts, seed)[:2]
     return s, -v
 
 
 def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
-    """(strategy, value, rounds): a strategy approximately minimising
+    """(strategy, value, rounds, rows): a strategy approximately minimising
     <gradient, d>, its value with the root entry left out, as
-    ``tensor_strategy_inner`` counts it, and the alternating rounds run.
+    ``tensor_strategy_inner`` counts it, the alternating rounds run, and the
+    strategy's float (N, axis) sign rows, led by a 1 for the marginal slot as
+    ``sign_rows`` lays them out.
 
     With a ``threshold`` this is a weak-separation query: the first strategy
     whose value is at or below it is returned.  A value above it means the
@@ -75,8 +77,8 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
 
 
 def _alternating_min(G, sc, restarts, seed, threshold=None):
-    """Best (strategy, value, rounds) found by alternating minimisation of
-    <G, d>, the value with the root entry left out.
+    """Best (strategy, value, rounds, rows) found by alternating minimisation
+    of <G, d>, the value with the root entry left out.
 
     Each restart, a column of one (N, axis, R) sign buffer, starts from random
     signs and cycles through the parties, setting each party's signs opposite
@@ -96,7 +98,7 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     for n in range(N):
         # the values, and the random stream, of rng.choice([-1.0, 1.0], (m, R))
         signs[n, off:] = rng.integers(0, 2, size=(m, restarts)) * 2.0 - 1.0
-    unfolded = [np.moveaxis(G, n, -1).reshape(-1, a) for n in range(N)]
+    unfolded = [G.transpose([*range(n), *range(n + 1, N), n]).reshape(-1, a) for n in range(N)]
     final = np.empty(restarts)  # the value of each restart's written-back signs
     live = np.arange(restarts)  # restarts still in the batch, columns of work
     work = signs
@@ -112,7 +114,8 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
         i = int(np.argmin(vals))
         best = vals.item(i) - root
         if threshold is not None and best <= threshold:
-            return DeterministicStrategy.from_signs(work[:, off:, i]), best, rounds
+            rows = work[:, :, i].copy()
+            return DeterministicStrategy.from_signs(rows[:, off:]), best, rounds, rows
         done = vals >= prev - 1e-12
         if done.any():
             signs[:, :, live[done]] = work[:, :, done]
@@ -123,7 +126,8 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     signs[:, :, live] = work
     final[live] = prev
     i = int(np.argmin(final))
-    return DeterministicStrategy.from_signs(signs[:, off:, i]), final.item(i) - root, rounds
+    rows = signs[:, :, i].copy()
+    return DeterministicStrategy.from_signs(rows[:, off:]), final.item(i) - root, rounds, rows
 
 
 def enumerable(scenario):

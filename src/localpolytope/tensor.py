@@ -171,23 +171,17 @@ class DeterministicStrategy:
 
     @classmethod
     def from_signs(cls, sign_vectors):
-        """Build from per-party iterables of +-1 values."""
-        bits = []
-        m = None
-        for sv in sign_vectors:
-            sv = list(sv)
-            if m is None:
-                m = len(sv)
-            elif len(sv) != m:
-                raise ValueError("all parties need the same number of inputs")
-            b = 0
-            for x, s in enumerate(sv):
-                if s == -1:
-                    b |= 1 << x
-                elif s != 1:
-                    raise ValueError("signs must be +-1")
-            bits.append(b)
-        return cls(bits, m)
+        """Build from per-party sequences of +-1 values, all of one length."""
+        try:
+            S = np.asarray(sign_vectors)
+        except ValueError:  # ragged
+            S = None
+        if S is None or S.ndim != 2:
+            raise ValueError("all parties need the same number of inputs")
+        if not (np.abs(S) == 1).all():
+            raise ValueError("signs must be +-1")
+        packed = np.packbits(S < 0, axis=1, bitorder="little")
+        return cls([int.from_bytes(b.tobytes(), "little") for b in packed], S.shape[1])
 
     @property
     def parties(self):
@@ -258,15 +252,17 @@ class DeterministicStrategy:
 
 def sign_rows(strategies, scenario, dtype=np.float64):
     """Per-party (len(strategies), axis) sign matrices: row i holds strategy
-    i's signs for that party, led by a 1 for the marginal slot.  Built in int8
-    and cast once, so ``dtype`` may be float64, int64 or object."""
-    n, m, a = len(strategies), scenario.inputs, scenario.axis_size
-    out = []
-    for p in range(scenario.parties):
-        S = np.ones((n, a), np.int8)
-        S[:, a - m :] = np.array([s.signs(p) for s in strategies], np.int8).reshape(n, m)
-        out.append(S.astype(dtype))
-    return out
+    i's signs for that party, led by a 1 for the marginal slot.  All packed
+    codes are unpacked in one call, built in int8 and cast once, so ``dtype``
+    may be float64, int64 or object."""
+    n, N, m, a = len(strategies), scenario.parties, scenario.inputs, scenario.axis_size
+    nb = (m + 7) // 8
+    raw = b"".join(b.to_bytes(nb, "little") for s in strategies for b in s.bits)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(n, N, nb), axis=2,
+                         count=m, bitorder="little").view(np.int8)
+    S = np.ones((N, n, a), np.int8)
+    S[:, :, a - m :] = 1 - 2 * bits.transpose(1, 0, 2)
+    return [r.astype(dtype) for r in S]
 
 
 def common_denominator(values):
@@ -307,15 +303,11 @@ def strategy_tensor(s, scenario, exact=False):
 
 def strategy_inner(s1, s2, scenario):
     """Exact integer inner product of two strategy tensors via popcounts."""
-    m = scenario.inputs
+    lead = int(scenario.marginals)  # the marginal slot's product 1 * 1
     prod = 1
-    if scenario.marginals:
-        for b1, b2 in zip(s1.bits, s2.bits):
-            prod *= 1 + m - 2 * (b1 ^ b2).bit_count()
-        return prod - 1
     for b1, b2 in zip(s1.bits, s2.bits):
-        prod *= m - 2 * (b1 ^ b2).bit_count()
-    return prod
+        prod *= lead + scenario.inputs - 2 * (b1 ^ b2).bit_count()
+    return prod - lead
 
 
 def _khatri_rao(mats, axis):

@@ -21,6 +21,7 @@ from localpolytope.tensor import (
     _contract_unfolded,
     inner,
     rows_inner,
+    sign_rows,
     strategy_tensor,
     tensor_strategy_inner,
 )
@@ -162,7 +163,8 @@ def test_unreachable_threshold_runs_the_full_batch(parties, marginals):
         _, v_opt = exhaustive_lmo(g)
         plain = heuristic_lmo(g, restarts=50, seed=trial)
         capped = heuristic_lmo(g, restarts=50, seed=trial, threshold=v_opt - 1e-9)
-        assert capped == plain
+        assert capped[:3] == plain[:3]
+        assert (capped[3] == plain[3]).all()
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -177,11 +179,12 @@ def test_reachable_threshold_returns_a_vertex_that_clears_it(parties, marginals)
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
         _, v_opt = exhaustive_lmo(g)
         threshold = 0.5 * (v_opt + tensor_strategy_inner(g, plus))
-        s, v, rounds = heuristic_lmo(g, restarts=200, seed=trial, threshold=threshold)
+        s, v, rounds, rows = heuristic_lmo(g, restarts=200, seed=trial, threshold=threshold)
         assert v <= threshold
         assert tensor_strategy_inner(g, s) <= threshold + 1e-12
         assert tensor_strategy_inner(g, s) == pytest.approx(v, abs=1e-12)
         assert rounds >= 1
+        assert np.array_equal(rows, np.array([S[0] for S in sign_rows([s], sc)]))
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -195,10 +198,11 @@ def test_restart_stop_matches_reference(parties, marginals):
     for trial in range(5):
         t = CorrelationTensor(sc, rng.normal(size=sc.shape))
         neg = CorrelationTensor(sc, -t.entries)
-        s, v, rounds = heuristic_lmo(neg, restarts=300, seed=trial)
+        s, v, rounds, rows = heuristic_lmo(neg, restarts=300, seed=trial)
         s_ref, v_ref = heuristic_reference(t, 300, trial)
         assert -v == pytest.approx(v_ref, abs=1e-12)
         assert 1 <= rounds <= HEURISTIC_ROUNDS
+        assert np.array_equal(rows, np.array([S[0] for S in sign_rows([s], sc)]))
         if parties == 2:
             assert s.canonical(sc) == s_ref.canonical(sc)
 

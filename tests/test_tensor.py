@@ -283,6 +283,12 @@ def test_strategy_sign_vector_roundtrip_idempotent():
         bits = [int(b) for b in rng.integers(0, 32, 3)]
         s = DeterministicStrategy(bits, 5)
         assert DeterministicStrategy.from_signs(s.sign_vectors()) == s
+        # float rows, as the heuristic oracle hands them over
+        assert DeterministicStrategy.from_signs(np.array(s.sign_vectors(), float)) == s
+    assert DeterministicStrategy.from_signs([[-1] * 406] * 2).bits == ((1 << 406) - 1,) * 2
+    for bad in ([[1, -1], [1]], [[1, 0], [1, 1]], [1, -1]):
+        with pytest.raises(ValueError):
+            DeterministicStrategy.from_signs(bad)
 
 
 
