@@ -7,7 +7,10 @@ transfer's gap reaches min(phi, g)/K, g the gap of the last Frank-Wolfe step
 (never below the stopping accuracy eps^2/2), and consults the oracle only
 below it.  Then the oracle answers a weak-separation query: it stops at the
 first vertex whose gap reaches phi/K.  Only a full search that finds none
-halves the progress estimate phi instead of moving.
+halves the progress estimate phi instead of moving.  Once as many transfers
+as there are atoms follow one another, the next local step is a face step:
+one KKT solve on the atoms' Gram matrix jumps to the minimiser over their
+affine hull, dropping atoms whose weight reaches 0 on the way.
 """
 
 import collections

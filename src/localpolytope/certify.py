@@ -311,10 +311,7 @@ class LowerBoundCertificate:
     residual_sq: Fraction
     nu: Fraction
     v_low: Fraction
-
-    @property
-    def kind(self):
-        return "lower"
+    kind = "lower"  # a class attribute, not a field
 
     @property
     def scope(self):
@@ -331,10 +328,7 @@ class UpperBoundCertificate:
     ell: int
     q: object                     # Fraction (exact) or float
     v_up: object
-
-    @property
-    def kind(self):
-        return "upper"
+    kind = "upper"  # a class attribute, not a field
 
     @property
     def q_exact(self):

@@ -10,9 +10,13 @@ Between calls BPCG takes pairwise and drop steps while their gap ga reaches
 max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap and tol = eps^2 / 2
 (lazified BPCG, Tsuji, Tanaka, Pokutta 2022): a local step costs microseconds,
 a call far more.  The clamp at tol stops local work the stopping test cannot see.
+Near a fixed face pairwise steps converge slowly, so once as many local steps
+as there are atoms follow one another, the next is a face step instead: Wolfe's
+minor cycle (Wolfe 1976), one KKT solve in Gram space for the minimiser of f
+over the atoms' affine hull (``InnerProductCache.face_step``).
 
-Atoms are per-party sign rows, never dense tensors.  A pairwise or drop step
-needs only the weights and the Gram matrix of the atoms, so it leaves the
+Atoms are per-party sign rows, never dense tensors.  A pairwise, drop or face
+step needs only the weights and the Gram matrix of the atoms, so it leaves the
 dense iterate stale.  The iterate is formed from the weights and rows only
 where it is read: by the oracle branch, which needs the gradient, by the
 trace, debug and callback observers, and at exit.  So ``dist <= eps`` is
@@ -52,9 +56,10 @@ from .tensor import (
 STATUS_INSIDE = "converged_inside"
 STATUS_SEPARATED = "separated"
 STATUS_CAP = "iteration_cap"
-STEP_TYPES = ("pairwise", "drop", "fw", "null")
+STEP_TYPES = ("pairwise", "drop", "fw", "null", "face")
 MIN_CAPACITY = 8  # atoms held by a fresh active set or Gram buffer
 LAZY_TOLERANCE = 2.0  # K: FW steps need gap Phi / K, local ones min(Phi, g) / K
+FACE_SUM_TOL = 1e-13  # a face step's KKT weights must sum to 1 within this
 
 
 @dataclass
@@ -83,8 +88,9 @@ class ActiveSet:
     Weights stay nonnegative and sum to 1 without renormalisation: a pairwise
     step moves the sum by at most two roundings of 2^-53, a drop step removes
     an exact 0, and a Frank-Wolfe step scales the error by 1 - gamma and adds
-    at most 2 * 2^-53.  So |sum w - 1| grows by at most 2.2e-16 per iteration,
-    2.2e-10 at the default cap, below the 1e-9 that ``debug`` asserts;
+    at most 2 * 2^-53; a face step resets it to at most FACE_SUM_TOL = 1e-13.
+    So |sum w - 1| stays below 1e-13 plus 2.2e-16 per iteration, 2.2e-10 at
+    the default cap, below the 1e-9 that ``debug`` asserts;
     soundness never rested on it, as ``rationalize_weights`` repairs the sum
     exactly.  A Frank-Wolfe step with gamma = 1 leaves the other weights at
     exactly 0.  BPCG's next away step on such an atom is a drop step with
@@ -233,6 +239,48 @@ class InnerProductCache:
     def rebuild(self):
         self.v = self.gram @ self.active.weights - self.b
 
+    def face_step(self):
+        """Wolfe's minor cycle (Wolfe 1976) in Gram space; True if it was taken.
+
+        The minimiser y of f over the affine hull of the atoms solves the KKT
+        system [[G, 1], [1^T, 0]] [y; -mu] = [b; 1].  The weights move from w
+        toward y until one reaches 0; that atom leaves and the cycle repeats on
+        the rest, until y > 0 and the weights become y.  A singular solve, a
+        sum y off 1 by more than ``FACE_SUM_TOL`` or not finite, or a rise in f
+        (from the Gram matrix) leaves every weight and atom as it was."""
+        G, b, w0, n = self.gram, self.b, self.active.weights, len(self.b)
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n], kkt[n, n] = G, 0.0
+        keep, w = np.arange(n), w0
+        while True:
+            try:
+                y = np.linalg.solve(kkt, np.append(b[keep], 1.0))[:-1]
+            except np.linalg.LinAlgError:
+                return False
+            if not abs(y.sum() - 1) <= FACE_SUM_TOL:  # also when y holds a nan or inf
+                return False
+            if y.min() > 0:
+                break
+            # w_i + s_i (y_i - w_i) = 0; the smallest s_i blocks the segment
+            s = np.where(y <= 0, np.divide(w, w - y, out=np.zeros_like(w), where=w > y), np.inf)
+            i = int(s.argmin())
+            w, keep = np.delete(w + s[i] * (y - w), i), np.delete(keep, i)
+            kkt = np.delete(np.delete(kkt, i, 0), i, 1)
+
+        def f(u):  # f(sum_i u_i d_i) - ||v0 p||^2 / 2
+            return 0.5 * (u @ G @ u) - u @ b
+
+        u = np.zeros(n)
+        u[keep] = y  # y > 0, so u is 0 exactly at the dropped atoms
+        if f(u) > f(w0):
+            return False
+        for i in np.flatnonzero(u == 0)[::-1]:
+            self.active.remove_atom(int(i))
+            self.remove_atom(int(i))
+        self.active.weights, self.active.x = y, None
+        self.rebuild()
+        return True
+
 
 @dataclass
 class RunStats:
@@ -284,14 +332,16 @@ def frank_wolfe_vanilla(p, v0, cfg=None):
 def bpcg(p, v0, cfg=None):
     """Lazy blended pairwise conditional gradients over the local polytope.
 
-    Each iteration takes one of four steps: a pairwise transfer from the worst
+    Each iteration takes one of five steps: a pairwise transfer from the worst
     active atom to the best, a drop step when that empties the worst atom, a
-    Frank-Wolfe step toward a fresh oracle vertex, or a null step that halves
-    the primal-gap estimate Phi.  The oracle is consulted only when the local
-    gap falls below max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
+    face step to the minimiser over the atoms' affine hull, a Frank-Wolfe step
+    toward a fresh oracle vertex, or a null step that halves the primal-gap
+    estimate Phi.  The oracle is consulted only when the local gap falls below
+    max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
     ``LAZY_TOLERANCE`` and tol = eps^2 / 2, and then returns the first vertex
     whose gap reaches Phi / K.  A null step follows only a call that ran its
-    full batch and found none.
+    full batch and found none.  After as many local steps in a row as there
+    are atoms, the next local step tries a face step first.
     Parameters and result as in ``frank_wolfe_vanilla``, with the final Phi
     and, with ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
@@ -345,7 +395,7 @@ def _solve(p, v0, cfg, lazy):
     floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)  # the local-step test
     res = SolverResult(active, dist, phi, target_t, 0, STATUS_CAP, stats)
 
-    t = 0
+    t = local = 0  # local: local steps since the last oracle-branch or face step
     rebuild_every = 4096
     trace, debug = cfg.trace, cfg.debug
     every = cfg.callback_every if cfg.callback else 0
@@ -370,8 +420,11 @@ def _solve(p, v0, cfg, lazy):
         i_local = int(vals.argmin())
         ga = vals.item(i_away) - vals.item(i_local)
 
-        if lazy and ga >= floor:
+        if lazy and ga >= floor and local >= len(active) and cache.face_step():
+            step, local = "face", 0
+        elif lazy and ga >= floor:
             # pairwise transfer along d_local - d_away, in Gram space
+            local = 0 if local >= len(active) else local + 1  # 0 after a refused face step
             w = active.weights
             cap = w.item(i_away)
             gamma = min(ga / cache.distance_sq(i_away, i_local), cap)
@@ -386,6 +439,7 @@ def _solve(p, v0, cfg, lazy):
             else:
                 step = "pairwise"
         else:
+            local = 0
             x = active.iterate()
             grad = CorrelationTensor(sc, x - target)
             dist = float(np.linalg.norm(grad.entries))

@@ -190,10 +190,6 @@ class QuboInstance:
     Q: np.ndarray
     c: object  # int for integer functionals, else float
 
-    @property
-    def size(self):
-        return self.Q.shape[0]
-
     def value(self, w):
         q = np.asarray(w) @ self.Q @ np.asarray(w)
         return self.c + 2 * (int(q) if self.Q.dtype == np.int64 else float(q))

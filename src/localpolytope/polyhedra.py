@@ -330,15 +330,12 @@ def _exact_hull_faces(hpts):
 def close_under_antipodes(points):
     seen = {p.as_tuple(): p for p in points}
     out = list(points)
-    added = 0
     for p in points:
         anti = (-p.x, -p.y, -p.z)
         if anti not in seen:
-            q = -p
-            seen[anti] = q
-            out.append(q)
-            added += 1
-    return out, added
+            seen[anti] = -p
+            out.append(-p)
+    return out, len(out) - len(points)
 
 
 def faces_and_eta(vertices):

@@ -70,26 +70,6 @@ def singlet_tensor(alice, bob, scenario=None):
     return CorrelationTensor(scenario, ent)
 
 
-def _cos_pi_times(num, den):
-    """cos(pi*num/den) as an exact Fraction, for the denominators where it is one."""
-    num %= 2 * den
-    table = {
-        1: {0: Fraction(1), 1: Fraction(-1)},
-        2: {0: Fraction(1), 1: Fraction(0), 2: Fraction(-1), 3: Fraction(0)},
-        3: {
-            0: Fraction(1),
-            1: Fraction(1, 2),
-            2: Fraction(-1, 2),
-            3: Fraction(-1),
-            4: Fraction(-1, 2),
-            5: Fraction(1, 2),
-        },
-    }
-    if den not in table:
-        return None
-    return table[den][num]
-
-
 def ghz_polygon_tensor(parties, m, exact=None):
     """GHZ_N with XY-plane polygon inputs: entry cos((x_1+...+x_N - N) pi / m).
 
@@ -103,14 +83,10 @@ def ghz_polygon_tensor(parties, m, exact=None):
     grids = np.meshgrid(*[np.arange(1, m + 1)] * parties, indexing="ij")
     total = sum(grids) - parties
     if exact:
-        ent = np.empty(sc.shape, dtype=object)
-        flatTotal = total.reshape(-1)
-        flat = ent.reshape(-1)
-        for i, k in enumerate(flatTotal):
-            c = _cos_pi_times(int(k), m)
-            if c is None:
-                raise ValueError(f"cos(k pi/{m}) is irrational; use exact=False")
-            flat[i] = c
+        if m > 3:
+            raise ValueError(f"cos(k pi/{m}) is irrational; use exact=False")
+        # cos(k pi / m) is 0, +-1/2 or +-1 here, and its float lies within 1e-15 of it
+        ent = np.frompyfunc(lambda k: Fraction(round(2 * np.cos(k * np.pi / m)), 2), 1, 1)(total)
     else:
         ent = np.cos(total * np.pi / m)
     return CorrelationTensor(sc, ent)

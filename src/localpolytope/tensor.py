@@ -100,26 +100,11 @@ class CorrelationTensor:
             return self
         return CorrelationTensor(self.scenario, self.entries.astype(np.float64))
 
-    def copy(self):
-        return CorrelationTensor(self.scenario, self.entries.copy())
-
-    def __add__(self, other):
-        _check_same_scenario(self, other)
-        return CorrelationTensor(self.scenario, self.entries + other.entries)
-
-    def __sub__(self, other):
-        _check_same_scenario(self, other)
-        return CorrelationTensor(self.scenario, self.entries - other.entries)
-
-
-def _check_same_scenario(t1, t2):
-    if t1.scenario != t2.scenario:
-        raise ValueError("scenario mismatch")
-
 
 def inner(t1, t2):
     """Euclidean inner product of the vectorised tensors, root entry excluded."""
-    _check_same_scenario(t1, t2)
+    if t1.scenario != t2.scenario:
+        raise ValueError("scenario mismatch")
     s = np.dot(t1.entries.reshape(-1), t2.entries.reshape(-1))
     if t1.scenario.marginals:
         s = s - t1.root * t2.root

@@ -85,13 +85,26 @@ def test_run_record_has_stage_times(tmp_path):
     assert meta["elapsed_seconds"] == meta["stages"]["solve"]
     # what the solver did, next to the stage times
     solver = meta["solver"]
-    assert set(solver["steps"]) == {"pairwise", "drop", "fw", "null"}
+    assert set(solver["steps"]) == {"pairwise", "drop", "fw", "null", "face"}
     assert sum(solver["steps"].values()) == meta["iterations"]
     assert solver["oracle_calls"] == meta["lmo_calls"]
     assert 0 < solver["oracle_seconds"] <= meta["stages"]["solve"]
     assert solver["peak_atoms"] >= 1
     assert solver["oracle_rounds"] >= solver["oracle_calls"]
     assert 0 <= solver["oracle_early_exits"] <= solver["steps"]["fw"]
+
+
+def test_werner_m16_upper_separates_well_before_the_cap(tmp_path, capsys):
+    # pairwise steps alone ground this run to the 10^6 cap at distance 0.278;
+    # face steps end it separated with the same certificate
+    cert = tmp_path / "w16.cert"
+    assert run(["solve", "upper", "--state", "werner", "--m", "16", "--v0", "0.75",
+                "--restarts", "100", "--seed", "0", "--out", str(cert)]) == 0
+    assert "certified upper bound v_up = 0.714707 (ell = 283988)" in capsys.readouterr().out
+    meta = json.loads((tmp_path / "w16.cert.run.json").read_text())
+    assert meta["status"] == "separated"
+    assert meta["iterations"] < 100_000
+    assert meta["solver"]["steps"]["face"] > 0
 
 
 def test_run_record_written_on_inconclusive_exit(tmp_path):

@@ -19,7 +19,7 @@ from localpolytope.polyhedra import (
     geodesic_icosahedron,
     rationalize_all,
 )
-from localpolytope.states import build_quantum_tensor, ghz_polygon_tensor
+from localpolytope.states import ghz_polygon_tensor, singlet_tensor
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
@@ -142,7 +142,7 @@ def test_bpcg_local_step_floor(v0, ico_singlet, monkeypatch):
     below, between = 0, 0
     for step, phi, (ga, vals, w) in zip(res.step_types, res.phi_history, seen):
         floor = max(min(phi, g_last) / fw.LAZY_TOLERANCE, tol)
-        assert (step in ("pairwise", "drop")) == (ga >= floor)
+        assert (step in ("pairwise", "drop", "face")) == (ga >= floor)
         below += ga < floor
         between += floor <= ga < phi
         if step in ("fw", "null"):
@@ -180,7 +180,8 @@ def test_run_stats_count_every_step(m6_run, chsh_singlet):
     # vanilla Frank-Wolfe takes one Frank-Wolfe step per iteration, and its
     # oracle always runs the full batch
     van = frank_wolfe_vanilla(chsh_singlet, 0.65, FAST)
-    assert van.stats.steps == {"pairwise": 0, "drop": 0, "fw": van.iterations, "null": 0}
+    assert van.stats.steps == {"pairwise": 0, "drop": 0, "fw": van.iterations, "null": 0,
+                               "face": 0}
     assert van.stats.oracle_rounds >= van.stats.oracle_calls
     assert van.stats.oracle_early_exits == 0
 
@@ -366,14 +367,121 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
 
 
 def test_weight_sum_stays_within_rounding_without_renormalisation():
-    # a ghz3-m6 solve: three parties with marginal slots, about 47k
-    # iterations at this seed; the drift bound is 2.2e-16 per iteration
-    points = rationalize_all(geodesic_icosahedron([]), 1e-6)
-    vecs = np.array([[float(c) for c in v.as_tuple()] for v in antipodal_representatives(points)])
-    p = build_quantum_tensor("ghz", [vecs] * 3, Scenario(3, 6, marginals=True))
-    res = bpcg(p, 0.80, SolverConfig(restarts=300, seed=5))
+    # the Werner state on the m = 21 geodesic polyhedron, as `solve upper --m 21`
+    # builds it: about 52k iterations at this seed, among them dozens of face
+    # steps; the drift bound is 2.2e-16 per iteration
+    reps = antipodal_representatives(rationalize_all(geodesic_icosahedron([2]), 1e-6))
+    vecs = [v.as_tuple() for v in reps]
+    res = bpcg(singlet_tensor(vecs, vecs), 0.75, SolverConfig(restarts=100, seed=2))
     assert res.status == STATUS_SEPARATED and res.iterations > 40_000
+    assert res.stats.steps["face"] > 0
     assert abs(res.active_set.weights.sum() - 1) <= 1e-12
+
+
+def _face_problem(coeffs, noise=0.0):
+    """Four affinely independent atoms in a three-party scenario with marginal
+    slots, at weights 1/4, and the target sum_i coeffs[i] d_i plus noise."""
+    sc = Scenario(3, 2, marginals=True)
+    atoms = [DeterministicStrategy(b, 2) for b in [(0, 0, 0), (1, 2, 3), (3, 1, 0), (2, 3, 1)]]
+    entries = sum(c * strategy_tensor(a, sc).entries for c, a in zip(coeffs, atoms))
+    entries = entries + noise * np.random.default_rng(7).normal(size=sc.shape)
+    target = CorrelationTensor(sc, entries)
+    active, cache = _scripted_active_set(sc, target, atoms, [0.25] * 4)
+    return active, cache, target
+
+
+def _objective(active, target):
+    return 0.5 * float(np.sum((active.recompute_iterate() - target.entries) ** 2))
+
+
+def _check_face_result(active, cache, target):
+    # the cache matches a fresh one and the dense recomputation, the weights
+    # stay feasible without renormalisation, and the values are equal on the
+    # support: the gradient is orthogonal to the atoms' affine hull
+    fresh = InnerProductCache(active, target).values()
+    assert np.abs(cache.values() - fresh).max() <= 1e-12
+    x = active.recompute_iterate()
+    assert np.abs(cache.values() - recomputed_values(active, x - target.entries)).max() <= 1e-12
+    assert active.weights.min() >= 0
+    assert abs(active.weights.sum() - 1) <= 1e-12
+    assert np.ptp(cache.values()) <= 1e-12
+    assert active.x is None
+
+
+def test_face_step_moves_to_an_interior_minimiser():
+    active, cache, target = _face_problem([0.4, 0.3, 0.2, 0.1], noise=0.05)
+    order, f0 = list(active.atoms), _objective(active, target)
+    assert cache.face_step()
+    assert active.atoms == order and active.weights.min() > 0
+    assert _objective(active, target) <= f0
+    _check_face_result(active, cache, target)
+    # already at the minimiser: another face step may be refused on rounding,
+    # but it never raises f
+    f1 = _objective(active, target)
+    cache.face_step()
+    assert _objective(active, target) <= f1 + 1e-15
+
+
+def test_face_step_drops_the_blocking_atom():
+    # the affine minimiser is (0.5, 0.4, 0.3, -0.2): from w = 1/4 the last
+    # weight reaches 0 first, and the minimiser over the other three is interior
+    active, cache, target = _face_problem([0.5, 0.4, 0.3, -0.2])
+    order, f0 = list(active.atoms), _objective(active, target)
+    assert cache.face_step()
+    assert active.atoms == order[:3]
+    assert cache.gram.shape == (3, 3)
+    assert _objective(active, target) < f0
+    _check_face_result(active, cache, target)
+
+
+def test_face_step_on_a_dependent_set_changes_nothing():
+    # d, -d, e, -e: the midpoints of both pairs are 0, so the KKT matrix is singular
+    d = DeterministicStrategy([0, 0], 2)
+    e = DeterministicStrategy([0, 1], 2)
+    atoms = [d, d.flip_parties([1]), e, e.flip_parties([1])]
+    target = CorrelationTensor(NM22, np.array([[0.3, -0.1], [0.2, 0.4]]))
+    active, cache = _scripted_active_set(NM22, target, atoms, [0.1, 0.2, 0.3, 0.4])
+    before = (list(active.atoms), active.weights.copy(), cache.values().copy())
+    assert not cache.face_step()
+    assert active.atoms == before[0]
+    assert np.array_equal(active.weights, before[1])
+    assert np.array_equal(cache.values(), before[2])
+    assert active.x is not None
+
+
+@pytest.mark.parametrize("answer", ["raises f", "sum off 1", "not finite"])
+def test_face_step_refuses_a_bad_solve(answer, monkeypatch):
+    # positive weights that raise f; the true minimiser with its sum off by
+    # 1e-9; a nan: each leaves every weight and value as it was
+    active, cache, target = _face_problem([0.4, 0.3, 0.2, 0.1], noise=0.05)
+    before = (active.weights.copy(), cache.values().copy())
+    worse = np.full(5, 0.01)  # most weight on the atom of largest gradient value
+    worse[int(before[1].argmax())], worse[4] = 0.97, 0.0
+    solve = np.linalg.solve
+    bad_solves = {"raises f": lambda *args: worse,
+                  "sum off 1": lambda *args: solve(*args) + np.r_[np.full(4, 2.5e-10), 0.0],
+                  "not finite": lambda *args: np.full(5, np.nan)}
+    monkeypatch.setattr(np.linalg, "solve", bad_solves[answer])
+    assert not cache.face_step()
+    assert np.array_equal(active.weights, before[0])
+    assert np.array_equal(cache.values(), before[1])
+
+
+def test_run_goes_on_when_every_face_solve_fails(ico_singlet, monkeypatch):
+    # a singular solve keeps the weights and the run carries on with pairwise
+    # steps; at v0 = 0.75 this run otherwise takes face steps
+    solves = []
+
+    def singular(*args):
+        solves.append(1)
+        raise np.linalg.LinAlgError("singular matrix")
+
+    cfg = SolverConfig(restarts=300, seed=2, debug=True)
+    assert bpcg(ico_singlet, 0.75, cfg).stats.steps["face"] > 0
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = bpcg(ico_singlet, 0.75, cfg)
+    assert solves and res.stats.steps["face"] == 0
+    assert res.status == STATUS_INSIDE
 
 
 def _run_summary(res):
