@@ -205,9 +205,7 @@ def ball_decomposition(r):
             atom = atom.canonical(sc)
             merged[atom] = merged.get(atom, 0) + (s - total) / 2
 
-    atoms = list(merged.keys())
-    weights = [merged[a] for a in atoms]
-    return BallDecomposition(sc, atoms, weights, 1 - s)
+    return BallDecomposition(sc, list(merged), list(merged.values()), 1 - s)
 
 
 # --- rational reconstruction of solver output -------------------------------
@@ -363,30 +361,13 @@ def assemble_lower(scenario, poly, v0, model, target):
     if nu < MIN_NU:
         raise CertificateError(f"residual too large: nu = {float(nu):.4f} < {float(MIN_NU)}")
     N = scenario.parties
-    if poly is None:
-        eta_pow = Fraction(1)
-        eta_sq = None
-        vertices = None
-    else:
-        eta_sq = Fraction(poly.eta_sq)
-        vertices = tuple(poly.vertices)
-        if N % 2 == 0:
-            eta_pow = eta_sq ** (N // 2)
-        else:
-            eta_pow = sqrt_lower(eta_sq**N)
-    v_low = eta_pow * nu * v0
-    return LowerBoundCertificate(
-        scenario,
-        target,
-        v0,
-        eta_sq,
-        vertices,
-        list(model.atoms),
-        list(model.weights),
-        Fraction(model.residual_sq),
-        nu,
-        v_low,
-    )
+    eta_pow, eta_sq, vertices = Fraction(1), None, None
+    if poly is not None:
+        eta_sq, vertices = Fraction(poly.eta_sq), tuple(poly.vertices)
+        eta_pow = eta_sq ** (N // 2) if N % 2 == 0 else sqrt_lower(eta_sq**N)
+    return LowerBoundCertificate(scenario, target, v0, eta_sq, vertices, list(model.atoms),
+                                 list(model.weights), Fraction(model.residual_sq), nu,
+                                 eta_pow * nu * v0)
 
 
 def integerize_functional(functional, scale=10**4):

@@ -95,9 +95,8 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
 
     rng = np.random.default_rng(seed)
     signs = np.ones((N, a, restarts))
-    for n in range(N):
-        # the values, and the random stream, of rng.choice([-1.0, 1.0], (m, R))
-        signs[n, off:] = rng.integers(0, 2, size=(m, restarts)) * 2.0 - 1.0
+    # the values, and the random stream, of rng.choice([-1.0, 1.0], (m, R)) per party
+    signs[:, off:] = rng.integers(0, 2, size=(N, m, restarts)) * 2.0 - 1.0
     unfolded = [G.transpose([*range(n), *range(n + 1, N), n]).reshape(-1, a) for n in range(N)]
     final = np.empty(restarts)  # the value of each restart's written-back signs
     live = np.arange(restarts)  # restarts still in the batch, columns of work

@@ -13,13 +13,15 @@ tangent parametrisation
 which maps rational (t, u) to rational points with x^2+y^2+z^2 = 1 exactly.
 The convex hull runs on one exact representation throughout: homogeneous
 integer points (X, Y, Z, D) for (X/D, Y/D, Z/D).  Each face is an integer
-plane n . x = off / d, from which the orientation tests, the soundness audit
-and beta_f^2 = off^2 / (d^2 |n|^2) all follow in Python ints, so
-eta^2 = min_f beta_f^2 comes out as an exact rational.
+plane n . x = off / d, and beta_f^2 = off^2 / (d^2 |n|^2) follows in Python
+ints, so eta^2 = min_f beta_f^2 comes out as an exact rational.  The
+orientation tests and the soundness audit decide each sign in float64 when
+it clears a proven error bound and in Python ints otherwise (see FILTER).
 """
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,6 +244,30 @@ def _height(plane, s):
     return (nx * s[0] + ny * s[1] + nz * s[2]) * d - off * s[3]
 
 
+# Float filter of the orientation tests.  A plane (n, off, d) gets the row
+# r = (n / B, -off / (d B)), B = max |n_k|, and a point (X, Y, Z, D) the row
+# q = (X / D, Y / D, Z / D, 1): int / int true divisions, correctly rounded at
+# any size.  Exactly, <r, q> = _height / (d D B), of the sign of _height.  For
+# points in the closed unit ball, |off / d| = |n . p| <= sqrt(3) B with p on
+# the plane, so sum_k |r_k q_k| <= 2 sqrt(3).  Rounding each entry (u = 2^-53)
+# and the 4-term dot product in any order, with or without FMA, moves each
+# term by a factor within gamma_6 = 6u / (1 - 6u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, sec. 3.1): the float value is within
+# 21 u of <r, q>, underflow adding under 2^-1070, so under 40 u.  A float
+# height beyond +-FILTER thus has the sign of _height; only the band calls it.
+FILTER = 2.0**-40
+
+
+def _plane_row(plane):
+    (nx, ny, nz), off, d = plane
+    big = max(abs(nx), abs(ny), abs(nz))  # int / int cannot overflow a float
+    return nx / big, ny / big, nz / big, -off / (d * big)
+
+
+def _point_row(s):
+    return s[0] / s[3], s[1] / s[3], s[2] / s[3], 1.0
+
+
 @dataclass(frozen=True)
 class Face:
     """Supporting plane <a_f, r> <= beta_f of one hull facet."""
@@ -269,12 +295,15 @@ class RationalPolyhedron:
 
 
 def _exact_hull_faces(hpts):
-    """Triangulated convex hull of distinct homogeneous integer points.
+    """Triangulated convex hull of distinct homogeneous integer points in the
+    closed unit ball.
 
-    Incremental insertion with exact integer predicates.  Returns a dict from
-    index triples to integer planes (see ``_plane``), each stored with the
-    hull's interior strictly below it.  Points exactly on a supporting plane
-    are treated as non-extreme, which never changes the face planes.
+    Incremental insertion with exact predicates behind the float filter.
+    Returns a dict from index triples to integer planes (see ``_plane``),
+    each stored with the hull's interior strictly below it.  Points exactly
+    on a supporting plane are treated as non-extreme, which never changes the
+    face planes.  Every face made keeps its float row in an append-only
+    buffer; the dead ones, no longer in the dict, are skipped.
     """
     n = len(hpts)
     i0 = 0
@@ -294,95 +323,93 @@ def _exact_hull_faces(hpts):
     xyz, den = common_denominator(
         sum(Fraction(hpts[i][k], 4 * hpts[i][3]) for i in seed) for k in range(3))
     interior = (*xyz, den)
+    ci = _point_row(interior)
 
     faces = {}
+    keys, rows = [], np.empty((64, 4))  # every face made, and its float row
 
     def add(a, b, c):
+        nonlocal rows
         plane = _plane(hpts[a], hpts[b], hpts[c])
-        if _height(plane, interior) > 0:
+        r = _plane_row(plane)
+        h = r[0] * ci[0] + r[1] * ci[1] + r[2] * ci[2] + r[3]
+        if h > FILTER or (h >= -FILTER and _height(plane, interior) > 0):
             (nx, ny, nz), off, d = plane
-            a, b, plane = b, a, ((-nx, -ny, -nz), -off, d)
+            a, b, plane, r = b, a, ((-nx, -ny, -nz), -off, d), [-x for x in r]
         faces[(a, b, c)] = plane
+        if len(keys) == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[len(keys)] = r
+        keys.append((a, b, c))
 
     add(i0, i1, i2)
     add(i0, i1, i3)
     add(i0, i2, i3)
     add(i1, i2, i3)
 
+    prow = np.array([_point_row(p) for p in hpts])
     for i, p in enumerate(hpts):
         if i in seed:
             continue
-        visible = [f for f, plane in faces.items() if _height(plane, p) > 0]
-        if not visible:
-            continue
-        edge_count = {}
+        h = rows[: len(keys)] @ prow[i]
+        visible = [f for j in np.flatnonzero(h >= -FILTER).tolist() if (f := keys[j]) in faces
+                   and (h.item(j) > FILTER or _height(faces[f], p) > 0)]
         for f in visible:
-            for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-                key = (min(e), max(e))
-                edge_count[key] = edge_count.get(key, 0) + 1
             del faces[f]
-        for (u, v), cnt in edge_count.items():
+        edges = Counter((min(e), max(e)) for f in visible for e in zip(f, f[1:] + f[:1]))
+        for (u, v), cnt in edges.items():
             if cnt == 1:
                 add(u, v, i)
     return faces
 
 
 def close_under_antipodes(points):
-    seen = {p.as_tuple(): p for p in points}
-    out = list(points)
-    for p in points:
-        anti = (-p.x, -p.y, -p.z)
-        if anti not in seen:
+    """(points, added): the distinct points in first-seen order, then each
+    missing antipode; ``added`` counts those antipodes."""
+    seen = {p.as_tuple(): p for p in points}  # a repeat keeps its first place
+    distinct = len(seen)
+    for p in list(seen.values()):
+        if (anti := (-p.x, -p.y, -p.z)) not in seen:
             seen[anti] = -p
-            out.append(-p)
-    return out, len(out) - len(points)
+    return list(seen.values()), len(seen) - distinct
 
 
 def faces_and_eta(vertices):
     """Exact faces and shrinking factor of the hull of rational sphere points.
 
     The vertex set is closed under antipodes first (with a warning if that
-    changes it).  Every face plane n . x = off / d comes from the hull on
-    homogeneous integer points, with an integer outward normal n, so
-    beta_f^2 = off^2 / (d^2 |n|^2) is exact; off > 0 certifies that the hull
-    contains the centre.  An audit then checks every vertex against every
-    face in Python ints.  Returns a RationalPolyhedron whose eta_sq is the
-    exact minimum of beta_f^2 over faces.
+    changes it) and freed of exact duplicates.  Every face plane
+    n . x = off / d comes from the hull on homogeneous integer points, with
+    an integer outward normal n, so beta_f^2 = off^2 / (d^2 |n|^2) is exact;
+    off > 0 certifies that the hull contains the centre.  An audit then
+    checks every vertex against every face: one float matrix-vector product
+    per face decides the clear signs, and Python ints the rest (see FILTER).
+    Returns a RationalPolyhedron whose eta_sq is the exact minimum of
+    beta_f^2 over faces.
     """
     if len(vertices) < 4:
         raise ValueError("need at least 4 vertices")
     points, added = close_under_antipodes(list(vertices))
     if added:
         warnings.warn(f"input not closed under antipodes; added {added} points")
-    # drop exact duplicates
-    uniq = {}
-    for p in points:
-        uniq.setdefault(p.as_tuple(), p)
-    points = list(uniq.values())
     hpts = [_homogeneous(p) for p in points]
 
     planes = _exact_hull_faces(hpts)
+    prow = np.array([_point_row(q) for q in hpts])
     faces = []
-    for tri, (n, off, d) in planes.items():
+    for tri, plane in planes.items():
+        n, off, d = plane
         if off <= 0:
             raise ValueError("hull does not contain the sphere center")
+        # soundness audit: every vertex satisfies the face inequality exactly
+        r = np.array(_plane_row(plane))
+        h = prow @ r
+        near = np.flatnonzero(h >= -FILTER).tolist()
+        if any(h.item(j) > FILTER or _height(plane, hpts[j]) > 0 for j in near):
+            raise AssertionError("hull construction produced a violated face")
         beta_sq = Fraction(off * off, d * d * sum(c * c for c in n))
-        big = max(abs(c) for c in n)        # int / int cannot overflow a float
-        fl = np.array([c / big for c in n])
-        faces.append(
-            Face(
-                normal=fl / np.linalg.norm(fl),
-                beta=math.sqrt(float(beta_sq)),
-                beta_sq=beta_sq,
-                vertices=tri,
-                normal_exact=n,
-                offset_exact=Fraction(off, d),
-            )
-        )
-
-    # soundness audit: every vertex satisfies every face inequality exactly
-    if any(_height(plane, q) > 0 for plane in planes.values() for q in hpts):
-        raise AssertionError("hull construction produced a violated face")
+        faces.append(Face(r[:3] / np.linalg.norm(r[:3]), math.sqrt(float(beta_sq)), beta_sq,
+                          tri, n, Fraction(off, d)))
 
     eta_sq = min(f.beta_sq for f in faces)
     return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)

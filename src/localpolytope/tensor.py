@@ -367,11 +367,6 @@ _PAULI = (
 )
 
 
-def bloch_observable(a):
-    a = np.asarray(a, dtype=float)
-    return a[0] * _PAULI[0] + a[1] * _PAULI[1] + a[2] * _PAULI[2]
-
-
 def quantum_tensor(setup, scenario, tol=1e-8):
     """Correlation tensor of a quantum setup, entry by the Born rule.
 
@@ -402,22 +397,14 @@ def quantum_tensor(setup, scenario, tol=1e-8):
         if np.abs(lens - 1).max() > tol:
             raise ValueError("Bloch vectors must have unit length")
         party_ops = [np.eye(2, dtype=complex)] if scenario.marginals else []
-        party_ops += [bloch_observable(v) for v in vecs]
+        party_ops += [v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2] for v in vecs]
         ops.append(np.stack(party_ops))
 
-    # contract Tr[(A1 x ... x AN) rho] for all input choices in one einsum
-    letters = "abcd"
-    rho_t = rho.reshape((2,) * (2 * N))
-    subs = []
-    idx = iter("ijklmnop")
-    rows, cols = [], []
-    for n in range(N):
-        i, j = next(idx), next(idx)
-        subs.append(f"{letters[n]}{i}{j}")
-        rows.append(j)
-        cols.append(i)
-    spec = ",".join(subs) + "," + "".join(rows) + "".join(cols) + "->" + letters[:N]
-    vals = np.einsum(spec, *ops, rho_t)
+    # contract Tr[(A1 x ... x AN) rho] for all input choices in one einsum:
+    # party n's operators are "<input n><i n><j n>", rho's indices "<j's><i's>"
+    i, j = "ikmo"[:N], "jlnp"[:N]
+    spec = ",".join("abcd"[n] + i[n] + j[n] for n in range(N)) + f",{j}{i}->{'abcd'[:N]}"
+    vals = np.einsum(spec, *ops, rho.reshape((2,) * (2 * N)))
     if np.abs(vals.imag).max() > 1e-12:
         raise ValueError("correlation tensor has a non-negligible imaginary part")
     return CorrelationTensor(scenario, vals.real.copy())  # a view would pin the complex vals

@@ -7,8 +7,15 @@ from fractions import Fraction
 
 from localpolytope import polyhedra
 from localpolytope.polyhedra import (
+    FILTER,
     RationalPoint,
+    _exact_hull_faces,
+    _height,
+    _homogeneous,
+    _plane_row,
     _point_from_tangents,
+    _point_row,
+    close_under_antipodes,
     antipodal_representatives,
     faces_and_eta,
     geodesic_icosahedron,
@@ -20,7 +27,7 @@ from localpolytope.polyhedra import (
     write_polyhedron_vertices,
 )
 
-from util import faces_and_eta_reference
+from util import exact_hull_reference, faces_and_eta_reference
 
 ICO_ETA_SQ = (5 + 2 * math.sqrt(5)) / 15
 
@@ -151,22 +158,17 @@ def assert_matches_reference(points):
     return poly
 
 
-@pytest.mark.parametrize("m", [3, 6, 16, 21, 46, 81])
-def test_integer_planes_match_fraction_reference(m):
+def polyhedron_points(m):
     if m == 3:
-        points = octahedron_points()
-    elif m == 16:
-        points = rationalize_all(pentakis_dodecahedron(), 1e-6)
-    else:
-        schedule = {6: [], 21: [2], 46: [3], 81: [4]}[m]
-        points = rationalize_all(geodesic_icosahedron(schedule), 1e-6)
-    poly = assert_matches_reference(points)
-    assert len(poly.vertices) == 2 * m
+        return octahedron_points()
+    if m == 16:
+        return rationalize_all(pentakis_dodecahedron(), 1e-6)
+    schedule = {6: [], 21: [2], 46: [3], 81: [4]}[m]
+    return rationalize_all(geodesic_icosahedron(schedule), 1e-6)
 
 
-def test_huge_denominators_give_finite_unit_normals():
-    # integer normals far above the float range (~1e308) must still give a
-    # float normal: float() of such an int raises OverflowError
+def huge_denominator_points():
+    """16 sphere points with denominators past 10^200, closed under antipodes."""
     rng = np.random.default_rng(3)
     scale = 10**60
     a, b, c = (rng.integers(1, 10**6, size=8) for _ in range(3))
@@ -177,7 +179,83 @@ def test_huge_denominators_give_finite_unit_normals():
         )
         for k in range(8)
     ]
-    points += [-p for p in points]
+    return points + [-p for p in points]
+
+
+def coplanar_heavy_points(tilted=False):
+    """Rational sphere points with many exactly coplanar quadruples: the
+    8 points (+-3/5, +-4/5, 0), (+-4/5, +-3/5, 0) and the 4 axis points share
+    the equator, and the poles and 4 generic antipodal pairs join them.
+    ``tilted`` turns all 22 by a rational rotation, so that the equator's
+    float heights carry rounding errors instead of exact zeros."""
+    f = Fraction
+    pts = [(sx * f(3, 5), sy * f(4, 5), 0) for sx in (1, -1) for sy in (1, -1)]
+    pts += [(sx * f(4, 5), sy * f(3, 5), 0) for sx in (1, -1) for sy in (1, -1)]
+    pts += [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    pts += [(f(2, 3), f(1, 3), f(2, 3)), (f(2, 7), f(3, 7), f(6, 7)),
+            (f(3, 13), f(4, 13), f(-12, 13)), (f(12, 25), f(-16, 25), f(3, 5))]
+    pts += [tuple(-c for c in p) for p in pts[-4:]]
+    if tilted:
+        rot = [(f(2, 3), f(-1, 3), f(2, 3)), (f(2, 3), f(2, 3), f(-1, 3)),
+               (f(-1, 3), f(2, 3), f(2, 3))]
+        pts = [tuple(sum(a * c for a, c in zip(row, p)) for row in rot) for p in pts]
+    return [RationalPoint(*map(Fraction, p)) for p in pts]
+
+
+@pytest.mark.parametrize("m", [3, 6, 16, 21, 46, 81])
+def test_integer_planes_match_fraction_reference(m):
+    poly = assert_matches_reference(polyhedron_points(m))
+    assert len(poly.vertices) == 2 * m
+
+
+@pytest.mark.parametrize("m", [3, 6, 16, 21, 46, 81, "huge", "coplanar", "tilted"])
+def test_filtered_hull_matches_integer_reference(m):
+    points = {"huge": huge_denominator_points, "coplanar": coplanar_heavy_points,
+              "tilted": lambda: coplanar_heavy_points(tilted=True)}.get(
+        m, lambda: polyhedron_points(m))()
+    hpts = [_homogeneous(p) for p in close_under_antipodes(points)[0]]
+    # the same keys in the same order, each with the same integer plane; the
+    # reversed insertion order meets other exactly coplanar points
+    for order in (hpts, hpts[::-1]):
+        assert list(_exact_hull_faces(order).items()) == list(exact_hull_reference(order).items())
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_coplanar_heavy_set_matches_reference(monkeypatch, tilted):
+    # the equator points land exactly on faces of the growing hull: the band
+    # tests there must fall back to the exact height, which is 0
+    heights = []
+
+    def recorded(plane, s):
+        heights.append(_height(plane, s))
+        return heights[-1]
+
+    monkeypatch.setattr(polyhedra, "_height", recorded)
+    poly = assert_matches_reference(coplanar_heavy_points(tilted))
+    assert len(poly.vertices) == 22
+    assert heights.count(0) > 3 * len(poly.faces)  # more than each face's own vertices
+
+
+def test_float_heights_within_the_filter_bound():
+    # FILTER's error argument: <r, q> = _height / (d D B) is within 40 u of the
+    # float product of the rows, for every face and vertex at m = 81
+    hpts = [_homogeneous(p) for p in close_under_antipodes(polyhedron_points(81))[0]]
+    prow = np.array([_point_row(q) for q in hpts])
+    worst = Fraction(0)
+    for plane in _exact_hull_faces(hpts).values():
+        n, _, d = plane
+        h = prow @ np.array(_plane_row(plane))
+        scale = d * max(abs(c) for c in n)
+        for q, x in zip(hpts, h.tolist()):
+            worst = max(worst, abs(Fraction(x) - Fraction(_height(plane, q), scale * q[3])))
+    assert 0 < worst <= Fraction(40, 2**53)
+    assert Fraction(40, 2**53) < Fraction(FILTER)
+
+
+def test_huge_denominators_give_finite_unit_normals():
+    # integer normals far above the float range (~1e308) must still give a
+    # float normal: float() of such an int raises OverflowError
+    points = huge_denominator_points()
     assert min(max(c.denominator for c in p.as_tuple()) for p in points) > 10**200
     poly = assert_matches_reference(points)
     assert max(abs(c) for f in poly.faces for c in f.normal_exact) > 10**308

@@ -13,13 +13,17 @@ from localpolytope.polyhedra import (
     Face,
     RationalPolyhedron,
     _exact_hull_faces,
+    _height,
     _homogeneous,
+    _normal,
+    _plane,
     close_under_antipodes,
 )
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
     Scenario,
+    common_denominator,
     norm2_sq,
     strategy_tensor,
     tensor_strategy_inner,
@@ -205,6 +209,60 @@ def faces_and_eta_reference(vertices):
                 raise AssertionError("hull construction produced a violated face")
 
     return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)
+
+
+def exact_hull_reference(hpts):
+    """polyhedra._exact_hull_faces with every orientation test in Python ints,
+    as it ran before the float filter; the reference for the filtered hull."""
+    n = len(hpts)
+    i0 = 0
+    i1 = next(i for i in range(1, n) if hpts[i] != hpts[i0])
+    i2 = next(
+        (i for i in range(n) if _normal(hpts[i0], hpts[i1], hpts[i]) != (0, 0, 0)), None
+    )
+    if i2 is None:
+        raise ValueError("degenerate input: all points collinear")
+    base = _plane(hpts[i0], hpts[i1], hpts[i2])
+    i3 = next((i for i in range(n) if _height(base, hpts[i]) != 0), None)
+    if i3 is None:
+        raise ValueError("degenerate input: all points coplanar")
+    seed = (i0, i1, i2, i3)
+
+    # interior reference point: centroid of the initial tetrahedron
+    xyz, den = common_denominator(
+        sum(Fraction(hpts[i][k], 4 * hpts[i][3]) for i in seed) for k in range(3))
+    interior = (*xyz, den)
+
+    faces = {}
+
+    def add(a, b, c):
+        plane = _plane(hpts[a], hpts[b], hpts[c])
+        if _height(plane, interior) > 0:
+            (nx, ny, nz), off, d = plane
+            a, b, plane = b, a, ((-nx, -ny, -nz), -off, d)
+        faces[(a, b, c)] = plane
+
+    add(i0, i1, i2)
+    add(i0, i1, i3)
+    add(i0, i2, i3)
+    add(i1, i2, i3)
+
+    for i, p in enumerate(hpts):
+        if i in seed:
+            continue
+        visible = [f for f, plane in faces.items() if _height(plane, p) > 0]
+        if not visible:
+            continue
+        edge_count = {}
+        for f in visible:
+            for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+                key = (min(e), max(e))
+                edge_count[key] = edge_count.get(key, 0) + 1
+            del faces[f]
+        for (u, v), cnt in edge_count.items():
+            if cnt == 1:
+                add(u, v, i)
+    return faces
 
 
 def ball_reference(r):
