@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 
@@ -150,17 +151,6 @@ def _build_problem(args):
     return p, TargetSpec("tensor", tensor=p), poly_points
 
 
-def _solver_config(args):
-    return SolverConfig(
-        max_iterations=args.max_iter,
-        eps=args.eps,
-        restarts=args.restarts,
-        seed=args.seed,
-        # decide runs only need the verdict, not a polished gradient
-        early_separation=(args.mode == "decide"),
-    )
-
-
 def _write_run_metadata(path, args, stages, res=None):
     """The run record; without a solver result the run was refused."""
     meta = {"version": __version__, "command": " ".join(sys.argv[1:]),
@@ -170,6 +160,7 @@ def _write_run_metadata(path, args, stages, res=None):
                     lmo_calls=res.lmo_calls, elapsed_seconds=stages["solve"],
                     solver=dataclasses.asdict(res.stats))
     meta["stages"] = stages
+    meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     with _atomic_open(path) as fp:
         json.dump(meta, fp, indent=2)
 
@@ -215,7 +206,9 @@ def cmd_solve(args):
         v0 = parse_exact(args.v0)
         if not 0 <= v0 <= 1:
             raise CliError("v0 must lie in [0, 1]")
-        cfg = _solver_config(args)
+        # decide runs only need the verdict, not a polished gradient
+        cfg = SolverConfig(max_iterations=args.max_iter, eps=args.eps, restarts=args.restarts,
+                           seed=args.seed, early_separation=args.mode == "decide")
         refusal = _refusal(args, p)
     if refusal:
         print(f"inconclusive: {refusal}")

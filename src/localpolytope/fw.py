@@ -122,7 +122,7 @@ class ActiveSet:
         if i is None:
             i = len(self.atoms)
             if i == len(self._rows[0]):
-                self._rows = [np.pad(r, ((0, i), (0, 0))) for r in self._rows]
+                self._rows = [np.concatenate([r, np.zeros_like(r)]) for r in self._rows]
             if rows is None:
                 strategy, rows = s, [v[0] for v in sign_rows([s], self.scenario)]
             # canonical() flips whole parties, whose rows flip with them
@@ -201,7 +201,8 @@ class InnerProductCache:
         if i < n:
             return
         if n == len(self._gram):
-            self._gram = np.pad(self._gram, ((0, n), (0, n)))
+            g, self._gram = self._gram, np.zeros((2 * n, 2 * n))
+            self._gram[:n, :n] = g
         rows = self.active.rows
         new = [r[i] for r in rows]
         col = _gram(rows, new, self.active.scenario.marginals)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -13,6 +17,8 @@ from localpolytope.polyhedra import geodesic_icosahedron
 from localpolytope.states import ghz_polygon_tensor
 from localpolytope.tensor import CorrelationTensor, Scenario, write_tensor
 from util import chsh_corner_cert
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -48,6 +54,27 @@ def test_solve_upper_chsh(tmp_path, capsys):
     v_up = float(out.split("v_up = ")[1].split()[0])
     assert abs(v_up - 0.70711) < 1e-3
     assert (tmp_path / "up.cert.run.json").exists()
+
+
+# main(argv) in a fresh interpreter, then whether numpy.random was ever imported
+_FRESH_MAIN = ("import sys; from localpolytope.cli import main; code = main(sys.argv[1:]); "
+               "print('numpy.random' in sys.modules); sys.exit(code)")
+
+
+def test_solve_and_verify_never_import_numpy_random(tmp_path):
+    # the oracle draws from the stdlib generator; pytest itself loads
+    # numpy.random, so only a fresh interpreter can tell
+    low, up = str(tmp_path / "low.cert"), str(tmp_path / "up.cert")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (["solve", "lower", "--m", "6", "--v0", "0.5", "--restarts", "50",
+                  "--out", low],
+                 ["solve", "upper", "--state", "werner", "--m", "2", "--v0", "0.75",
+                  "--out", up],
+                 ["certify", "verify", "--in", low]):
+        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", proc.stdout
 
 
 def test_solve_lower_chsh(tmp_path, capsys):
@@ -90,6 +117,7 @@ def test_run_record_has_stage_times(tmp_path):
     assert solver["oracle_calls"] == meta["lmo_calls"]
     assert 0 < solver["oracle_seconds"] <= meta["stages"]["solve"]
     assert solver["peak_atoms"] >= 1
+    assert meta["peak_rss_mb"] > 0
     assert solver["oracle_rounds"] >= solver["oracle_calls"]
     assert 0 <= solver["oracle_early_exits"] <= solver["steps"]["fw"]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from itertools import product
 
+from localpolytope import lmo
 from localpolytope.lmo import (
     HEURISTIC_ROUNDS,
     BellFunctional,
@@ -294,6 +295,23 @@ def test_halved_exhaustive_matches_lex_reference(parties, inputs, marginals):
         s, v = exhaustive_lmo(g)
         assert (v, s.to_string()) == lex_min_reference(g)
         assert isinstance(v, int)
+
+
+@pytest.mark.parametrize("parties, inputs, marginals", [(2, 6, False), (2, 6, True), (3, 4, True)])
+def test_exhaustive_answer_does_not_depend_on_the_batch_size(parties, inputs, marginals,
+                                                             monkeypatch):
+    # 1-row batches, odd batches that leave a short last one, and the default
+    sc = Scenario(parties, inputs, marginals=marginals)
+    row = sc.axis_size ** (parties - 1)  # entries per id in the first contraction
+    rng = np.random.default_rng(40 + 10 * parties + inputs + marginals)
+    tensors = [CorrelationTensor(sc, rng.integers(-2, 3, sc.shape).astype(object))
+               for _ in range(6)]
+    default = [exhaustive_lmo(g) for g in tensors]
+    for entries in (1, 3 * row, 5 * row + 1, 7 * row):
+        monkeypatch.setattr(lmo, "EXHAUSTIVE_ENTRIES", entries)
+        assert [exhaustive_lmo(g) for g in tensors] == default
+        s, v = exhaustive_lmo(CorrelationTensor.zeros(sc))
+        assert (s.bits, v) == ((0,) * parties, 0)  # all plus, from the first batch
 
 
 @pytest.mark.parametrize("total, bound", [(2**53, 2**53), (2**53 + 1, 2**53 + 1)],

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import random
 import string
 import warnings
 
@@ -93,9 +94,11 @@ def heuristic_reference(tensor, restarts, seed):
     """maximize_functional_heuristic as it ran before the Khatri-Rao kernel;
     the reference for the heuristic oracle.
 
-    Signs are drawn party by party with ``rng.choice``, and each round
-    contracts the other parties one at a time: a matrix product for the
-    first, then products batched over the restarts.
+    Party n's (m, R) start signs are bits n*m*R to (n+1)*m*R - 1 of one
+    ``random.Random(seed).getrandbits(N*m*R)`` draw, row by row, read one bit
+    at a time (bit 1 -> +1), and each round contracts the other parties one
+    at a time: a matrix product for the first, then products batched over the
+    restarts.
     """
     sc = tensor.scenario
     N, m = sc.parties, sc.inputs
@@ -113,10 +116,11 @@ def heuristic_reference(tensor, restarts, seed):
             T = np.matmul(signs[j].T[:, None, :], T.reshape(len(T), a, -1))[:, 0]
         return T.T
 
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).getrandbits(N * m * restarts)
     signs = []
-    for _ in range(N):
-        s = rng.choice([-1.0, 1.0], size=(m, restarts))
+    for n in range(N):
+        s = np.array([[1.0 if draw >> ((n * m + i) * restarts + r) & 1 else -1.0
+                       for r in range(restarts)] for i in range(m)])
         signs.append(np.vstack([np.ones((1, restarts)), s]) if off else s)
     prev = np.full(restarts, -np.inf)
     for _ in range(HEURISTIC_ROUNDS):
