@@ -12,6 +12,7 @@ reformulation and its branch and bound remain library functions that no
 certificate relies on.
 """
 
+import operator
 import random
 import numpy as np
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
 
     signs = np.ones((N, a, restarts))
     k = N * m * restarts
-    bits = random.Random(seed).getrandbits(k).to_bytes((k + 7) // 8, "little")
+    bits = random.Random(operator.index(seed)).getrandbits(k).to_bytes((k + 7) // 8, "little")
     flips = np.unpackbits(np.frombuffer(bits, np.uint8), count=k, bitorder="little")
     signs[:, off:] = flips.reshape(N, m, restarts) * 2.0 - 1.0
     unfolded = [G.transpose([*range(n), *range(n + 1, N), n]).reshape(-1, a) for n in range(N)]

@@ -152,6 +152,14 @@ def test_heuristic_matches_pre_kernel_reference(parties, marginals, restarts):
             assert v == pytest.approx(v_ref, abs=1e-12)
 
 
+def test_heuristic_takes_a_numpy_integer_seed():
+    # random.Random refuses numpy integers; the oracle reads the seed as an index
+    g = CorrelationTensor(Scenario(2, 5, False), np.random.default_rng(3).normal(size=(5, 5)))
+    assert heuristic_lmo(g, restarts=20, seed=np.int64(7))[:3] == heuristic_lmo(g, 20, 7)[:3]
+    with pytest.raises(TypeError):
+        heuristic_lmo(g, restarts=20, seed=7.5)
+
+
 @pytest.mark.parametrize("marginals", [False, True])
 @pytest.mark.parametrize("parties", [2, 3])
 def test_unreachable_threshold_runs_the_full_batch(parties, marginals):
