@@ -327,11 +327,12 @@ def cmd_report(args):
             ok, reason = verify(cert)
         except Exception as e:
             ok, reason, cert = False, str(e), None
-        runtime = ""
-        meta_path = path + ".run.json"
-        if os.path.exists(meta_path):
-            with open(meta_path) as fp:
-                runtime = f"{json.load(fp).get('elapsed_seconds', 0):.2f}"
+        try:  # the run record is optional metadata: its runtime, or a blank
+            with open(path + ".run.json") as fp:
+                t = json.load(fp)["elapsed_seconds"]
+            runtime = f"{t:.2f}" if type(t) in (int, float) else ""
+        except (OSError, ValueError, LookupError, TypeError):
+            runtime = ""
         if not ok:
             bad += 1
             verdict = "INVALID: " if ok is False else "UNPROVEN: "

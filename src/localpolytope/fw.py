@@ -5,7 +5,10 @@ minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the deterministic
 strategies, with the alternating-minimisation heuristic as oracle.  BPCG asks
 it a weak-separation query (Braun, Pokutta, Zink 2017): any vertex with gap
 at least Phi / K, at which the oracle stops.  Only a call that ran its full
-batch without finding one is followed by a null step, which halves Phi.
+batch without finding one is followed by a null step, which halves Phi and
+leaves the iterate, so its answer stands in for the next call while it misses
+the risen threshold: a BPCG run reuses 1 + fw + null - oracle_calls answers
+(``RunStats``), one more if ``early_separation`` ended it.
 Between calls BPCG takes pairwise and drop steps while their gap ga reaches
 max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap and tol = eps^2 / 2
 (lazified BPCG, Tsuji, Tanaka, Pokutta 2022): a local step costs microseconds,
@@ -90,12 +93,11 @@ class ActiveSet:
     an exact 0, and a Frank-Wolfe step scales the error by 1 - gamma and adds
     at most 2 * 2^-53; a face step resets it to at most FACE_SUM_TOL = 1e-13.
     So |sum w - 1| stays below 1e-13 plus 2.2e-16 per iteration, 2.2e-10 at
-    the default cap, below the 1e-9 that ``debug`` asserts;
-    soundness never rested on it, as ``rationalize_weights`` repairs the sum
-    exactly.  A Frank-Wolfe step with gamma = 1 leaves the other weights at
-    exactly 0.  BPCG's next away step on such an atom is a drop step with
-    gamma = 0; vanilla Frank-Wolfe keeps them, and ``rationalize_weights``
-    skips them.
+    the default cap, below the 1e-9 that ``debug`` asserts; soundness never
+    rested on it, as ``rationalize_weights`` repairs the sum exactly.  A
+    Frank-Wolfe step with gamma = 1 leaves the other weights at exactly 0.
+    BPCG's next away step on such an atom is a drop step with gamma = 0;
+    vanilla Frank-Wolfe keeps them, and ``rationalize_weights`` skips them.
     """
 
     def __init__(self, scenario):
@@ -341,8 +343,10 @@ def bpcg(p, v0, cfg=None):
     max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
     ``LAZY_TOLERANCE`` and tol = eps^2 / 2, and then returns the first vertex
     whose gap reaches Phi / K.  A null step follows only a call that ran its
-    full batch and found none.  After as many local steps in a row as there
-    are atoms, the next local step tries a face step first.
+    full batch and found none; until a step moves the iterate, that answer
+    stands in for the next call while it misses the risen threshold.  After as
+    many local steps in a row as there are atoms, the next local step tries a
+    face step first.
     Parameters and result as in ``frank_wolfe_vanilla``, with the final Phi
     and, with ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
@@ -357,8 +361,8 @@ def _solve(p, v0, cfg, lazy):
     """
     if cfg is None:
         cfg = SolverConfig()
-    if not 0 <= v0 <= 1:
-        raise ValueError("v0 must lie in [0, 1]")
+    if not (0 <= v0 <= 1 and cfg.eps > 0 and cfg.restarts >= 1 and cfg.max_iterations >= 0):
+        raise ValueError("need v0 in [0, 1], eps > 0, restarts >= 1 and max_iterations >= 0")
     tol = 0.5 * cfg.eps**2
     sc = p.scenario
     target = float(v0) * p.to_float().entries
@@ -392,12 +396,11 @@ def _solve(p, v0, cfg, lazy):
 
     dist = distance()
     phi = 0.5 * dist**2 if lazy else np.inf
-    g_last = np.inf  # the gap of the last Frank-Wolfe step
+    g_last, held = np.inf, None  # the last Frank-Wolfe gap; the answer behind a null step
     floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)  # the local-step test
     res = SolverResult(active, dist, phi, target_t, 0, STATUS_CAP, stats)
 
     t = local = 0  # local: local steps since the last oracle-branch or face step
-    rebuild_every = 4096
     trace, debug = cfg.trace, cfg.debug
     every = cfg.callback_every if cfg.callback else 0
     for t in range(cfg.max_iterations):
@@ -453,7 +456,10 @@ def _solve(p, v0, cfg, lazy):
             # lazy: any vertex with gap >= Phi / K will do, so the oracle may
             # stop at the first one; only a full batch ends in a null step
             threshold = gx - phi / LAZY_TOLERANCE if lazy else None
-            omega, rows, gw, cleared = oracle(grad, seed, threshold)
+            # a null step's answer stands while it misses the risen threshold
+            if held is None or held[2] <= threshold:
+                held = oracle(grad, seed, threshold)
+            omega, rows, gw, cleared = held
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
             # accuracy the point cannot be inside (up to oracle suboptimality)
@@ -487,6 +493,7 @@ def _solve(p, v0, cfg, lazy):
                 step = "null"
             floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)
 
+        held = held if step == "null" else None  # every other step moves the iterate
         stats.steps[step] += 1
         if trace and lazy:
             res.step_types.append(step)
@@ -495,7 +502,7 @@ def _solve(p, v0, cfg, lazy):
             assert f_new <= f + 1e-12, f"objective increased on {step} step"
             assert abs(active.weights.sum() - 1) <= 1e-9, "weights do not sum to 1"
             assert active.weights.min() >= -1e-15, "negative weight"
-        if (t + 1) % rebuild_every == 0:
+        if (t + 1) % 4096 == 0:  # against drift of the updated values
             cache.rebuild()
         if report:
             cfg.callback(t, dist, phi, len(active))

@@ -306,6 +306,24 @@ def test_report_empty_is_ok(capsys):
     assert run(["report"]) == 0
 
 
+@pytest.mark.parametrize("record, runtime", [
+    ('{"elapsed_seconds": 1.5}', "1.50"),
+    ("[1, 2]", ""),
+    ('{"elapsed_seconds": null}', ""),
+    ("not json {", ""),
+    ('{"elapsed_seconds": "3"}', ""),
+], ids=["well-formed", "list", "null", "not-json", "string"])
+def test_report_leaves_a_malformed_run_record_blank(chsh_lower_text, tmp_path, capsys,
+                                                    record, runtime):
+    cert, csv = tmp_path / "low.cert", tmp_path / "r.csv"
+    cert.write_text(chsh_lower_text)
+    (tmp_path / "low.cert.run.json").write_text(record)
+    capsys.readouterr()
+    assert run(["report", str(cert), "--csv", str(csv)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert csv.read_text().splitlines()[1].split(",")[-1] == runtime
+
+
 def test_reproducible_certificates(tmp_path):
     a = tmp_path / "a.cert"
     b = tmp_path / "b.cert"
@@ -313,6 +331,32 @@ def test_reproducible_certificates(tmp_path):
         assert run(["solve", "lower", "--state", "werner", "--m", "2",
                     "--v0", "0.70", "--seed", "7", "--out", str(path)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_reproducible_separated_certificates(tmp_path):
+    # a separated run ends in null steps that reuse the call behind the one
+    # before them; the seed still advances, so the certificate is reproducible
+    runs = []
+    for name in ("a.cert", "b.cert"):
+        path = tmp_path / name
+        assert run(["solve", "upper", "--state", "ghz", "--N", "3", "--m", "6",
+                    "--v0", "0.80", "--restarts", "300", "--seed", "0", "--out", str(path)]) == 0
+        meta = json.loads((tmp_path / (name + ".run.json")).read_text())
+        runs.append((path.read_text(), meta["iterations"], meta["solver"]["steps"],
+                     meta["lmo_calls"]))
+    assert runs[0] == runs[1]
+    steps, calls = runs[0][2], runs[0][3]
+    assert 1 + steps["fw"] + steps["null"] - calls > 0  # the reuse fired
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "-1"), ("--eps", "0"), ("--restarts", "0"),
+                                         ("--max-iter", "-5")])
+def test_solve_rejects_bad_solver_settings(capsys, flag, value):
+    capsys.readouterr()
+    assert run(["solve", "decide", "--m", "6", "--v0", "0.5", "--restarts", "50",
+                flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "status=" not in out
 
 
 def test_unknown_m_is_an_error(capsys):

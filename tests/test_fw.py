@@ -13,7 +13,7 @@ from localpolytope.fw import (
     frank_wolfe_vanilla,
 )
 from localpolytope.certify import integerize_functional
-from localpolytope.lmo import heuristic_lmo, local_bound
+from localpolytope.lmo import exhaustive_lmo, heuristic_lmo, local_bound
 from localpolytope.polyhedra import (
     antipodal_representatives,
     geodesic_icosahedron,
@@ -113,6 +113,35 @@ def test_bpcg_phi_halves_only_on_null_steps(m6_run):
             assert phis[i + 1] == phis[i]
 
 
+def _recorded_run(monkeypatch, p, v0, cfg, lmo=heuristic_lmo):
+    """A bpcg run, the (values, weights, iterate) that each iteration's cache
+    read saw, and each oracle call's (value, threshold), keyed by the
+    iteration that made it: -1 for the first call, before the loop."""
+    seen, calls = [], {}
+    values = InnerProductCache.values
+
+    def recording_values(cache):
+        v = values(cache)
+        seen.append((v.copy(), cache.active.weights.copy(), cache.active.recompute_iterate()))
+        return v
+
+    def recording_lmo(gradient, restarts, seed, threshold=None):
+        answer = lmo(gradient, restarts, seed, threshold)
+        calls[len(seen) - 1] = (answer[1], threshold)
+        return answer
+
+    monkeypatch.setattr(InnerProductCache, "values", recording_values)
+    monkeypatch.setattr(fw, "heuristic_lmo", recording_lmo)
+    return bpcg(p, v0, cfg), seen, calls
+
+
+def _exact_lmo(gradient, restarts, seed, threshold=None):
+    """A seed-independent oracle: the exact minimiser, so a fresh call on the
+    same gradient returns the same answer."""
+    strategy, value = exhaustive_lmo(gradient)
+    return strategy, float(value), 1, None
+
+
 # inside at 0.60; separated at 0.90, where the last Phi levels reach the
 # tol clamp of the floor
 @pytest.mark.parametrize("v0", [0.60, 0.90])
@@ -120,35 +149,24 @@ def test_bpcg_local_step_floor(v0, ico_singlet, monkeypatch):
     # every iteration's gap ga = max - min of the cache values, the weights
     # it saw, and every oracle value are recorded, so the floor
     # max(min(Phi, g_last) / K, tol) of each step can be recomputed
-    seen, answers = [], []
-    values = InnerProductCache.values
-
-    def recording_values(cache):
-        v = values(cache)
-        seen.append((v.max() - v.min(), v.copy(), cache.active.weights.copy()))
-        return v
-
-    def recording_lmo(*args):
-        answer = heuristic_lmo(*args)
-        answers.append(answer[1])
-        return answer
-
-    monkeypatch.setattr(InnerProductCache, "values", recording_values)
-    monkeypatch.setattr(fw, "heuristic_lmo", recording_lmo)
     cfg = SolverConfig(restarts=500, seed=2, trace=True)
-    res = bpcg(ico_singlet, v0, cfg)
+    res, seen, calls = _recorded_run(monkeypatch, ico_singlet, v0, cfg)
     tol = 0.5 * cfg.eps**2
-    g_last, oracle_values = np.inf, iter(answers[1:])
+    g_last, held = np.inf, None
     below, between = 0, 0
-    for step, phi, (ga, vals, w) in zip(res.step_types, res.phi_history, seen):
+    for t, (step, phi, (vals, w, _)) in enumerate(zip(res.step_types, res.phi_history, seen)):
+        ga = vals.max() - vals.min()
         floor = max(min(phi, g_last) / fw.LAZY_TOLERANCE, tol)
         assert (step in ("pairwise", "drop", "face")) == (ga >= floor)
         below += ga < floor
         between += floor <= ga < phi
         if step in ("fw", "null"):
-            gap = float(w @ vals) - next(oracle_values)
+            # a null step without a call of its own takes the standing value
+            gw = calls[t][0] if t in calls else held
+            gap = float(w @ vals) - gw
             if step == "fw":
                 g_last = gap
+        held = gw if step == "null" else None
     # both sides of the floor occur, and local steps below Phi
     assert below > 0 and between > 0
 
@@ -172,7 +190,11 @@ def test_run_stats_count_every_step(m6_run, chsh_singlet):
     assert sum(stats.steps.values()) == m6_run.iterations
     assert stats.steps == {t: m6_run.step_types.count(t) for t in stats.steps}
     assert stats.oracle_calls == m6_run.lmo_calls
-    assert stats.oracle_calls >= 1 + stats.steps["fw"] + stats.steps["null"]
+    # every call but the first answers one fw or null step; a null step
+    # directly after another may reuse that one's call instead
+    steps = m6_run.step_types
+    reused = 1 + stats.steps["fw"] + stats.steps["null"] - stats.oracle_calls
+    assert 0 <= reused <= sum(a == b == "null" for a, b in zip(steps, steps[1:]))
     assert stats.oracle_seconds > 0
     assert stats.peak_atoms >= len(m6_run.active_set)
     assert stats.oracle_rounds >= stats.oracle_calls
@@ -182,29 +204,49 @@ def test_run_stats_count_every_step(m6_run, chsh_singlet):
     van = frank_wolfe_vanilla(chsh_singlet, 0.65, FAST)
     assert van.stats.steps == {"pairwise": 0, "drop": 0, "fw": van.iterations, "null": 0,
                                "face": 0}
+    assert van.stats.oracle_calls == 1 + van.iterations
     assert van.stats.oracle_rounds >= van.stats.oracle_calls
     assert van.stats.oracle_early_exits == 0
 
 
 def test_no_null_step_follows_an_early_exit(monkeypatch, ico_singlet):
-    calls = []
-
-    def recording(gradient, restarts, seed, threshold=None):
-        answer = heuristic_lmo(gradient, restarts, seed, threshold)
-        calls.append(threshold is not None and answer[1] <= threshold)
-        return answer
-
-    monkeypatch.setattr(fw, "heuristic_lmo", recording)
-    res = bpcg(ico_singlet, 0.60, SolverConfig(restarts=500, seed=2, trace=True))
+    cfg = SolverConfig(restarts=500, seed=2, trace=True)
+    res, _, calls = _recorded_run(monkeypatch, ico_singlet, 0.60, cfg)
+    exits = {t: th is not None and value <= th for t, (value, th) in calls.items()}
     assert res.stats.oracle_calls == len(calls)
-    assert res.stats.oracle_early_exits == sum(calls) > 0
-    assert not calls[0]  # the first call, on -v0 p, has no threshold
-    # every call after the first answers one fw or null step, in order
-    answered = [s for s in res.step_types if s in ("fw", "null")]
-    assert "null" in answered
-    for exited, step in zip(calls[1:], answered):
-        if exited:
-            assert step == "fw"
+    assert res.stats.oracle_early_exits == sum(exits.values()) > 0
+    assert not exits.pop(-1)  # the first call, on -v0 p, has no threshold
+    # every later call answers the fw or null step of its own iteration
+    assert "null" in res.step_types
+    for t, exited in exits.items():
+        assert res.step_types[t] == "fw" if exited else res.step_types[t] in ("fw", "null")
+
+
+# separated at 0.90: the run ends in null steps on an iterate that no longer
+# moves.  With the exact oracle a fresh call would return the standing answer,
+# so every reused step is the null step a fresh call would have taken.
+@pytest.mark.parametrize("oracle", ["heuristic", "exact"])
+def test_null_steps_reuse_the_standing_answer(oracle, ico_singlet, monkeypatch):
+    cfg = SolverConfig(restarts=500, seed=2, trace=True)
+    lmo = _exact_lmo if oracle == "exact" else heuristic_lmo
+    res, seen, calls = _recorded_run(monkeypatch, ico_singlet, 0.90, cfg, lmo)
+    assert res.status == STATUS_SEPARATED
+    steps, counts = res.step_types, res.stats.steps
+    reused = [t for t, step in enumerate(steps) if step == "null" and t not in calls]
+    assert reused
+    assert len(reused) == 1 + counts["fw"] + counts["null"] - res.stats.oracle_calls
+    target = 0.90 * ico_singlet.entries
+    for t in reused:
+        last = max(k for k in calls if k < t)
+        # only null steps since the call, so the iterate has not moved
+        assert set(steps[last:t]) == {"null"}
+        assert np.array_equal(seen[t][1], seen[last][1])
+        vals, w, x = seen[t]
+        threshold = float(w @ vals) - res.phi_history[t] / fw.LAZY_TOLERANCE
+        assert calls[last][0] > threshold
+        if oracle == "exact":
+            fresh = exhaustive_lmo(CorrelationTensor(ico_singlet.scenario, x - target))[1]
+            assert fresh > threshold
 
 
 def test_bpcg_single_atom_falls_through_to_lmo(chsh_singlet):
@@ -584,6 +626,19 @@ def test_solver_rejects_bad_v0(chsh_singlet):
         frank_wolfe_vanilla(chsh_singlet, -0.1, FAST)
 
 
+@pytest.mark.parametrize("bad", [{"eps": 0.0}, {"eps": -1.0}, {"eps": float("nan")},
+                                 {"restarts": 0}, {"max_iterations": -5}])
+def test_solver_rejects_bad_config(bad, chsh_singlet, monkeypatch):
+    def never(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(fw, "heuristic_lmo", never)
+    cfg = SolverConfig(**{"restarts": 100, **bad})
+    for solver in (bpcg, frank_wolfe_vanilla):
+        with pytest.raises(ValueError):
+            solver(chsh_singlet, 0.65, cfg)
+
+
 def test_solver_callback_cadence(chsh_singlet):
     seen = []
     cfg = SolverConfig(
@@ -597,8 +652,6 @@ def test_solver_callback_cadence(chsh_singlet):
 
 
 def test_heuristic_matches_exhaustive_on_chsh(chsh_singlet):
-    from localpolytope.lmo import exhaustive_lmo, heuristic_lmo
-
     g = CorrelationTensor(NM22, 0.5 * chsh_singlet.entries)
     s = heuristic_lmo(g, restarts=64, seed=0)[0]
     _, v_opt = exhaustive_lmo(g)
