@@ -7,7 +7,9 @@ transfer's gap reaches min(phi, g)/K, g the gap of the last Frank-Wolfe step
 (never below the stopping accuracy eps^2/2), and consults the oracle only
 below it.  Then the oracle answers a weak-separation query: it stops at the
 first vertex whose gap reaches phi/K.  Only a full search that finds none
-halves the progress estimate phi instead of moving.  Once as many transfers
+halves the progress estimate phi instead of moving: a null step.  Until a step
+moves the iterate again, the next null step reuses that search's answer while
+it still misses the risen threshold, without a new call.  Once as many transfers
 as there are atoms follow one another, the next local step is a face step:
 one KKT solve on the atoms' Gram matrix jumps to the minimiser over their
 affine hull, dropping atoms whose weight reaches 0 on the way.
@@ -24,6 +26,8 @@ from localpolytope.polyhedra import (
     geodesic_icosahedron,
     rationalize_all,
 )
+from localpolytope.states import build_quantum_tensor
+from localpolytope.tensor import Scenario
 
 reps = antipodal_representatives(rationalize_all(geodesic_icosahedron([]), 1e-6))
 vecs = [p.as_tuple() for p in reps]
@@ -37,6 +41,17 @@ print(f"  step mix: {dict(steps)}")
 print(f"  oracle calls: {res.lmo_calls}  active set: {len(res.active_set)} atoms")
 print(f"  oracle rounds: {res.stats.oracle_rounds}, "
       f"{res.stats.oracle_early_exits} calls stopped at phi/K")
+
+# every call after the first answers one fw or null step, except the null
+# steps that reuse the answer behind the null step before them; a separated
+# run, GHZ on three parties with the same six inputs, ends in a run of them
+bloch = np.array([[float(c) for c in v] for v in vecs])
+ghz = build_quantum_tensor("ghz", [bloch] * 3, Scenario(3, 6, marginals=True))
+out = bpcg(ghz, 0.80, SolverConfig(restarts=300, seed=0, trace=True))
+steps = collections.Counter(out.step_types)
+reused = 1 + steps["fw"] + steps["null"] - out.lmo_calls
+print(f"bpcg on ghz at v0=0.80: {out.status}, {steps['null']} null steps, "
+      f"{reused} of them without an oracle call ({out.lmo_calls} calls)")
 
 van = frank_wolfe_vanilla(p, 0.60, SolverConfig(restarts=500, seed=2))
 print(f"vanilla frank-wolfe: {van.status} with {van.lmo_calls} oracle calls "

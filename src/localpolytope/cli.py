@@ -327,12 +327,11 @@ def cmd_report(args):
             ok, reason = verify(cert)
         except Exception as e:
             ok, reason, cert = False, str(e), None
-        try:  # the run record is optional metadata: its runtime, or a blank
+        runtime = ""  # the run record is optional metadata: blank unless it holds a number
+        with contextlib.suppress(OSError, ValueError, LookupError, TypeError):
             with open(path + ".run.json") as fp:
                 t = json.load(fp)["elapsed_seconds"]
             runtime = f"{t:.2f}" if type(t) in (int, float) else ""
-        except (OSError, ValueError, LookupError, TypeError):
-            runtime = ""
         if not ok:
             bad += 1
             verdict = "INVALID: " if ok is False else "UNPROVEN: "

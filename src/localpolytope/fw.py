@@ -6,9 +6,8 @@ strategies, with the alternating-minimisation heuristic as oracle.  BPCG asks
 it a weak-separation query (Braun, Pokutta, Zink 2017): any vertex with gap
 at least Phi / K, at which the oracle stops.  Only a call that ran its full
 batch without finding one is followed by a null step, which halves Phi and
-leaves the iterate, so its answer stands in for the next call while it misses
-the risen threshold: a BPCG run reuses 1 + fw + null - oracle_calls answers
-(``RunStats``), one more if ``early_separation`` ended it.
+moves nothing, so its answer stands in for the next call while it misses the
+risen threshold: BPCG reuses 1 + fw + null - oracle_calls answers (``RunStats``).
 Between calls BPCG takes pairwise and drop steps while their gap ga reaches
 max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap and tol = eps^2 / 2
 (lazified BPCG, Tsuji, Tanaka, Pokutta 2022): a local step costs microseconds,
@@ -343,12 +342,12 @@ def bpcg(p, v0, cfg=None):
     max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
     ``LAZY_TOLERANCE`` and tol = eps^2 / 2, and then returns the first vertex
     whose gap reaches Phi / K.  A null step follows only a call that ran its
-    full batch and found none; until a step moves the iterate, that answer
-    stands in for the next call while it misses the risen threshold.  After as
-    many local steps in a row as there are atoms, the next local step tries a
-    face step first.
-    Parameters and result as in ``frank_wolfe_vanilla``, with the final Phi
-    and, with ``cfg.trace``, the step sequence."""
+    full batch and found none; later null steps reuse its answer while the
+    iterate stays put and it misses the threshold, 1 + fw + null - oracle_calls
+    of them (plus one if ``early_separation`` ended the run).  After as many
+    local steps in a row as there are atoms, the next local step tries a face
+    step first.  Parameters and result as in ``frank_wolfe_vanilla``, with the
+    final Phi and, with ``cfg.trace``, the step sequence."""
     return _solve(p, v0, cfg, lazy=True)
 
 
@@ -453,10 +452,9 @@ def _solve(p, v0, cfg, lazy):
             f = 0.5 * dist**2
             seed += 1
             gx = float(active.weights @ vals)  # <grad, x>
-            # lazy: any vertex with gap >= Phi / K will do, so the oracle may
-            # stop at the first one; only a full batch ends in a null step
+            # lazy: the oracle may stop at any vertex with gap >= Phi / K; only a
+            # full batch ends in a null step, whose answer stands while it misses
             threshold = gx - phi / LAZY_TOLERANCE if lazy else None
-            # a null step's answer stands while it misses the risen threshold
             if held is None or held[2] <= threshold:
                 held = oracle(grad, seed, threshold)
             omega, rows, gw, cleared = held

@@ -116,7 +116,9 @@ def subdivide_projected(verts, faces, k):
             for j in range(k - i):
                 new_faces.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
                 if i + j < k - 1:
-                    new_faces.append((grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]))
+                    new_faces.append(
+                        (grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)])
+                    )
     return verts, new_faces
 
 

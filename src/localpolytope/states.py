@@ -16,7 +16,8 @@ from .tensor import (CorrelationTensor, QuantumSetup, Scenario, common_denominat
 def singlet_state():
     """(|01> - |10>)/sqrt(2)."""
     v = np.zeros(4, dtype=complex)
-    v[1], v[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    v[1] = 1 / np.sqrt(2)
+    v[2] = -1 / np.sqrt(2)
     return v
 
 

@@ -19,7 +19,7 @@ from localpolytope.polyhedra import (
     geodesic_icosahedron,
     rationalize_all,
 )
-from localpolytope.states import ghz_polygon_tensor, singlet_tensor
+from localpolytope.states import build_quantum_tensor, ghz_polygon_tensor, singlet_tensor
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
@@ -222,20 +222,29 @@ def test_no_null_step_follows_an_early_exit(monkeypatch, ico_singlet):
         assert res.step_types[t] == "fw" if exited else res.step_types[t] in ("fw", "null")
 
 
-# separated at 0.90: the run ends in null steps on an iterate that no longer
-# moves.  With the exact oracle a fresh call would return the standing answer,
-# so every reused step is the null step a fresh call would have taken.
+@pytest.fixture(scope="module")
+def ghz_m6(ico_points):
+    bloch = np.array([[float(c) for c in v.as_tuple()]
+                      for v in antipodal_representatives(ico_points)])
+    return build_quantum_tensor("ghz", [bloch] * 3, Scenario(3, 6, marginals=True))
+
+
+# GHZ on three parties at 0.80 is separated, and the run ends in a few dozen
+# null steps on an iterate that no longer moves.  With the exact oracle a fresh
+# call would return the standing answer, so each reused step is the null step
+# that a fresh call would have taken.
 @pytest.mark.parametrize("oracle", ["heuristic", "exact"])
-def test_null_steps_reuse_the_standing_answer(oracle, ico_singlet, monkeypatch):
-    cfg = SolverConfig(restarts=500, seed=2, trace=True)
+def test_null_steps_reuse_the_standing_answer(oracle, ghz_m6, monkeypatch):
+    cfg = SolverConfig(restarts=300, seed=0, trace=True)
     lmo = _exact_lmo if oracle == "exact" else heuristic_lmo
-    res, seen, calls = _recorded_run(monkeypatch, ico_singlet, 0.90, cfg, lmo)
+    res, seen, calls = _recorded_run(monkeypatch, ghz_m6, 0.80, cfg, lmo)
     assert res.status == STATUS_SEPARATED
     steps, counts = res.step_types, res.stats.steps
     reused = [t for t, step in enumerate(steps) if step == "null" and t not in calls]
     assert reused
     assert len(reused) == 1 + counts["fw"] + counts["null"] - res.stats.oracle_calls
-    target = 0.90 * ico_singlet.entries
+    target = 0.80 * ghz_m6.to_float().entries
+    target[0, 0, 0] = 1.0  # the root, as the solver sets it
     for t in reused:
         last = max(k for k in calls if k < t)
         # only null steps since the call, so the iterate has not moved
@@ -245,7 +254,7 @@ def test_null_steps_reuse_the_standing_answer(oracle, ico_singlet, monkeypatch):
         threshold = float(w @ vals) - res.phi_history[t] / fw.LAZY_TOLERANCE
         assert calls[last][0] > threshold
         if oracle == "exact":
-            fresh = exhaustive_lmo(CorrelationTensor(ico_singlet.scenario, x - target))[1]
+            fresh = exhaustive_lmo(CorrelationTensor(ghz_m6.scenario, x - target))[1]
             assert fresh > threshold
 
 
