@@ -6,11 +6,15 @@ weight from its worst atom to its best one.  It keeps doing so while that
 transfer's gap reaches min(phi, g)/K, g the gap of the last Frank-Wolfe step
 (never below the stopping accuracy eps^2/2), and consults the oracle only
 below it.  Then the oracle answers a weak-separation query: it stops at the
-first vertex whose gap reaches phi/K.  Only a full search that finds none
-halves the progress estimate phi instead of moving: a null step.  Until a step
-moves the iterate again, the next null step reuses that search's answer while
-it still misses the risen threshold, without a new call.  Once as many transfers
-as there are atoms follow one another, the next local step is a face step:
+first vertex whose gap reaches phi/K, and hands back up to eight more that
+reach it in the same round.  They join the active set at weight 0, so the
+transfers that follow can move weight onto them without another oracle call;
+one that turns out useless leaves by a drop step.  Only a full search that
+finds none halves the progress estimate phi instead of moving: a null step.
+Until a step moves the iterate again, the next null step reuses that search's
+answer while it still misses the risen threshold, without a new call.  Once as
+many transfers as there are atoms follow one another, the next local step is a
+face step:
 one KKT solve on the atoms' Gram matrix jumps to the minimiser over their
 affine hull, dropping atoms whose weight reaches 0 on the way.
 """
@@ -40,7 +44,8 @@ print(f"bpcg at v0=0.60: {res.status} in {res.iterations} iterations")
 print(f"  step mix: {dict(steps)}")
 print(f"  oracle calls: {res.lmo_calls}  active set: {len(res.active_set)} atoms")
 print(f"  oracle rounds: {res.stats.oracle_rounds}, "
-      f"{res.stats.oracle_early_exits} calls stopped at phi/K")
+      f"{res.stats.oracle_early_exits} calls stopped at phi/K, "
+      f"{res.stats.extra_atoms} atoms added beside their vertices at weight 0")
 
 # every call after the first answers one fw or null step, except the null
 # steps that reuse the answer behind the null step before them; a separated

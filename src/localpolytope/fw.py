@@ -4,10 +4,12 @@ Both solvers, ``frank_wolfe_vanilla`` and the lazy blended pairwise ``bpcg``,
 minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the deterministic
 strategies, with the alternating-minimisation heuristic as oracle.  BPCG asks
 it a weak-separation query (Braun, Pokutta, Zink 2017): any vertex with gap
-at least Phi / K, at which the oracle stops.  Only a call that ran its full
-batch without finding one is followed by a null step, which halves Phi and
-moves nothing, so its answer stands in for the next call while it misses the
-risen threshold: BPCG reuses 1 + fw + null - oracle_calls answers (``RunStats``).
+at least Phi / K, at which the oracle stops.  Up to ``lmo.EXTRA_ATOMS`` more
+that clear it in that round join the active set at weight 0 beside it, for the
+local steps; a useless one leaves by a drop step.  Only a call that ran its
+full batch without finding one is followed by a null step, which halves Phi
+and moves nothing, so its answer stands in for the next call while it misses
+the risen threshold: BPCG reuses 1 + fw + null - oracle_calls answers.
 Between calls BPCG takes pairwise and drop steps while their gap ga reaches
 max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap and tol = eps^2 / 2
 (lazified BPCG, Tsuji, Tanaka, Pokutta 2022): a local step costs microseconds,
@@ -17,11 +19,11 @@ as there are atoms follow one another, the next is a face step instead: Wolfe's
 minor cycle (Wolfe 1976), one KKT solve in Gram space for the minimiser of f
 over the atoms' affine hull (``InnerProductCache.face_step``).
 
-Atoms are per-party sign rows, never dense tensors.  A pairwise, drop or face
-step needs only the weights and the Gram matrix of the atoms, so it leaves the
-dense iterate stale.  The iterate is formed from the weights and rows only
-where it is read: by the oracle branch, which needs the gradient, by the
-trace, debug and callback observers, and at exit.  So ``dist <= eps`` is
+Atoms are per-party sign rows, never dense tensors.  A step needs only the
+weights and the Gram matrix of the atoms, so it leaves the dense iterate stale.
+The iterate is formed from the weights and rows only where it is read: by the
+oracle branch, which needs the gradient, by the trace, debug and callback
+observers, and at exit.  So ``dist <= eps`` is
 tested when the oracle is consulted, and a run that ends inside may take a
 few more pairwise steps than one that tested every iteration.
 
@@ -41,18 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lmo import BellFunctional, heuristic_lmo
-from .tensor import (
-    CorrelationTensor,
-    combine_rows,
-    rows_inner,
-    sign_rows,
-    strategy_inner,
-    strategy_tensor,
-    tensor_strategy_inner,
-)
+from .tensor import (CorrelationTensor, combine_rows, rows_inner, sign_rows, strategy_inner,
+                     strategy_tensor, tensor_strategy_inner)
 
-# strategy_inner, strategy_tensor and tensor_strategy_inner are not called
-# here: atoms live as sign rows, and the oracle returns its vertex's value.
+# strategy_inner, strategy_tensor and tensor_strategy_inner are not called here;
 # bench/tracing.py counts calls to them through this namespace.
 
 STATUS_INSIDE = "converged_inside"
@@ -76,6 +70,10 @@ class SolverConfig:
     trace: bool = False              # record per-iteration step data
     early_separation: bool = False   # settle 'separated' from the dual bound
                                      # (faster verdicts, cruder final gradient)
+
+    def __post_init__(self):
+        if not (self.eps > 0 and self.restarts >= 1 and self.max_iterations >= 0):
+            raise ValueError("need eps > 0, restarts >= 1 and max_iterations >= 0")
 
 
 class ActiveSet:
@@ -145,11 +143,6 @@ class ActiveSet:
         for j in range(i, n - 1):
             self._index[self.atoms[j]] = j
 
-    def atom_tensor(self, i):
-        """Dense tensor of atom i: the outer product of its sign rows."""
-        rows = [r[i : i + 1] for r in self._rows]
-        return combine_rows(np.ones(1), rows).reshape(self.scenario.shape)
-
     def recompute_iterate(self):
         """sum_i w_i d_i as one product of the weights with the sign rows."""
         return combine_rows(self.weights, self.rows).reshape(self.scenario.shape)
@@ -175,11 +168,11 @@ class InnerProductCache:
 
     The values are Gram @ weights - b, with b_lambda = <v0 p, d_lambda>, so
     they need no dense iterate.  A step that changes at most two weights
-    updates them from one or two Gram rows.  A new atom's Gram row comes
-    from the sign rows, one matrix-vector product per party; the Gram buffer
-    grows by doubling and removals shift it in place.  Rows, contiguous,
-    stand in for columns exactly: every entry is an exact integer and
-    ``add_atom`` writes each vector as row and column alike.
+    updates them from one or two Gram rows.  New atoms' Gram rows come from
+    the sign rows, one matrix product per party for the whole batch; the Gram
+    buffer grows by doubling and removals shift it in place.  Rows,
+    contiguous, stand in for columns exactly: every entry is an exact integer
+    and ``add_atom`` writes each block as rows and columns alike.
     """
 
     def __init__(self, active, v0p):
@@ -197,21 +190,20 @@ class InnerProductCache:
         return self._gram[: len(self.b), : len(self.b)]
 
     def add_atom(self, i):
-        """Extend the cache by the active set's atom i unless it holds it."""
-        n = len(self.b)
-        if i < n:
-            return
-        if n == len(self._gram):
-            g, self._gram = self._gram, np.zeros((2 * n, 2 * n))
-            self._gram[:n, :n] = g
+        """Extend the cache, in one batch, by every atom the active set holds
+        beyond it; so atom i, new or already held, is covered afterwards."""
+        n, k = len(self.b), len(self.active)
+        if k > len(self._gram):
+            g, self._gram = self._gram, np.zeros((max(2 * len(self._gram), k),) * 2)
+            self._gram[:n, :n] = g[:n, :n]
         rows = self.active.rows
-        new = [r[i] for r in rows]
-        col = _gram(rows, new, self.active.scenario.marginals)
-        self._gram[i, : n + 1] = col
-        self._gram[: n + 1, i] = col
-        b = rows_inner(self.v0p, [v[:, None] for v in new])
+        new = [r[n:] for r in rows]
+        cols = _gram(rows, new, self.active.scenario.marginals)
+        self._gram[n:k, :k] = cols.T
+        self._gram[:k, n:k] = cols
+        b = rows_inner(self.v0p, [v.T for v in new])
         self.b = np.append(self.b, b)
-        self.v = np.append(self.v, col @ self.active.weights - b)
+        self.v = np.append(self.v, self.active.weights @ cols - b)
 
     def remove_atom(self, i):
         n = len(self.b)
@@ -234,8 +226,7 @@ class InnerProductCache:
         self.v = (1 - gamma) * self.v + gamma * (self._gram[i_new, : len(self.v)] - self.b)
 
     def values(self):
-        """<grad f(x), d_lambda> for every active atom, updated in place by
-        the next pairwise step."""
+        """<grad f(x), d_lambda> per atom, updated in place by a pairwise step."""
         return self.v
 
     def rebuild(self):
@@ -288,13 +279,15 @@ class InnerProductCache:
 class RunStats:
     """Steps by type (they sum to the iterations), oracle calls, their wall
     seconds and alternating rounds, the calls that returned at the lazy
-    threshold, and the largest active set; counted on every run."""
+    threshold, the atoms their extras added, and the largest active set;
+    counted on every run."""
 
     steps: dict = field(default_factory=lambda: dict.fromkeys(STEP_TYPES, 0))
     oracle_calls: int = 0
     oracle_seconds: float = 0.0
     oracle_rounds: int = 0
     oracle_early_exits: int = 0
+    extra_atoms: int = 0
     peak_atoms: int = 1
 
 
@@ -341,13 +334,15 @@ def bpcg(p, v0, cfg=None):
     estimate Phi.  The oracle is consulted only when the local gap falls below
     max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
     ``LAZY_TOLERANCE`` and tol = eps^2 / 2, and then returns the first vertex
-    whose gap reaches Phi / K.  A null step follows only a call that ran its
-    full batch and found none; later null steps reuse its answer while the
-    iterate stays put and it misses the threshold, 1 + fw + null - oracle_calls
-    of them (plus one if ``early_separation`` ended the run).  After as many
-    local steps in a row as there are atoms, the next local step tries a face
-    step first.  Parameters and result as in ``frank_wolfe_vanilla``, with the
-    final Phi and, with ``cfg.trace``, the step sequence."""
+    whose gap reaches Phi / K, and up to ``lmo.EXTRA_ATOMS`` more, added at
+    weight 0 (``RunStats.extra_atoms``).  A null step follows only a call that
+    ran its full batch and found none; later null steps reuse its answer while
+    the iterate stays put and it misses the threshold, 1 + fw + null -
+    oracle_calls of them (plus one if ``early_separation`` ended the run).
+    After as many local steps in a row as there are atoms, the next local step
+    tries a face step first.  Parameters and result as in
+    ``frank_wolfe_vanilla``, with the final Phi and, with ``cfg.trace``, the
+    step sequence."""
     return _solve(p, v0, cfg, lazy=True)
 
 
@@ -358,10 +353,9 @@ def _solve(p, v0, cfg, lazy):
     every iteration takes the oracle branch and a Frank-Wolfe step; Phi then
     holds the last Frank-Wolfe gap and no step types are recorded.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    if not (0 <= v0 <= 1 and cfg.eps > 0 and cfg.restarts >= 1 and cfg.max_iterations >= 0):
-        raise ValueError("need v0 in [0, 1], eps > 0, restarts >= 1 and max_iterations >= 0")
+    cfg = cfg or SolverConfig()
+    if not 0 <= v0 <= 1:
+        raise ValueError("need v0 in [0, 1]")
     tol = 0.5 * cfg.eps**2
     sc = p.scenario
     target = float(v0) * p.to_float().entries
@@ -375,22 +369,21 @@ def _solve(p, v0, cfg, lazy):
     stats = RunStats()
 
     def oracle(gradient, seed, threshold=None):
-        """The oracle's vertex and its sign rows, its value <gradient, d>, and
-        whether it cleared ``threshold``, which only a call cut short can do."""
+        """The oracle's vertex and its sign rows, its value <gradient, d>, whether
+        it cleared ``threshold`` (only a call cut short can), and its extras."""
         t0 = time.perf_counter()
-        omega, value, rounds, rows = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
+        omega, value, rounds, rows, extras = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
         stats.oracle_seconds += time.perf_counter() - t0
         stats.oracle_calls += 1
         stats.oracle_rounds += rounds
         cleared = threshold is not None and value <= threshold
         stats.oracle_early_exits += cleared
-        return omega, rows, value, cleared
+        return omega, rows, value, cleared, extras
 
     active = ActiveSet(sc)
     seed = cfg.seed
     omega, rows = oracle(CorrelationTensor(sc, -target), seed)[:2]
     active.add_atom(omega, 1.0, rows)
-    active.x = active.atom_tensor(0)
     cache = InnerProductCache(active, target_t)
 
     dist = distance()
@@ -419,8 +412,7 @@ def _solve(p, v0, cfg, lazy):
 
         # Python floats round as numpy scalars do, at less call overhead
         vals = cache.values()
-        i_away = int(vals.argmax())
-        i_local = int(vals.argmin())
+        i_away, i_local = int(vals.argmax()), int(vals.argmin())
         ga = vals.item(i_away) - vals.item(i_local)
 
         if lazy and ga >= floor and local >= len(active) and cache.face_step():
@@ -433,7 +425,6 @@ def _solve(p, v0, cfg, lazy):
             gamma = min(ga / cache.distance_sq(i_away, i_local), cap)
             w[i_away] = cap - gamma
             w[i_local] = w.item(i_local) + gamma
-            active.x = None
             cache.apply_pairwise(i_away, i_local, gamma)
             if gamma >= cap:
                 step = "drop"
@@ -443,8 +434,7 @@ def _solve(p, v0, cfg, lazy):
                 step = "pairwise"
         else:
             local = 0
-            x = active.iterate()
-            grad = CorrelationTensor(sc, x - target)
+            grad = CorrelationTensor(sc, active.iterate() - target)
             dist = float(np.linalg.norm(grad.entries))
             if dist <= cfg.eps:
                 res.status = STATUS_INSIDE
@@ -457,7 +447,7 @@ def _solve(p, v0, cfg, lazy):
             threshold = gx - phi / LAZY_TOLERANCE if lazy else None
             if held is None or held[2] <= threshold:
                 held = oracle(grad, seed, threshold)
-            omega, rows, gw, cleared = held
+            omega, rows, gw, cleared, extras = held
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
             # accuracy the point cannot be inside (up to oracle suboptimality)
@@ -467,16 +457,20 @@ def _solve(p, v0, cfg, lazy):
                     res.status = STATUS_SEPARATED
                     break
             if not lazy or cleared:
-                # Frank-Wolfe step toward the oracle vertex: a rank-one update
+                # Frank-Wolfe step toward the oracle vertex, its extras at weight 0
+                n = len(active)
                 i = active.add_atom(omega, 0.0, rows)
+                for s, r in extras:
+                    active.add_atom(s, 0.0, r)
+                stats.extra_atoms += len(active) - max(n, i + 1)
                 cache.add_atom(i)
-                d = active.atom_tensor(i)
-                diff = x - d
-                denom = float(np.dot(diff.reshape(-1), diff.reshape(-1)))
+                w, b = active.weights, cache.b
+                # ||x - d_i||^2 = <x, x> - 2 <x, d_i> + G_ii, with <x, d_j> = v_j + b_j
+                denom = gx + float(w @ b) - 2 * (cache.v.item(i) + b.item(i))
+                denom += cache.gram.item(i, i)
                 gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
-                active.weights *= 1 - gamma
-                active.weights[i] += gamma
-                active.x = active.x + gamma * (d - active.x)
+                w *= 1 - gamma
+                w[i] += gamma
                 cache.apply_fw(i, gamma)
                 stats.peak_atoms = max(stats.peak_atoms, len(active))
                 g_last = gap
@@ -491,7 +485,8 @@ def _solve(p, v0, cfg, lazy):
                 step = "null"
             floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)
 
-        held = held if step == "null" else None  # every other step moves the iterate
+        if step != "null":  # every other step moves the iterate, leaving it stale
+            held = active.x = None
         stats.steps[step] += 1
         if trace and lazy:
             res.step_types.append(step)

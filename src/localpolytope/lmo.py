@@ -4,8 +4,8 @@ Minimising a linear functional over the local polytope means optimising a
 multilinear +-1 assignment problem.  ``heuristic_lmo`` is a batched
 alternating minimisation (fast, no optimality guarantee).  Given a
 threshold it answers a weak-separation query: it returns the first vertex at
-or below the threshold, and otherwise runs the full batch, each restart until
-its first round without improvement.
+or below it, and up to EXTRA_ATOMS more, or runs the full batch, each restart
+until its first round without improvement.
 ``exhaustive_lmo`` is the one exact kernel, behind every local bound; its
 docstring gives the cap and the exactness argument.  The bipartite QUBO
 reformulation and its branch and bound remain library functions that no
@@ -24,6 +24,7 @@ from .tensor import (CorrelationTensor, DeterministicStrategy, _contract_unfolde
 EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
 EXHAUSTIVE_ENTRIES = 1 << 15  # entries of one batch's first contraction, at most
 HEURISTIC_ROUNDS = 200  # max alternating-maximisation rounds per restart
+EXTRA_ATOMS = 8  # max other threshold-clearing vertices an early exit returns
 QUBO_CAP = 64  # max binary variables (2m) for the QUBO branch and bound
 
 
@@ -65,30 +66,30 @@ def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
 
 
 def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
-    """(strategy, value, rounds, rows): a strategy approximately minimising
-    <gradient, d>, its value with the root entry left out, as
-    ``tensor_strategy_inner`` counts it, the alternating rounds run, and the
-    strategy's float (N, axis) sign rows, led by a 1 for the marginal slot as
-    ``sign_rows`` lays them out.
-
-    With a ``threshold`` this is a weak-separation query: the first strategy
-    whose value is at or below it is returned.  A value above it means the
-    full batch ran and none of its restarts cleared it.  Restarts start from
-    one stdlib ``random.Random(seed).getrandbits`` draw (``_alternating_min``)."""
+    """(strategy, value, rounds, rows, extras): a strategy approximately
+    minimising <gradient, d>, its value with the root entry left out, as
+    ``tensor_strategy_inner`` counts it, the alternating rounds run, its float
+    (N, axis) sign rows as ``sign_rows`` lays them out, and (strategy, rows)
+    pairs.  With a ``threshold`` this is a weak-separation query: the first
+    strategy at or below it is returned, and the extras are the other restarts
+    of that round that clear it, by value (stable), distinct tensors other
+    than the strategy's, at most EXTRA_ATOMS.  A value above it means the full
+    batch ran and none cleared it; then, as without a threshold, there are no
+    extras.  Restarts start from one ``random.Random(seed)`` draw."""
     G = gradient.to_float().entries
     return _alternating_min(G, gradient.scenario, restarts, seed, threshold)
 
 
 def _alternating_min(G, sc, restarts, seed, threshold=None):
-    """Best (strategy, value, rounds, rows) found by alternating minimisation
-    of <G, d>, the value with the root entry left out.
+    """``heuristic_lmo``'s answer, by alternating minimisation of <G, d>.
 
     Each restart, a column of one (N, axis, R) sign buffer, starts from random
     signs: the (N, m, R) bits of ``random.Random(seed).getrandbits(N*m*R)``,
     lowest first, bit 1 -> +1.  It cycles through the parties, setting each
     party's signs opposite to its coefficients (0 -> +1).  A round's values
     are read off its last contraction.  After each round the best value is
-    compared with ``threshold``; at or below it, that restart returns at once.
+    compared with ``threshold``; at or below it, the round's clearing restarts
+    return at once.
     Otherwise a restart leaves the batch after its first round without
     improvement, its signs and value written back, and the loop ends when none
     is left: the full batch, whose argmin covers every restart.  Each party's
@@ -106,8 +107,7 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     final = np.empty(restarts)  # the value of each restart's written-back signs
     live = np.arange(restarts)  # restarts still in the batch, columns of work
     work = signs
-    prev = np.full(restarts, np.inf)
-    rounds = 0
+    prev, rounds = np.full(restarts, np.inf), 0
     while live.size and rounds < HEURISTIC_ROUNDS:
         rounds += 1
         for n in range(N):
@@ -115,11 +115,16 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
             C = _contract_unfolded(unfolded[n], others, live.size)
             work[n, off:] = np.where(C[off:] <= 0, 1.0, -1.0)
         vals = (C * work[N - 1]).sum(axis=0)
-        i = int(np.argmin(vals))
-        best = vals.item(i) - root
+        best = float(vals.min()) - root
         if threshold is not None and best <= threshold:
-            rows = work[:, :, i].copy()
-            return DeterministicStrategy.from_signs(rows[:, off:]), best, rounds, rows
+            found = {}  # canonical form -> (strategy, rows) of the clearing restarts
+            for j in np.argsort(vals, kind="stable")[: np.count_nonzero(vals - root <= threshold)]:
+                s = DeterministicStrategy.from_signs(work[:, off:, j])
+                found.setdefault(s.canonical(sc), (s, work[:, :, j].copy()))
+                if len(found) > EXTRA_ATOMS:
+                    break
+            (s, rows), *extras = found.values()  # the first is the first argmin
+            return s, best, rounds, rows, extras
         done = vals >= prev - 1e-12
         if done.any():
             signs[:, :, live[done]] = work[:, :, done]
@@ -131,7 +136,7 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     final[live] = prev
     i = int(np.argmin(final))
     rows = signs[:, :, i].copy()
-    return DeterministicStrategy.from_signs(rows[:, off:]), final.item(i) - root, rounds, rows
+    return DeterministicStrategy.from_signs(rows[:, off:]), final.item(i) - root, rounds, rows, []
 
 
 def enumerable(scenario):

@@ -174,6 +174,7 @@ def test_unreachable_threshold_runs_the_full_batch(parties, marginals):
         capped = heuristic_lmo(g, restarts=50, seed=trial, threshold=v_opt - 1e-9)
         assert capped[:3] == plain[:3]
         assert (capped[3] == plain[3]).all()
+        assert capped[4] == plain[4] == []  # a full batch returns no extras
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -188,12 +189,46 @@ def test_reachable_threshold_returns_a_vertex_that_clears_it(parties, marginals)
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
         _, v_opt = exhaustive_lmo(g)
         threshold = 0.5 * (v_opt + tensor_strategy_inner(g, plus))
-        s, v, rounds, rows = heuristic_lmo(g, restarts=200, seed=trial, threshold=threshold)
+        s, v, rounds, rows, extras = heuristic_lmo(g, restarts=200, seed=trial,
+                                                   threshold=threshold)
         assert v <= threshold
         assert tensor_strategy_inner(g, s) <= threshold + 1e-12
         assert tensor_strategy_inner(g, s) == pytest.approx(v, abs=1e-12)
         assert rounds >= 1
         assert np.array_equal(rows, np.array([S[0] for S in sign_rows([s], sc)]))
+        # the other restarts of that round that clear it: distinct tensors,
+        # none the winner's, by value, within the cap, each with its rows
+        assert len(extras) <= lmo.EXTRA_ATOMS
+        assert len({t.canonical(sc) for t, _ in extras} | {s.canonical(sc)}) == 1 + len(extras)
+        values = [tensor_strategy_inner(g, t) for t, _ in extras]
+        assert all(v - 1e-12 <= u <= threshold + 1e-12 for u in values)
+        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+        for t, r in extras:
+            assert np.array_equal(r, np.array([S[0] for S in sign_rows([t], sc)]))
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+def test_early_exit_keeps_the_best_clearing_restarts_up_to_the_cap(marginals, monkeypatch):
+    # a threshold that every restart clears after one round: the call returns
+    # the round's best distinct tensors, as many as the cap allows
+    monkeypatch.setattr(lmo, "EXTRA_ATOMS", 3)
+    rng = np.random.default_rng(50 + marginals)
+    sc = Scenario(2, 5, marginals)
+    for trial in range(5):
+        g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        s, v, rounds, rows, extras = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)
+        assert rounds == 1 and len(extras) == 3
+        found = [s, *(t for t, _ in extras)]
+        assert len({t.canonical(sc) for t in found}) == 4
+        values = [tensor_strategy_inner(g, t) for t in found]
+        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+        # nothing missed: every other distinct vertex the same call reaches at
+        # a larger cap is no better than the last one kept
+        monkeypatch.setattr(lmo, "EXTRA_ATOMS", 200)
+        wider = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)[4]
+        monkeypatch.setattr(lmo, "EXTRA_ATOMS", 3)
+        assert [t for t, _ in wider[:3]] == found[1:]
+        assert min(tensor_strategy_inner(g, t) for t, _ in wider[3:]) >= values[-1] - 1e-12
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -207,7 +242,8 @@ def test_restart_stop_matches_reference(parties, marginals):
     for trial in range(5):
         t = CorrelationTensor(sc, rng.normal(size=sc.shape))
         neg = CorrelationTensor(sc, -t.entries)
-        s, v, rounds, rows = heuristic_lmo(neg, restarts=300, seed=trial)
+        s, v, rounds, rows, extras = heuristic_lmo(neg, restarts=300, seed=trial)
+        assert extras == []  # no threshold, no extras
         s_ref, v_ref = heuristic_reference(t, 300, trial)
         assert -v == pytest.approx(v_ref, abs=1e-12)
         assert 1 <= rounds <= HEURISTIC_ROUNDS
