@@ -49,14 +49,16 @@ print(f"  oracle rounds: {res.stats.oracle_rounds}, "
 
 # every call after the first answers one fw or null step, except the null
 # steps that reuse the answer behind the null step before them; a separated
-# run, GHZ on three parties with the same six inputs, ends in a run of them
+# run, GHZ on three parties with the same six inputs, ends in a run of them,
+# the last one confirmed by the exact oracle
 bloch = np.array([[float(c) for c in v] for v in vecs])
 ghz = build_quantum_tensor("ghz", [bloch] * 3, Scenario(3, 6, marginals=True))
 out = bpcg(ghz, 0.80, SolverConfig(restarts=300, seed=0, trace=True))
 steps = collections.Counter(out.step_types)
 reused = 1 + steps["fw"] + steps["null"] - out.lmo_calls
 print(f"bpcg on ghz at v0=0.80: {out.status}, {steps['null']} null steps, "
-      f"{reused} of them without an oracle call ({out.lmo_calls} calls)")
+      f"{reused} of them without an oracle call ({out.lmo_calls} calls, "
+      f"{out.stats.exact_calls} exact)")
 
 van = frank_wolfe_vanilla(p, 0.60, SolverConfig(restarts=500, seed=2))
 print(f"vanilla frank-wolfe: {van.status} with {van.lmo_calls} oracle calls "

@@ -14,8 +14,6 @@ from .tensor import (
     QuantumSetup,
     Scenario,
     inner,
-    norm1,
-    norm2,
     norm2_sq,
     quantum_tensor,
     scale,

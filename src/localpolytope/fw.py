@@ -3,29 +3,18 @@
 Both solvers, ``frank_wolfe_vanilla`` and the lazy blended pairwise ``bpcg``,
 minimise f(x) = 1/2 ||x - v0*p||_2^2 over the convex hull of the deterministic
 strategies, with the alternating-minimisation heuristic as oracle.  BPCG asks
-it a weak-separation query (Braun, Pokutta, Zink 2017): any vertex with gap
-at least Phi / K, at which the oracle stops.  Up to ``lmo.EXTRA_ATOMS`` more
-that clear it in that round join the active set at weight 0 beside it, for the
-local steps; a useless one leaves by a drop step.  Only a call that ran its
-full batch without finding one is followed by a null step, which halves Phi
-and moves nothing, so its answer stands in for the next call while it misses
-the risen threshold: BPCG reuses 1 + fw + null - oracle_calls answers.
-Between calls BPCG takes pairwise and drop steps while their gap ga reaches
-max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap and tol = eps^2 / 2
-(lazified BPCG, Tsuji, Tanaka, Pokutta 2022): a local step costs microseconds,
-a call far more.  The clamp at tol stops local work the stopping test cannot see.
-Near a fixed face pairwise steps converge slowly, so once as many local steps
-as there are atoms follow one another, the next is a face step instead: Wolfe's
-minor cycle (Wolfe 1976), one KKT solve in Gram space for the minimiser of f
-over the atoms' affine hull (``InnerProductCache.face_step``).
+it a weak-separation query (Braun, Pokutta, Zink 2017) and between calls takes
+local steps over the active set (lazified BPCG, Tsuji, Tanaka, Pokutta 2022):
+a local step costs microseconds, a call far more.  ``bpcg`` gives the rules.
 
-Atoms are per-party sign rows, never dense tensors.  A step needs only the
-weights and the Gram matrix of the atoms, so it leaves the dense iterate stale.
-The iterate is formed from the weights and rows only where it is read: by the
-oracle branch, which needs the gradient, by the trace, debug and callback
-observers, and at exit.  So ``dist <= eps`` is
-tested when the oracle is consulted, and a run that ends inside may take a
-few more pairwise steps than one that tested every iteration.
+Atoms are per-party sign rows, never dense tensors.  BPCG's steps need only
+the weights and the atoms' Gram matrix, so they leave the dense iterate stale.
+It is formed from the weights and rows only where it is read: by the oracle
+branch, which needs the gradient, by the trace, debug and callback observers,
+and at exit.  So ``dist <= eps`` is tested when the oracle is consulted, and a
+run that ends inside may take a few more pairwise steps than one that tested
+every iteration.  Vanilla Frank-Wolfe reads it every iteration: a rank-one
+update keeps it current.
 
 With marginal slots every point of the polytope has a 1 at the root entry.
 The target carries the same 1, so the root cancels from x - v0 p and x - d up
@@ -42,11 +31,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmo import BellFunctional, heuristic_lmo
-from .tensor import (CorrelationTensor, combine_rows, rows_inner, sign_rows, strategy_inner,
-                     strategy_tensor, tensor_strategy_inner)
+from .lmo import BellFunctional, enumerable, exhaustive_lmo, heuristic_lmo
+from .tensor import (
+    CorrelationTensor,
+    combine_rows,
+    rows_inner,
+    sign_rows,
+    strategy_inner,
+    strategy_tensor,
+    tensor_strategy_inner,
+)
 
-# strategy_inner, strategy_tensor and tensor_strategy_inner are not called here;
+# strategy_inner, strategy_tensor and tensor_strategy_inner are not called
+# here: atoms live as sign rows, and the oracle returns its vertex's value.
 # bench/tracing.py counts calls to them through this namespace.
 
 STATUS_INSIDE = "converged_inside"
@@ -178,12 +175,9 @@ class InnerProductCache:
     def __init__(self, active, v0p):
         self.active = active
         self.v0p = v0p
-        rows = active.rows
-        n = len(active)
-        self._gram = np.zeros((max(n, MIN_CAPACITY),) * 2)
-        self._gram[:n, :n] = _gram(rows, rows, active.scenario.marginals)
-        self.b = rows_inner(v0p, [r.T for r in rows])
-        self.rebuild()
+        self._gram = np.zeros((MIN_CAPACITY, MIN_CAPACITY))
+        self.b = self.v = np.zeros(0)
+        self.add_atom(0)
 
     @property
     def gram(self):
@@ -193,6 +187,8 @@ class InnerProductCache:
         """Extend the cache, in one batch, by every atom the active set holds
         beyond it; so atom i, new or already held, is covered afterwards."""
         n, k = len(self.b), len(self.active)
+        if k == n:
+            return
         if k > len(self._gram):
             g, self._gram = self._gram, np.zeros((max(2 * len(self._gram), k),) * 2)
             self._gram[:n, :n] = g[:n, :n]
@@ -277,10 +273,10 @@ class InnerProductCache:
 
 @dataclass
 class RunStats:
-    """Steps by type (they sum to the iterations), oracle calls, their wall
-    seconds and alternating rounds, the calls that returned at the lazy
-    threshold, the atoms their extras added, and the largest active set;
-    counted on every run."""
+    """Steps by type (they sum to the iterations), heuristic oracle calls,
+    their wall seconds and alternating rounds, the calls that returned at the
+    lazy threshold, the atoms their extras added, the exact oracle's calls at
+    a run's end, and the largest active set; counted on every run."""
 
     steps: dict = field(default_factory=lambda: dict.fromkeys(STEP_TYPES, 0))
     oracle_calls: int = 0
@@ -288,6 +284,7 @@ class RunStats:
     oracle_rounds: int = 0
     oracle_early_exits: int = 0
     extra_atoms: int = 0
+    exact_calls: int = 0
     peak_atoms: int = 1
 
 
@@ -333,14 +330,21 @@ def bpcg(p, v0, cfg=None):
     toward a fresh oracle vertex, or a null step that halves the primal-gap
     estimate Phi.  The oracle is consulted only when the local gap falls below
     max(min(Phi, g) / K, tol), g the last Frank-Wolfe gap, K =
-    ``LAZY_TOLERANCE`` and tol = eps^2 / 2, and then returns the first vertex
-    whose gap reaches Phi / K, and up to ``lmo.EXTRA_ATOMS`` more, added at
-    weight 0 (``RunStats.extra_atoms``).  A null step follows only a call that
-    ran its full batch and found none; later null steps reuse its answer while
-    the iterate stays put and it misses the threshold, 1 + fw + null -
-    oracle_calls of them (plus one if ``early_separation`` ended the run).
-    After as many local steps in a row as there are atoms, the next local step
-    tries a face step first.  Parameters and result as in
+    ``LAZY_TOLERANCE`` and tol = eps^2 / 2 (the clamp at tol stops local work
+    the stopping test cannot see), and returns the first vertex whose gap
+    reaches Phi / K, and up to ``lmo.EXTRA_ATOMS`` more that clear it in that
+    round, added at weight 0 (``RunStats.extra_atoms``); a useless one leaves
+    by a drop step.  A null step follows only a call that ran its full batch
+    and found none; later null steps reuse its answer while the iterate stays
+    put and it misses the threshold.  The null step that would end a run
+    (Phi <= 2 tol) first asks ``exhaustive_lmo``, where the scenario is
+    enumerable, and a vertex that clears the threshold takes a Frank-Wolfe
+    step instead (``RunStats.exact_calls``): a separated run's last gradient
+    does not rest on the heuristic.  1 + fw + null - oracle_calls steps had
+    no heuristic call of their own (plus one if ``early_separation`` ended
+    the run).  After as many local steps in a row as there are atoms, where
+    pairwise steps converge slowly, the next tries a face step first: Wolfe's
+    minor cycle (Wolfe 1976).  Parameters and result as in
     ``frank_wolfe_vanilla``, with the final Phi and, with ``cfg.trace``, the
     step sequence."""
     return _solve(p, v0, cfg, lazy=True)
@@ -353,7 +357,8 @@ def _solve(p, v0, cfg, lazy):
     every iteration takes the oracle branch and a Frank-Wolfe step; Phi then
     holds the last Frank-Wolfe gap and no step types are recorded.
     """
-    cfg = cfg or SolverConfig()
+    if cfg is None:
+        cfg = SolverConfig()
     if not 0 <= v0 <= 1:
         raise ValueError("need v0 in [0, 1]")
     tol = 0.5 * cfg.eps**2
@@ -412,7 +417,8 @@ def _solve(p, v0, cfg, lazy):
 
         # Python floats round as numpy scalars do, at less call overhead
         vals = cache.values()
-        i_away, i_local = int(vals.argmax()), int(vals.argmin())
+        i_away = int(vals.argmax())
+        i_local = int(vals.argmin())
         ga = vals.item(i_away) - vals.item(i_local)
 
         if lazy and ga >= floor and local >= len(active) and cache.face_step():
@@ -425,6 +431,7 @@ def _solve(p, v0, cfg, lazy):
             gamma = min(ga / cache.distance_sq(i_away, i_local), cap)
             w[i_away] = cap - gamma
             w[i_local] = w.item(i_local) + gamma
+            active.x = None
             cache.apply_pairwise(i_away, i_local, gamma)
             if gamma >= cap:
                 step = "drop"
@@ -434,7 +441,8 @@ def _solve(p, v0, cfg, lazy):
                 step = "pairwise"
         else:
             local = 0
-            grad = CorrelationTensor(sc, active.iterate() - target)
+            x = active.iterate()
+            grad = CorrelationTensor(sc, x - target)
             dist = float(np.linalg.norm(grad.entries))
             if dist <= cfg.eps:
                 res.status = STATUS_INSIDE
@@ -447,6 +455,12 @@ def _solve(p, v0, cfg, lazy):
             threshold = gx - phi / LAZY_TOLERANCE if lazy else None
             if held is None or held[2] <= threshold:
                 held = oracle(grad, seed, threshold)
+            if lazy and not held[3] and phi <= 2 * tol and enumerable(sc):
+                # the null step that would end the run: the exact oracle has the last word
+                stats.exact_calls += 1
+                strategy, value = exhaustive_lmo(grad)
+                if value <= threshold:
+                    held = (strategy, None, float(value), True, [])
             omega, rows, gw, cleared, extras = held
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
@@ -471,6 +485,10 @@ def _solve(p, v0, cfg, lazy):
                 gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
                 w *= 1 - gamma
                 w[i] += gamma
+                active.x = None  # stale, as after a local step
+                if not lazy:  # vanilla reads it every iteration: a rank-one update
+                    d = combine_rows(np.ones(1), [r[i : i + 1] for r in active.rows])
+                    active.x = x + gamma * (d.reshape(sc.shape) - x)
                 cache.apply_fw(i, gamma)
                 stats.peak_atoms = max(stats.peak_atoms, len(active))
                 g_last = gap
@@ -485,8 +503,7 @@ def _solve(p, v0, cfg, lazy):
                 step = "null"
             floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)
 
-        if step != "null":  # every other step moves the iterate, leaving it stale
-            held = active.x = None
+        held = held if step == "null" else None  # every other step moves the iterate
         stats.steps[step] += 1
         if trace and lazy:
             res.step_types.append(step)

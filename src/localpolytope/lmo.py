@@ -2,11 +2,9 @@
 
 Minimising a linear functional over the local polytope means optimising a
 multilinear +-1 assignment problem.  ``heuristic_lmo`` is a batched
-alternating minimisation (fast, no optimality guarantee).  Given a
-threshold it answers a weak-separation query: it returns the first vertex at
-or below it, and up to EXTRA_ATOMS more, or runs the full batch, each restart
-until its first round without improvement.
-``exhaustive_lmo`` is the one exact kernel, behind every local bound; its
+alternating minimisation (fast, no optimality guarantee) that can answer a
+weak-separation query.  ``exhaustive_lmo`` is the one exact kernel, behind
+every local bound and the last null step of a separated BPCG run; its
 docstring gives the cap and the exactness argument.  The bipartite QUBO
 reformulation and its branch and bound remain library functions that no
 certificate relies on.
@@ -89,11 +87,10 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     party's signs opposite to its coefficients (0 -> +1).  A round's values
     are read off its last contraction.  After each round the best value is
     compared with ``threshold``; at or below it, the round's clearing restarts
-    return at once.
-    Otherwise a restart leaves the batch after its first round without
-    improvement, its signs and value written back, and the loop ends when none
-    is left: the full batch, whose argmin covers every restart.  Each party's
-    unfolding of G is built once."""
+    return at once.  Otherwise a restart leaves the batch after its first
+    round without improvement, its signs and value written back, and the loop
+    ends when none is left: the full batch, whose argmin covers every
+    restart.  Each party's unfolding of G is built once."""
     N, m, a = sc.parties, sc.inputs, sc.axis_size
     off = a - m
     root = float(G[(0,) * N]) if sc.marginals else 0.0
@@ -107,7 +104,8 @@ def _alternating_min(G, sc, restarts, seed, threshold=None):
     final = np.empty(restarts)  # the value of each restart's written-back signs
     live = np.arange(restarts)  # restarts still in the batch, columns of work
     work = signs
-    prev, rounds = np.full(restarts, np.inf), 0
+    prev = np.full(restarts, np.inf)
+    rounds = 0
     while live.size and rounds < HEURISTIC_ROUNDS:
         rounds += 1
         for n in range(N):

@@ -51,10 +51,6 @@ class Scenario:
             return (self.inputs + 1) ** self.parties - 1
         return self.inputs ** self.parties
 
-    @property
-    def num_strategies(self):
-        return 2 ** (self.parties * self.inputs)
-
 
 class CorrelationTensor:
     """Dense correlation tensor over a scenario.
@@ -114,18 +110,6 @@ def inner(t1, t2):
 def norm2_sq(t):
     """Exact squared 2-norm (root excluded); a Fraction for exact tensors."""
     return inner(t, t)
-
-
-def norm2(t):
-    return float(np.sqrt(float(norm2_sq(t))))
-
-
-def norm1(t):
-    flat = t.entries.reshape(-1)
-    s = sum(abs(x) for x in flat) if t.is_exact else np.abs(flat).sum()
-    if t.scenario.marginals:
-        s = s - abs(t.root)
-    return s
 
 
 def scale(t, v):

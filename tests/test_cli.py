@@ -495,14 +495,14 @@ def test_solve_upper_past_the_cap_is_inconclusive(tmp_path, capsys):
 
 
 def test_solve_upper_three_party_m9_is_certified(tmp_path, capsys):
-    # (N-1)*m = 18 enumerated signs; the old cap on N*m = 27 refused it.  The
-    # heuristic oracle's last full batches miss the best vertex at this seed,
-    # so the bound is not the 0.522831 (ell = 1837092) of most seeds
+    # (N-1)*m = 18 enumerated signs; the old cap on N*m = 27 refused it
     cert = tmp_path / "ghz9.cert"
     assert run(["solve", "upper", "--state", "ghz", "--N", "3", "--polygon", "--m", "9",
                 "--v0", "1", "--restarts", "50", "--out", str(cert)]) == 0
-    assert "v_up = 0.534707 (ell = 1849800)" in capsys.readouterr().out
+    assert "v_up = 0.522831 (ell = 1837092)" in capsys.readouterr().out
     assert run(["certify", "verify", "--in", str(cert)]) == 0
+    # the exact oracle confirmed the last null step
+    assert json.loads((tmp_path / "ghz9.cert.run.json").read_text())["solver"]["exact_calls"] >= 1
 
 
 NAN_TARGET_CERT = """UPPER-CERTIFICATE

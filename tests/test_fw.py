@@ -260,6 +260,37 @@ def test_null_steps_reuse_the_standing_answer(oracle, ghz_m6, monkeypatch):
             assert fresh > threshold
 
 
+def test_separated_run_ends_on_an_exact_confirmation():
+    # GHZ (3, 9) with polygon measurements at v0 = 1: at seed 0 the heuristic's
+    # last full batches all miss a vertex with gap 2.09 where the run would
+    # end.  The exact oracle, asked before that last null step, finds it, and
+    # the run ends only where no vertex clears the threshold
+    p = ghz_polygon_tensor(3, 9)
+    res = bpcg(p, 1.0, SolverConfig(restarts=50, seed=0))
+    assert res.status == STATUS_SEPARATED
+    assert res.stats.exact_calls >= 2  # one found the vertex, the last found none
+    x = res.active_set.recompute_iterate()
+    gap = float(np.vdot(res.gradient.entries, x)) - exhaustive_lmo(res.gradient)[1]
+    assert gap < 1e-9
+
+
+def test_vanilla_forms_the_iterate_once(chsh_singlet, monkeypatch):
+    # vanilla Frank-Wolfe reads the iterate every iteration; a rank-one update
+    # after each step keeps it current, so it is formed from the rows only once
+    calls = []
+    original = ActiveSet.recompute_iterate
+
+    def counted(self):
+        calls.append(len(self))
+        return original(self)
+
+    monkeypatch.setattr(ActiveSet, "recompute_iterate", counted)
+    res = frank_wolfe_vanilla(chsh_singlet, 0.65, FAST)
+    assert res.iterations > 100 and calls == [1]
+    assert np.abs(res.active_set.x - original(res.active_set)).max() < 1e-12
+    assert res.stats.exact_calls == 0
+
+
 def test_bpcg_single_atom_falls_through_to_lmo(chsh_singlet):
     cfg = SolverConfig(restarts=100, seed=0, trace=True, max_iterations=10)
     res = bpcg(chsh_singlet, 0.65, cfg)
