@@ -222,7 +222,8 @@ class InnerProductCache:
         self.v = (1 - gamma) * self.v + gamma * (self._gram[i_new, : len(self.v)] - self.b)
 
     def values(self):
-        """<grad f(x), d_lambda> per atom, updated in place by a pairwise step."""
+        """<grad f(x), d_lambda> for every active atom, updated in place by
+        the next pairwise step."""
         return self.v
 
     def rebuild(self):
