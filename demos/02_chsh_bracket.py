@@ -50,7 +50,7 @@ print("verify:", verify(cert))
 res = bpcg(p, 0.75, SolverConfig(restarts=200, seed=1))
 print(f"\nv0 = 0.75: {res.status}, distance {res.distance:.4f}")
 
-G = extract_hyperplane(res, p, 0.75)
+G = extract_hyperplane(res)
 M = integerize_functional(G)
 print("integer functional:", M.tensor.entries.tolist())
 

@@ -34,7 +34,7 @@ for x1 in range(2):
 res = bpcg(p, 0.55, SolverConfig(restarts=300, seed=4))
 print(f"\nv0 = 0.55: {res.status}, distance {res.distance:.4f}")
 
-M = integerize_functional(extract_hyperplane(res, p, 0.55))
+M = integerize_functional(extract_hyperplane(res))
 print("integerized hyperplane:", M.tensor.entries.reshape(-1).tolist())
 print("(+XXX -XYY -YXY -YYX: the Mermin functional)")
 

@@ -19,8 +19,6 @@ one KKT solve on the atoms' Gram matrix jumps to the minimiser over their
 affine hull, dropping atoms whose weight reaches 0 on the way.
 """
 
-import collections
-
 import numpy as np
 
 from localpolytope import SolverConfig, bpcg, frank_wolfe_vanilla, singlet_tensor
@@ -37,11 +35,19 @@ reps = antipodal_representatives(rationalize_all(geodesic_icosahedron([]), 1e-6)
 vecs = [p.as_tuple() for p in reps]
 p = singlet_tensor(vecs, vecs)      # icosahedron singlet, m = 6
 
-cfg = SolverConfig(restarts=500, seed=2, trace=True)
-res = bpcg(p, 0.60, cfg)
-steps = collections.Counter(res.step_types)
+# the solver calls its callback at the top of every iteration, and once more
+# after a capped run's last step; this one records the objective f
+target = 0.60 * p.entries.astype(float)
+f_history = []
+
+
+def record_f(t, last_step, phi, active):
+    f_history.append(0.5 * float(np.linalg.norm(active.iterate() - target)) ** 2)
+
+
+res = bpcg(p, 0.60, SolverConfig(restarts=500, seed=2, callback=record_f))
 print(f"bpcg at v0=0.60: {res.status} in {res.iterations} iterations")
-print(f"  step mix: {dict(steps)}")
+print(f"  step mix: {res.stats.steps}")
 print(f"  oracle calls: {res.lmo_calls}  active set: {len(res.active_set)} atoms")
 print(f"  oracle rounds: {res.stats.oracle_rounds}, "
       f"{res.stats.oracle_early_exits} calls stopped at phi/K, "
@@ -53,8 +59,8 @@ print(f"  oracle rounds: {res.stats.oracle_rounds}, "
 # the last one confirmed by the exact oracle
 bloch = np.array([[float(c) for c in v] for v in vecs])
 ghz = build_quantum_tensor("ghz", [bloch] * 3, Scenario(3, 6, marginals=True))
-out = bpcg(ghz, 0.80, SolverConfig(restarts=300, seed=0, trace=True))
-steps = collections.Counter(out.step_types)
+out = bpcg(ghz, 0.80, SolverConfig(restarts=300, seed=0))
+steps = out.stats.steps
 reused = 1 + steps["fw"] + steps["null"] - out.lmo_calls
 print(f"bpcg on ghz at v0=0.80: {out.status}, {steps['null']} null steps, "
       f"{reused} of them without an oracle call ({out.lmo_calls} calls, "
@@ -66,7 +72,7 @@ print(f"vanilla frank-wolfe: {van.status} with {van.lmo_calls} oracle calls "
 
 # linear convergence: log f drops along a straight line once the right face
 # is identified
-f = np.array(res.f_history)
+f = np.array(f_history)
 f = f[f > 0]
 tail = np.log(f[len(f) // 2:])
 slope = np.polyfit(np.arange(len(tail)), tail, 1)[0]
@@ -79,9 +85,8 @@ from localpolytope import CorrelationTensor
 from localpolytope.tensor import tensor_strategy_inner
 
 active = res.active_set
-target = CorrelationTensor(p.scenario, 0.60 * p.entries.astype(float))
-cache = InnerProductCache(active, target)  # rebuilt fresh here
-grad = CorrelationTensor(p.scenario, active.recompute_iterate() - target.entries)
+cache = InnerProductCache(active, CorrelationTensor(p.scenario, target))  # rebuilt fresh
+grad = CorrelationTensor(p.scenario, active.recompute_iterate() - target)
 direct = [tensor_strategy_inner(grad, s) for s in active.atoms]
 drift = np.abs(cache.values() - direct).max()
 print(f"cache vs direct recomputation: max deviation {drift:.2e}")

@@ -153,7 +153,7 @@ def _build_problem(args):
 
 def _write_run_metadata(path, args, stages, res=None):
     """The run record; without a solver result the run was refused."""
-    meta = {"version": __version__, "command": " ".join(sys.argv[1:]),
+    meta = {"version": __version__, "command": " ".join(args.argv),
             "seed": args.seed, "status": "refused"}
     if res is not None:
         meta.update(status=res.status, distance=res.distance, iterations=res.iterations,
@@ -253,7 +253,7 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
             print("inconclusive: the point lies inside; no separating hyperplane")
             return 2
         with _stage(stages, "assemble"):
-            cert = _assemble_upper_cert(args, res, p, target, v0)
+            cert = _assemble_upper_cert(res, p, target)
         if cert is None:
             return 2
     with _stage(stages, "verify"):
@@ -275,9 +275,9 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
     return 0
 
 
-def _assemble_upper_cert(args, res, p, target, v0):
+def _assemble_upper_cert(res, p, target):
     """Integerize the separating hyperplane until it certifies; None if it never does."""
-    G = extract_hyperplane(res, p, float(v0))
+    G = extract_hyperplane(res)
     for scale in (10**4, 10**5, 10**6, 10**7, 10**8):
         M = integerize_functional(G, scale)
         try:
@@ -421,8 +421,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv  # for the run record
         return args.func(args)
     except (CliError, OSError, CertificateError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,10 +10,11 @@ a local step costs microseconds, a call far more.  ``bpcg`` gives the rules.
 Atoms are per-party sign rows, never dense tensors.  BPCG's steps need only
 the weights and the atoms' Gram matrix, so they leave the dense iterate stale.
 It is formed from the weights and rows only where it is read: by the oracle
-branch, which needs the gradient, by the trace, debug and callback observers,
-and at exit.  So ``dist <= eps`` is tested when the oracle is consulted, and a
-run that ends inside may take a few more pairwise steps than one that tested
-every iteration.  Vanilla Frank-Wolfe reads it every iteration: a rank-one
+branch, which needs the gradient, at exit, and by a callback that calls
+``active.iterate()``; the steps do not depend on whether it was formed there.
+So ``dist <= eps`` is tested when the oracle is consulted, and a run that
+ends inside may take a few more pairwise steps than one that tested every
+iteration.  Vanilla Frank-Wolfe reads it every iteration: a rank-one
 update keeps it current.
 
 With marginal slots every point of the polytope has a 1 at the root entry.
@@ -61,16 +62,15 @@ class SolverConfig:
     eps: float = 1e-6                # stop when ||x - v0 p||_2 <= eps
     restarts: int = 3000             # LMO restarts per call
     seed: int = 0
-    callback: object = None
-    callback_every: int = 0
-    debug: bool = False              # assert monotonicity etc. every iteration
-    trace: bool = False              # record per-iteration step data
+    callback: object = None          # called every iteration, see frank_wolfe_vanilla
     early_separation: bool = False   # settle 'separated' from the dual bound
                                      # (faster verdicts, cruder final gradient)
 
     def __post_init__(self):
-        if not (self.eps > 0 and self.restarts >= 1 and self.max_iterations >= 0):
-            raise ValueError("need eps > 0, restarts >= 1 and max_iterations >= 0")
+        if not (self.eps > 0 and np.isfinite(self.eps * self.eps)  # eps**2 would raise
+                and self.restarts >= 1 and self.max_iterations >= 0):
+            raise ValueError("need eps > 0 with a finite square, restarts >= 1 and "
+                             "max_iterations >= 0")
 
 
 class ActiveSet:
@@ -87,9 +87,9 @@ class ActiveSet:
     an exact 0, and a Frank-Wolfe step scales the error by 1 - gamma and adds
     at most 2 * 2^-53; a face step resets it to at most FACE_SUM_TOL = 1e-13.
     So |sum w - 1| stays below 1e-13 plus 2.2e-16 per iteration, 2.2e-10 at
-    the default cap, below the 1e-9 that ``debug`` asserts; soundness never
-    rested on it, as ``rationalize_weights`` repairs the sum exactly.  A
-    Frank-Wolfe step with gamma = 1 leaves the other weights at exactly 0.
+    the default cap, below 1e-9; soundness never rested on it, as
+    ``rationalize_weights`` repairs the sum exactly.  A Frank-Wolfe step
+    with gamma = 1 leaves the other weights at exactly 0.
     BPCG's next away step on such an atom is a drop step with gamma = 0;
     vanilla Frank-Wolfe keeps them, and ``rationalize_weights`` skips them.
     """
@@ -293,14 +293,10 @@ class RunStats:
 class SolverResult:
     active_set: ActiveSet
     distance: float
-    phi: float
     gradient: CorrelationTensor
     iterations: int
     status: str
-    stats: RunStats = field(default_factory=RunStats)
-    f_history: list = field(default_factory=list)
-    phi_history: list = field(default_factory=list)
-    step_types: list = field(default_factory=list)
+    stats: RunStats
 
     @property
     def converged(self):
@@ -318,7 +314,13 @@ def frank_wolfe_vanilla(p, v0, cfg=None):
     clamped to [0, 1], so the objective never increases.  ``p`` is the target
     tensor at visibility 1, ``v0`` the visibility of the query point v0 * p and
     ``cfg`` a SolverConfig.  Returns a SolverResult: active set, distance,
-    verdict and RunStats."""
+    gradient, iterations, verdict and RunStats.
+
+    ``cfg.callback``, if set, is called as ``callback(t, last_step, phi,
+    active)`` at the top of every iteration t, ``last_step`` the type of step
+    t - 1 (None at t = 0) and ``phi`` the last Frank-Wolfe gap (inf before
+    the first), and once more with t = ``cfg.max_iterations`` after a run
+    that ends at the cap; cadence is the callback's own business."""
     return _solve(p, v0, cfg, lazy=False)
 
 
@@ -345,9 +347,8 @@ def bpcg(p, v0, cfg=None):
     no heuristic call of their own (plus one if ``early_separation`` ended
     the run).  After as many local steps in a row as there are atoms, where
     pairwise steps converge slowly, the next tries a face step first: Wolfe's
-    minor cycle (Wolfe 1976).  Parameters and result as in
-    ``frank_wolfe_vanilla``, with the final Phi and, with ``cfg.trace``, the
-    step sequence."""
+    minor cycle (Wolfe 1976).  Parameters, result and callback as in
+    ``frank_wolfe_vanilla``, with Phi the gap estimate."""
     return _solve(p, v0, cfg, lazy=True)
 
 
@@ -355,8 +356,8 @@ def _solve(p, v0, cfg, lazy):
     """The conditional-gradient loop behind both public solvers.
 
     With ``lazy`` this is BPCG.  Without it the pairwise test is skipped, so
-    every iteration takes the oracle branch and a Frank-Wolfe step; Phi then
-    holds the last Frank-Wolfe gap and no step types are recorded.
+    every iteration takes the oracle branch and a Frank-Wolfe step, and Phi
+    holds the last Frank-Wolfe gap.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -368,10 +369,6 @@ def _solve(p, v0, cfg, lazy):
     if sc.marginals:
         target[(0,) * sc.parties] = 1.0  # the root of every strategy tensor
     target_t = CorrelationTensor(sc, target)
-
-    def distance():
-        return float(np.linalg.norm(active.iterate() - target))
-
     stats = RunStats()
 
     def oracle(gradient, seed, threshold=None):
@@ -392,28 +389,17 @@ def _solve(p, v0, cfg, lazy):
     active.add_atom(omega, 1.0, rows)
     cache = InnerProductCache(active, target_t)
 
-    dist = distance()
-    phi = 0.5 * dist**2 if lazy else np.inf
+    phi = 0.5 * float(np.linalg.norm(active.iterate() - target)) ** 2 if lazy else np.inf
     g_last, held = np.inf, None  # the last Frank-Wolfe gap; the answer behind a null step
     floor = max(min(phi, g_last) / LAZY_TOLERANCE, tol)  # the local-step test
-    res = SolverResult(active, dist, phi, target_t, 0, STATUS_CAP, stats)
+    status, callback, step = STATUS_CAP, cfg.callback, None
 
     t = local = 0  # local: local steps since the last oracle-branch or face step
-    trace, debug = cfg.trace, cfg.debug
-    every = cfg.callback_every if cfg.callback else 0
     for t in range(cfg.max_iterations):
-        # the observers read the iterate, forming it if stale; the steps do
-        # not depend on whether it was formed here
-        report = every and t % every == 0
-        if trace or debug or report:
-            dist = distance()
-            f = 0.5 * dist**2
-        if trace:
-            res.f_history.append(f)
-            if lazy:
-                res.phi_history.append(phi)
+        if callback:
+            callback(t, step, phi, active)
         if phi <= tol:
-            res.status = STATUS_SEPARATED
+            status = STATUS_SEPARATED
             break
 
         # Python floats round as numpy scalars do, at less call overhead
@@ -446,7 +432,7 @@ def _solve(p, v0, cfg, lazy):
             grad = CorrelationTensor(sc, x - target)
             dist = float(np.linalg.norm(grad.entries))
             if dist <= cfg.eps:
-                res.status = STATUS_INSIDE
+                status = STATUS_INSIDE
                 break
             f = 0.5 * dist**2
             seed += 1
@@ -469,7 +455,7 @@ def _solve(p, v0, cfg, lazy):
             if not lazy:
                 phi = gap
                 if gap <= tol or f - gap > tol:
-                    res.status = STATUS_SEPARATED
+                    status = STATUS_SEPARATED
                     break
             if not lazy or cleared:
                 # Frank-Wolfe step toward the oracle vertex, its extras at weight 0
@@ -498,7 +484,7 @@ def _solve(p, v0, cfg, lazy):
                 # no progress available anywhere; a large lower bound already
                 # settles the verdict, at the price of a cruder final gradient
                 if cfg.early_separation and f - gap > tol:
-                    res.status = STATUS_SEPARATED
+                    status = STATUS_SEPARATED
                     break
                 phi = phi / 2
                 step = "null"
@@ -506,30 +492,21 @@ def _solve(p, v0, cfg, lazy):
 
         held = held if step == "null" else None  # every other step moves the iterate
         stats.steps[step] += 1
-        if trace and lazy:
-            res.step_types.append(step)
-        if debug:
-            f_new = 0.5 * distance() ** 2
-            assert f_new <= f + 1e-12, f"objective increased on {step} step"
-            assert abs(active.weights.sum() - 1) <= 1e-9, "weights do not sum to 1"
-            assert active.weights.min() >= -1e-15, "negative weight"
         if (t + 1) % 4096 == 0:  # against drift of the updated values
             cache.rebuild()
-        if report:
-            cfg.callback(t, dist, phi, len(active))
     else:
         t = cfg.max_iterations
+        if callback:  # so that the last step is observed too
+            callback(t, step, phi, active)
 
-    res.gradient = CorrelationTensor(sc, active.iterate() - target)
-    res.distance = float(np.linalg.norm(res.gradient.entries))
-    if res.distance <= cfg.eps:
-        res.status = STATUS_INSIDE
-    res.phi = phi if np.isfinite(phi) else 0.0
-    res.iterations = t
-    return res
+    gradient = CorrelationTensor(sc, active.iterate() - target)
+    dist = float(np.linalg.norm(gradient.entries))
+    if dist <= cfg.eps:
+        status = STATUS_INSIDE
+    return SolverResult(active, dist, gradient, t, status, stats)
 
 
-def extract_hyperplane(res, p, v0):
+def extract_hyperplane(res):
     """Separating-direction functional G = v0*p - x_T from a solver run.
 
     <G, d> < <G, v0*p> for every strategy d certifies v0*p outside the
@@ -537,4 +514,4 @@ def extract_hyperplane(res, p, v0):
     converged inside."""
     if res.status == STATUS_INSIDE:
         warnings.warn("extracting a hyperplane from a converged-inside run")
-    return BellFunctional(CorrelationTensor(p.scenario, -res.gradient.entries))
+    return BellFunctional(CorrelationTensor(res.gradient.scenario, -res.gradient.entries))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 from fractions import Fraction
 
-from util import unit_rational_tensor
+from util import recorded, unit_rational_tensor
 
 from localpolytope.certify import (
     ball_decomposition,
@@ -260,9 +260,10 @@ def test_criterion_7_bpcg_membership_m6(tmp_path):
 
 
 def test_criterion_8_solver_soundness(tmp_path, chsh_singlet):
-    # per-iteration invariants, asserted inside the solvers in debug mode
-    cfg = SolverConfig(restarts=200, seed=3, debug=True, trace=True)
-    runs = [bpcg(chsh_singlet, v0, cfg) for v0 in (0.65, 0.75)]
+    # per-iteration invariants: the recorder on the solver's callback asserts
+    # the weight invariants and f never rising after every step, and rebuilds
+    # the f and Phi histories checked here
+    runs = [recorded(bpcg, chsh_singlet, v0, restarts=200, seed=3)[1] for v0 in (0.65, 0.75)]
     invariants_ok = True
     for res in runs:
         f = res.f_history

@@ -146,6 +146,16 @@ def test_run_record_written_on_inconclusive_exit(tmp_path):
     assert set(meta["stages"]) == {"build", "solve"}
     assert meta["status"] == "converged_inside"
 
+def test_run_record_names_the_command_main_parsed(tmp_path, monkeypatch):
+    # main(argv) called from Python records its argv, not the process's
+    monkeypatch.setattr(sys, "argv", ["ignored", "x"])
+    argv = ["solve", "upper", "--state", "werner", "--m", "2", "--v0", "0.60",
+            "--seed", "1", "--out", str(tmp_path / "inside.cert")]
+    assert run(argv) == 2
+    meta = json.loads((tmp_path / "inside.cert.run.json").read_text())
+    assert meta["command"] == " ".join(argv)
+
+
 def test_solve_ghz_polygon_upper(tmp_path, capsys):
     cert = tmp_path / "ghz.cert"
     code = run(["solve", "upper", "--state", "ghz", "--N", "3", "--polygon",
@@ -363,7 +373,8 @@ def test_reproducible_separated_certificates(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--eps", "-1"), ("--eps", "0"), ("--restarts", "0"),
-                                         ("--max-iter", "-5")])
+                                         ("--max-iter", "-5"), ("--eps", "1e200"),
+                                         ("--eps", "inf")])
 def test_solve_rejects_bad_solver_settings(capsys, flag, value):
     capsys.readouterr()
     assert run(["solve", "decide", "--m", "6", "--v0", "0.5", "--restarts", "50",

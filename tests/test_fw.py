@@ -4,6 +4,7 @@ import pytest
 from localpolytope import fw
 from localpolytope.fw import (
     MIN_CAPACITY,
+    STEP_TYPES,
     ActiveSet,
     InnerProductCache,
     SolverConfig,
@@ -29,16 +30,26 @@ from localpolytope.tensor import (
     strategy_inner,
     strategy_tensor,
 )
-from util import recomputed_values
+from util import recomputed_values, recorded
 
 NM22 = Scenario(2, 2, marginals=False)
 FAST = SolverConfig(restarts=200, seed=1, max_iterations=50_000)
 
 
 @pytest.fixture(scope="module")
-def m6_run(ico_singlet):
-    cfg = SolverConfig(restarts=500, seed=2, trace=True, debug=True)
-    return bpcg(ico_singlet, 0.60, cfg)
+def m6_recorded(ico_singlet):
+    # the run and its recorder, which asserted the per-step invariants
+    return recorded(bpcg, ico_singlet, 0.60, restarts=500, seed=2)
+
+
+@pytest.fixture(scope="module")
+def m6_run(m6_recorded):
+    return m6_recorded[0]
+
+
+@pytest.fixture(scope="module")
+def m6_record(m6_recorded):
+    return m6_recorded[1]
 
 
 def test_vanilla_zero_target(chsh_singlet):
@@ -104,9 +115,9 @@ def test_bpcg_m6_soundness(m6_run, ico_singlet):
     assert np.abs(active.iterate() - x).max() < 1e-10
 
 
-def test_bpcg_phi_halves_only_on_null_steps(m6_run):
-    phis = m6_run.phi_history
-    steps = m6_run.step_types
+def test_bpcg_phi_halves_only_on_null_steps(m6_record):
+    phis = m6_record.phi_history
+    steps = m6_record.step_types
     for i, step in enumerate(steps[:-1]):
         if step == "null":
             assert phis[i + 1] == phis[i] / 2
@@ -114,10 +125,11 @@ def test_bpcg_phi_halves_only_on_null_steps(m6_run):
             assert phis[i + 1] == phis[i]
 
 
-def _recorded_run(monkeypatch, p, v0, cfg, lmo=heuristic_lmo):
-    """A bpcg run, the (values, weights, iterate) that each iteration's cache
-    read saw, and each oracle call's (value, threshold), keyed by the
-    iteration that made it: -1 for the first call, before the loop."""
+def _recorded_run(monkeypatch, p, v0, settings, lmo=heuristic_lmo):
+    """A bpcg run with SolverConfig ``settings``, its recorder, the (values,
+    weights, iterate) that each iteration's cache read saw, and each oracle
+    call's (value, threshold), keyed by the iteration that made it: -1 for
+    the first call, before the loop."""
     seen, calls = [], {}
     values = InnerProductCache.values
 
@@ -133,7 +145,7 @@ def _recorded_run(monkeypatch, p, v0, cfg, lmo=heuristic_lmo):
 
     monkeypatch.setattr(InnerProductCache, "values", recording_values)
     monkeypatch.setattr(fw, "heuristic_lmo", recording_lmo)
-    return bpcg(p, v0, cfg), seen, calls
+    return (*recorded(bpcg, p, v0, **settings), seen, calls)
 
 
 def _exact_lmo(gradient, restarts, seed, threshold=None):
@@ -150,12 +162,11 @@ def test_bpcg_local_step_floor(v0, ico_singlet, monkeypatch):
     # every iteration's gap ga = max - min of the cache values, the weights
     # it saw, and every oracle value are recorded, so the floor
     # max(min(Phi, g_last) / K, tol) of each step can be recomputed
-    cfg = SolverConfig(restarts=500, seed=2, trace=True)
-    res, seen, calls = _recorded_run(monkeypatch, ico_singlet, v0, cfg)
-    tol = 0.5 * cfg.eps**2
+    res, rec, seen, calls = _recorded_run(monkeypatch, ico_singlet, v0, dict(restarts=500, seed=2))
+    tol = 0.5 * SolverConfig().eps ** 2  # the default eps
     g_last, held = np.inf, None
     below, between = 0, 0
-    for t, (step, phi, (vals, w, _)) in enumerate(zip(res.step_types, res.phi_history, seen)):
+    for t, (step, phi, (vals, w, _)) in enumerate(zip(rec.step_types, rec.phi_history, seen)):
         ga = vals.max() - vals.min()
         floor = max(min(phi, g_last) / fw.LAZY_TOLERANCE, tol)
         assert (step in ("pairwise", "drop", "face")) == (ga >= floor)
@@ -172,13 +183,13 @@ def test_bpcg_local_step_floor(v0, ico_singlet, monkeypatch):
     assert below > 0 and between > 0
 
 
-def test_bpcg_objective_monotone(m6_run):
-    f = m6_run.f_history
+def test_bpcg_objective_monotone(m6_record):
+    f = m6_record.f_history
     assert all(f[i + 1] <= f[i] + 1e-12 for i in range(len(f) - 1))
 
 
-def test_bpcg_linear_convergence_smoke(m6_run):
-    f = np.array(m6_run.f_history)
+def test_bpcg_linear_convergence_smoke(m6_record):
+    f = np.array(m6_record.f_history)
     f = f[f > 0]
     tail = np.log(f[len(f) // 2 :])
     t = np.arange(len(tail))
@@ -186,14 +197,14 @@ def test_bpcg_linear_convergence_smoke(m6_run):
     assert slope < 0
 
 
-def test_run_stats_count_every_step(m6_run, chsh_singlet):
+def test_run_stats_count_every_step(m6_run, m6_record, chsh_singlet):
     stats = m6_run.stats
     assert sum(stats.steps.values()) == m6_run.iterations
-    assert stats.steps == {t: m6_run.step_types.count(t) for t in stats.steps}
+    assert stats.steps == {t: m6_record.step_types.count(t) for t in stats.steps}
     assert stats.oracle_calls == m6_run.lmo_calls
     # every call but the first answers one fw or null step; a null step
     # directly after another may reuse that one's call instead
-    steps = m6_run.step_types
+    steps = m6_record.step_types
     reused = 1 + stats.steps["fw"] + stats.steps["null"] - stats.oracle_calls
     assert 0 <= reused <= sum(a == b == "null" for a, b in zip(steps, steps[1:]))
     assert stats.oracle_seconds > 0
@@ -212,16 +223,15 @@ def test_run_stats_count_every_step(m6_run, chsh_singlet):
 
 
 def test_no_null_step_follows_an_early_exit(monkeypatch, ico_singlet):
-    cfg = SolverConfig(restarts=500, seed=2, trace=True)
-    res, _, calls = _recorded_run(monkeypatch, ico_singlet, 0.60, cfg)
+    res, rec, _, calls = _recorded_run(monkeypatch, ico_singlet, 0.60, dict(restarts=500, seed=2))
     exits = {t: th is not None and value <= th for t, (value, th) in calls.items()}
     assert res.stats.oracle_calls == len(calls)
     assert res.stats.oracle_early_exits == sum(exits.values()) > 0
     assert not exits.pop(-1)  # the first call, on -v0 p, has no threshold
     # every later call answers the fw or null step of its own iteration
-    assert "null" in res.step_types
+    assert "null" in rec.step_types
     for t, exited in exits.items():
-        assert res.step_types[t] == "fw" if exited else res.step_types[t] in ("fw", "null")
+        assert rec.step_types[t] == "fw" if exited else rec.step_types[t] in ("fw", "null")
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +247,11 @@ def ghz_m6(ico_points):
 # that a fresh call would have taken.
 @pytest.mark.parametrize("oracle", ["heuristic", "exact"])
 def test_null_steps_reuse_the_standing_answer(oracle, ghz_m6, monkeypatch):
-    cfg = SolverConfig(restarts=300, seed=0, trace=True)
     lmo = _exact_lmo if oracle == "exact" else heuristic_lmo
-    res, seen, calls = _recorded_run(monkeypatch, ghz_m6, 0.80, cfg, lmo)
+    res, rec, seen, calls = _recorded_run(monkeypatch, ghz_m6, 0.80,
+                                          dict(restarts=300, seed=0), lmo)
     assert res.status == STATUS_SEPARATED
-    steps, counts = res.step_types, res.stats.steps
+    steps, counts = rec.step_types, res.stats.steps
     reused = [t for t, step in enumerate(steps) if step == "null" and t not in calls]
     assert reused
     assert len(reused) == 1 + counts["fw"] + counts["null"] - res.stats.oracle_calls
@@ -253,7 +263,7 @@ def test_null_steps_reuse_the_standing_answer(oracle, ghz_m6, monkeypatch):
         assert set(steps[last:t]) == {"null"}
         assert np.array_equal(seen[t][1], seen[last][1])
         vals, w, x = seen[t]
-        threshold = float(w @ vals) - res.phi_history[t] / fw.LAZY_TOLERANCE
+        threshold = float(w @ vals) - rec.phi_history[t] / fw.LAZY_TOLERANCE
         assert calls[last][0] > threshold
         if oracle == "exact":
             fresh = exhaustive_lmo(CorrelationTensor(ghz_m6.scenario, x - target))[1]
@@ -292,11 +302,10 @@ def test_vanilla_forms_the_iterate_once(chsh_singlet, monkeypatch):
 
 
 def test_bpcg_single_atom_falls_through_to_lmo(chsh_singlet):
-    cfg = SolverConfig(restarts=100, seed=0, trace=True, max_iterations=10)
-    res = bpcg(chsh_singlet, 0.65, cfg)
+    _, rec = recorded(bpcg, chsh_singlet, 0.65, restarts=100, seed=0, max_iterations=10)
     # with one atom the pairwise test cannot fire; the first step consults
     # the oracle branch
-    assert res.step_types[0] in ("fw", "null")
+    assert rec.step_types[0] in ("fw", "null")
 
 
 def test_active_set_dedupes_sign_flips():
@@ -499,10 +508,10 @@ def test_fw_steps_add_the_extras_at_weight_zero(monkeypatch, ico_singlet):
         extras.update(s.canonical(sc) for s, _ in answer[4])
         return answer
 
-    cfg = SolverConfig(restarts=500, seed=2, trace=True)
-    res, seen, _ = _recorded_run(monkeypatch, ico_singlet, 0.60, cfg, lmo)
+    res, rec, seen, _ = _recorded_run(monkeypatch, ico_singlet, 0.60,
+                                      dict(restarts=500, seed=2), lmo)
     batches = 0
-    for t, step in enumerate(res.step_types[:-1]):
+    for t, step in enumerate(rec.step_types[:-1]):
         if step == "fw":
             w, w_next = seen[t][1], seen[t + 1][1]
             new = w_next[len(w):]
@@ -517,10 +526,9 @@ def test_fw_steps_add_the_extras_at_weight_zero(monkeypatch, ico_singlet):
 def test_zero_weight_away_atoms_leave_by_drop_steps(monkeypatch, ico_singlet):
     # an extra that turns out useless becomes the away atom with cap 0, and
     # the local step on it is a drop step that removes it and moves nothing
-    cfg = SolverConfig(restarts=500, seed=2, trace=True)
-    res, seen, _ = _recorded_run(monkeypatch, ico_singlet, 0.60, cfg)
+    _, rec, seen, _ = _recorded_run(monkeypatch, ico_singlet, 0.60, dict(restarts=500, seed=2))
     zero_away = 0
-    for t, step in enumerate(res.step_types[:-1]):
+    for t, step in enumerate(rec.step_types[:-1]):
         vals, w, x = seen[t]
         if step in ("pairwise", "drop") and w[int(vals.argmax())] == 0:
             zero_away += 1
@@ -641,10 +649,10 @@ def test_run_goes_on_when_every_face_solve_fails(ico_singlet, monkeypatch):
         solves.append(1)
         raise np.linalg.LinAlgError("singular matrix")
 
-    cfg = SolverConfig(restarts=300, seed=2, debug=True)
-    assert bpcg(ico_singlet, 0.75, cfg).stats.steps["face"] > 0
+    settings = dict(restarts=300, seed=2)  # under recorders, which assert the invariants
+    assert recorded(bpcg, ico_singlet, 0.75, **settings)[0].stats.steps["face"] > 0
     monkeypatch.setattr(np.linalg, "solve", singular)
-    res = bpcg(ico_singlet, 0.75, cfg)
+    res = recorded(bpcg, ico_singlet, 0.75, **settings)[0]
     assert solves and res.stats.steps["face"] == 0
     assert res.status == STATUS_INSIDE
 
@@ -666,20 +674,9 @@ def test_trace_debug_and_callback_only_observe(case, chsh_singlet, ico_singlet):
     p = ico_singlet if case.startswith("m6") else chsh_singlet
     v0 = float(case.split("-")[1])
     plain = bpcg(p, v0, SolverConfig(restarts=300, seed=2))
-    seen = []
-    observed = bpcg(
-        p,
-        v0,
-        SolverConfig(
-            restarts=300,
-            seed=2,
-            trace=True,
-            debug=True,
-            callback=lambda *args: seen.append(args),
-            callback_every=3,
-        ),
-    )
-    assert seen and observed.f_history
+    # the recorder forms the iterate at every call and asserts the invariants
+    observed, rec = recorded(bpcg, p, v0, restarts=300, seed=2)
+    assert rec.f_history
     assert _run_summary(observed) == _run_summary(plain)
 
 
@@ -709,7 +706,7 @@ def test_fast_inner_cache_factory(chsh_singlet):
 
 def test_extract_hyperplane_chsh(chsh_singlet):
     res = bpcg(chsh_singlet, 0.75, FAST)
-    G = extract_hyperplane(res, chsh_singlet, 0.75)
+    G = extract_hyperplane(res)
     M = integerize_functional(G)
     lb = local_bound(M)
     assert lb.exact and lb.value == 2
@@ -721,7 +718,7 @@ def test_extract_hyperplane_ghz_mermin():
     p = ghz_polygon_tensor(3, 2)
     res = bpcg(p, 0.55, SolverConfig(restarts=300, seed=4))
     assert res.status == STATUS_SEPARATED
-    G = extract_hyperplane(res, p, 0.55)
+    G = extract_hyperplane(res)
     M = integerize_functional(G)
     lb = local_bound(M)
     q = inner(M.tensor, p)
@@ -732,7 +729,7 @@ def test_extract_hyperplane_warns_when_inside(chsh_singlet):
     res = bpcg(chsh_singlet, 0.5, FAST)
     assert res.status == STATUS_INSIDE
     with pytest.warns(UserWarning):
-        extract_hyperplane(res, chsh_singlet, 0.5)
+        extract_hyperplane(res)
 
 
 def test_gradient_is_iterate_minus_target(chsh_singlet):
@@ -750,7 +747,8 @@ def test_solver_rejects_bad_v0(chsh_singlet):
 
 
 @pytest.mark.parametrize("bad", [{"eps": 0.0}, {"eps": -1.0}, {"eps": float("nan")},
-                                 {"restarts": 0}, {"max_iterations": -5}])
+                                 {"restarts": 0}, {"max_iterations": -5},
+                                 {"eps": 1e200}, {"eps": float("inf")}])
 def test_solver_rejects_bad_config(bad):
     # checked once, where the settings are made, so no solver sees them
     with pytest.raises(ValueError):
@@ -758,15 +756,19 @@ def test_solver_rejects_bad_config(bad):
 
 
 def test_solver_callback_cadence(chsh_singlet):
-    seen = []
-    cfg = SolverConfig(
-        restarts=100,
-        seed=0,
-        callback=lambda t, dist, phi, natoms: seen.append(t),
-        callback_every=5,
-    )
-    bpcg(chsh_singlet, 0.65, cfg)
-    assert seen and all(t % 5 == 0 for t in seen)
+    # the hook sees t = 0 ... iterations once each, in order, with the type
+    # of the step before: a capped run's last step too
+    for solver, cap, status in [(bpcg, 1_000_000, STATUS_INSIDE), (bpcg, 10, fw.STATUS_CAP),
+                                (frank_wolfe_vanilla, 1_000_000, STATUS_INSIDE)]:
+        seen = []
+        cfg = SolverConfig(restarts=100, seed=0, max_iterations=cap,
+                           callback=lambda t, step, phi, active: seen.append((t, step)))
+        res = solver(chsh_singlet, 0.65, cfg)
+        assert res.status == status
+        assert [t for t, _ in seen] == list(range(res.iterations + 1))
+        steps = [step for _, step in seen]
+        assert steps[0] is None
+        assert {k: steps.count(k) for k in STEP_TYPES} == res.stats.steps
 
 
 def test_heuristic_matches_exhaustive_on_chsh(chsh_singlet):

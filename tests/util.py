@@ -9,6 +9,7 @@ import numpy as np
 from fractions import Fraction
 
 from localpolytope.certify import TargetSpec, _even_flip_orbit, assemble_upper, sqrt_upper
+from localpolytope.fw import SolverConfig
 from localpolytope.lmo import HEURISTIC_ROUNDS, BellFunctional
 from localpolytope.polyhedra import (
     Face,
@@ -137,6 +138,43 @@ def heuristic_reference(tensor, restarts, seed):
     )
     root = float(G[(0,) * N]) if sc.marginals else 0.0
     return strategy, prev[i] - root
+
+
+class Recorder:
+    """A solver callback that rebuilds the run's histories from the hook and
+    asserts the per-step invariants after every step: f non-increasing
+    within 1e-12, |sum w - 1| <= 1e-9 and min w >= -1e-15.
+
+    ``f_history[t]`` is f(x_t) = ||x_t - v0 p||^2 / 2 at the top of iteration
+    t, ``phi_history[t]`` the Phi (or, for vanilla, the last Frank-Wolfe gap)
+    the iteration saw, and ``step_types[t]`` the step it took.  A run that
+    ends at the iteration cap gets one more f and Phi, after its last step.
+    """
+
+    def __init__(self, p, v0):
+        sc = p.scenario
+        self.target = float(v0) * p.to_float().entries
+        if sc.marginals:
+            self.target[(0,) * sc.parties] = 1.0  # the root, as the solver sets it
+        self.f_history, self.phi_history, self.step_types = [], [], []
+
+    def __call__(self, t, last_step, phi, active):
+        assert t == len(self.f_history) and (last_step is None) == (t == 0)
+        f = 0.5 * float(np.linalg.norm(active.iterate() - self.target)) ** 2
+        if last_step is not None:
+            self.step_types.append(last_step)
+            assert f <= self.f_history[-1] + 1e-12, f"objective increased on {last_step} step"
+            assert abs(active.weights.sum() - 1) <= 1e-9, "weights do not sum to 1"
+            assert active.weights.min() >= -1e-15, "negative weight"
+        self.f_history.append(f)
+        self.phi_history.append(phi)
+
+
+def recorded(solver, p, v0, **settings):
+    """``solver(p, v0)`` under a Recorder, with SolverConfig ``settings``;
+    returns the result and the recorder."""
+    rec = Recorder(p, v0)
+    return solver(p, v0, SolverConfig(callback=rec, **settings)), rec
 
 
 def recomputed_values(active, gradient_entries):
