@@ -52,10 +52,10 @@ print(f"\nv0 = 0.75: {res.status}, distance {res.distance:.4f}")
 
 G = extract_hyperplane(res)
 M = integerize_functional(G)
-print("integer functional:", M.tensor.entries.tolist())
+print("integer functional:", M.entries.tolist())
 
 lb = local_bound(M)           # exact: Alice's signs enumerated, Bob's in closed form
-q = inner(M.tensor, p)
+q = inner(M, p)
 cert_up = assemble_upper(M, lb.value, p, target)
 print(f"local bound = {lb.value}, quantum value = {float(q):.6f} (~2*sqrt2)")
 print(f"v_up = {float(cert_up.v_up):.6f}  vs 1/sqrt(2) = {1/math.sqrt(2):.6f}")

@@ -35,11 +35,11 @@ res = bpcg(p, 0.55, SolverConfig(restarts=300, seed=4))
 print(f"\nv0 = 0.55: {res.status}, distance {res.distance:.4f}")
 
 M = integerize_functional(extract_hyperplane(res))
-print("integerized hyperplane:", M.tensor.entries.reshape(-1).tolist())
+print("integerized hyperplane:", M.entries.reshape(-1).tolist())
 print("(+XXX -XYY -YXY -YYX: the Mermin functional)")
 
 lb = local_bound(M)    # enumerates two parties' signs, the third in closed form
-q = inner(M.tensor, p)
+q = inner(M, p)
 cert = assemble_upper(M, lb.value, p, TargetSpec("ghz-polygon"))
 print(f"\nlocal bound = {lb.value} (maximizer {lb.strategy.to_string()})")
 print(f"quantum value = {q}")

@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from .tensor import (
     CorrelationTensor,
     DeterministicStrategy,
-    QuantumSetup,
     Scenario,
     inner,
-    norm2_sq,
     quantum_tensor,
     scale,
     strategy_tensor,
@@ -30,7 +28,6 @@ from .polyhedra import (
     shrink_weights,
 )
 from .lmo import (
-    BellFunctional,
     QuboInstance,
     exhaustive_lmo,
     heuristic_lmo,

@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lmo import (BellFunctional, EXHAUSTIVE_CAP, enumerable, local_bound,
-                  maximize_functional_heuristic)
+from .lmo import EXHAUSTIVE_CAP, enumerable, local_bound, maximize_functional_heuristic
 from .polyhedra import RationalPoint, faces_and_eta
 from .states import ghz_polygon_tensor, singlet_tensor
 from .tensor import (
@@ -39,7 +38,7 @@ from .tensor import (
     format_number,
     format_row,
     inner,
-    norm2_sq,
+    integer_entries,
     parse_exact,
     parse_value,
     scenario_from_tokens,
@@ -157,7 +156,7 @@ def ball_decomposition(r):
         )
     if not r.is_exact:
         raise CertificateError("the ball decomposition needs an exact tensor")
-    nsq = norm2_sq(r)
+    nsq = inner(r, r)
     if nsq > 1:
         raise CertificateError("tensor lies outside the unit 2-norm ball")
 
@@ -322,7 +321,7 @@ class LowerBoundCertificate:
 class UpperBoundCertificate:
     scenario: Scenario
     target: TargetSpec
-    functional: BellFunctional
+    functional: CorrelationTensor  # integer Bell functional M
     ell: int
     q: object                     # Fraction (exact) or float
     v_up: object
@@ -372,7 +371,7 @@ def assemble_lower(scenario, poly, v0, model, target):
 
 def integerize_functional(functional, scale=10**4):
     """Round a float functional to integers and divide out the common factor."""
-    arr = functional.tensor.entries.astype(np.float64)
+    arr = functional.entries.astype(np.float64)
     peak = np.abs(arr).max()
     if peak == 0:
         raise CertificateError("cannot integerize the zero functional")
@@ -382,17 +381,17 @@ def integerize_functional(functional, scale=10**4):
     g = int(np.gcd.reduce(np.abs(ints[ints != 0]).reshape(-1)))
     ints //= max(g, 1)
     obj = np.array([int(v) for v in ints.reshape(-1)], dtype=object).reshape(arr.shape)
-    return BellFunctional(CorrelationTensor(functional.scenario, obj))
+    return CorrelationTensor(functional.scenario, obj)
 
 
 def assemble_upper(functional, ell, p, target):
     """Integer Bell functional + exact local bound -> v_up = ell / <M, p>."""
-    if not functional.is_integer:
+    if integer_entries(functional) is None:
         raise CertificateError("upper certificates need an integer functional")
     if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)):
         raise CertificateError("local bound must be an exact integer")
     ell = int(ell)
-    q = inner(functional.tensor, p)
+    q = inner(functional, p)
     if isinstance(q, Fraction):
         if q <= ell:
             raise CertificateError("no violation: quantum value does not exceed the local bound")
@@ -538,7 +537,7 @@ def _verify_upper(cert):
     M = cert.functional
     if M.scenario != sc:
         return _fail("functional does not match scenario")
-    if not M.is_integer:
+    if integer_entries(M) is None:
         return _fail("functional is not integer")
     if not isinstance(cert.ell, int):
         return _fail("local bound is not an integer")
@@ -551,7 +550,7 @@ def _verify_upper(cert):
         p = cert.target.build(sc)
     except Exception as e:
         return _fail(f"target reconstruction failed: {e}")
-    q = inner(M.tensor, p)
+    q = inner(M, p)
     if cert.q_exact:
         if not isinstance(q, Fraction):
             return _fail("quantum value not reproducible exactly")
@@ -635,7 +634,7 @@ def write_certificate(cert, fp):
             fp.write(f"V_LOW {format_number(cert.v_low)}\n")
         else:
             fp.write("M\n")
-            write_tensor(cert.functional.tensor, fp)
+            write_tensor(cert.functional, fp)
             fp.write(f"ELL {format_number(cert.ell)}\n")
             if cert.q_exact:
                 fp.write(f"Q {format_number(cert.q)}\n")
@@ -739,7 +738,7 @@ def _read_certificate(lines, lower, sc):
 
     if lines.next() != "M":
         raise CertificateError("missing M section")
-    functional = BellFunctional(_read_embedded_tensor(lines))
+    functional = _read_embedded_tensor(lines)
     ell = parse_value(lines.keyed("ELL")[0])
     qvals = lines.keyed("Q", 1, 3)
     if len(qvals) == 3:

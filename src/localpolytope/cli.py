@@ -32,7 +32,7 @@ from .certify import (
 )
 # frank_wolfe_vanilla is not called here: bench/tracing.py wraps it in this namespace
 from .fw import SolverConfig, bpcg, extract_hyperplane, frank_wolfe_vanilla
-from .lmo import BellFunctional, enumerable, local_bound
+from .lmo import enumerable, local_bound
 from .polyhedra import (
     antipodal_representatives,
     faces_and_eta,
@@ -58,7 +58,7 @@ def _gen_vertices(args):
     if args.solid == "pentakisdodecahedron":
         return list(pentakis_dodecahedron())
     if args.solid == "octahedron":
-        return list(octahedron()[0])
+        return list(octahedron())
     schedule = []
     if args.schedule:
         schedule = [int(x) for x in args.schedule.replace(",", " ").split()]
@@ -290,9 +290,7 @@ def _assemble_upper_cert(res, p, target):
 
 def cmd_bound(args):
     with open(args.functional) as fp:
-        t = read_tensor(fp)
-    M = BellFunctional(t)
-    lb = local_bound(M)
+        lb = local_bound(read_tensor(fp))
     tag = "exact" if lb.exact else "inexact"
     if args.exact and not lb.exact:
         print("error: exact bound requested but functional is not integer")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmo import BellFunctional, enumerable, exhaustive_lmo, heuristic_lmo
+from .lmo import enumerable, exhaustive_lmo, heuristic_lmo
 from .tensor import (
     CorrelationTensor,
     combine_rows,
@@ -514,4 +514,4 @@ def extract_hyperplane(res):
     converged inside."""
     if res.status == STATUS_INSIDE:
         warnings.warn("extracting a hyperplane from a converged-inside run")
-    return BellFunctional(CorrelationTensor(res.gradient.scenario, -res.gradient.entries))
+    return CorrelationTensor(res.gradient.scenario, -res.gradient.entries)

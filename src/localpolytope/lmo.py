@@ -14,10 +14,9 @@ import operator
 import random
 import numpy as np
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .tensor import (CorrelationTensor, DeterministicStrategy, _contract_unfolded,
-                     _lex_sign_batch, exact_operand)
+                     _lex_sign_batch, exact_operand, integer_entries)
 
 EXHAUSTIVE_CAP = 26  # max enumerated sign bits, (N-1)*m
 EXHAUSTIVE_ENTRIES = 1 << 15  # entries of one batch's first contraction, at most
@@ -26,40 +25,11 @@ EXTRA_ATOMS = 8  # max other threshold-clearing vertices an early exit returns
 QUBO_CAP = 64  # max binary variables (2m) for the QUBO branch and bound
 
 
-@dataclass(frozen=True)
-class BellFunctional:
-    """A linear functional on correlation tensors, typically a Bell inequality."""
-
-    tensor: CorrelationTensor
-
-    @property
-    def scenario(self):
-        return self.tensor.scenario
-
-    @property
-    def is_integer(self):
-        flat = self.tensor.entries.reshape(-1)
-        if self.tensor.is_exact:
-            return all(
-                isinstance(x, (int, np.integer))
-                or (isinstance(x, Fraction) and x.denominator == 1)
-                for x in flat
-            )
-        return bool(np.all(flat == np.round(flat)))
-
-    def integer_array(self):
-        """The entries as Python ints (object dtype), exact at any size."""
-        if not self.is_integer:
-            raise ValueError("functional does not have integer entries")
-        flat = [int(x) for x in self.tensor.entries.reshape(-1)]
-        return np.array(flat, dtype=object).reshape(self.tensor.entries.shape)
-
-
 def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
     """Best (strategy, value) found by alternating maximisation of
-    <tensor, d>, root-corrected: the minimisation of ``heuristic_lmo`` on
-    -tensor."""
-    s, v = _alternating_min(-tensor.to_float().entries, tensor.scenario, restarts, seed)[:2]
+    <tensor, d>, root-corrected: ``heuristic_lmo`` on -tensor."""
+    neg = CorrelationTensor(tensor.scenario, -tensor.to_float().entries)
+    s, v = heuristic_lmo(neg, restarts, seed)[:2]
     return s, -v
 
 
@@ -73,24 +43,20 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
     of that round that clear it, by value (stable), distinct tensors other
     than the strategy's, at most EXTRA_ATOMS.  A value above it means the full
     batch ran and none cleared it; then, as without a threshold, there are no
-    extras.  Restarts start from one ``random.Random(seed)`` draw."""
-    G = gradient.to_float().entries
-    return _alternating_min(G, gradient.scenario, restarts, seed, threshold)
+    extras.
 
-
-def _alternating_min(G, sc, restarts, seed, threshold=None):
-    """``heuristic_lmo``'s answer, by alternating minimisation of <G, d>.
-
-    Each restart, a column of one (N, axis, R) sign buffer, starts from random
-    signs: the (N, m, R) bits of ``random.Random(seed).getrandbits(N*m*R)``,
-    lowest first, bit 1 -> +1.  It cycles through the parties, setting each
-    party's signs opposite to its coefficients (0 -> +1).  A round's values
-    are read off its last contraction.  After each round the best value is
-    compared with ``threshold``; at or below it, the round's clearing restarts
-    return at once.  Otherwise a restart leaves the batch after its first
-    round without improvement, its signs and value written back, and the loop
-    ends when none is left: the full batch, whose argmin covers every
-    restart.  Each party's unfolding of G is built once."""
+    Alternating minimisation of <G, d>: each restart, a column of one
+    (N, axis, R) sign buffer, starts from random signs: the (N, m, R) bits of
+    ``random.Random(seed).getrandbits(N*m*R)``, lowest first, bit 1 -> +1.  It
+    cycles through the parties, setting each party's signs opposite to its
+    coefficients (0 -> +1).  A round's values are read off its last
+    contraction.  After each round the best value is compared with
+    ``threshold``; at or below it, the round's clearing restarts return at
+    once.  Otherwise a restart leaves the batch after its first round without
+    improvement, its signs and value written back, and the loop ends when none
+    is left: the full batch, whose argmin covers every restart.  Each party's
+    unfolding of G is built once."""
+    G, sc = gradient.to_float().entries, gradient.scenario
     N, m, a = sc.parties, sc.inputs, sc.axis_size
     off = a - m
     root = float(G[(0,) * N]) if sc.marginals else 0.0
@@ -158,9 +124,8 @@ def exhaustive_lmo(gradient):
     N, m = sc.parties, sc.inputs
     if not enumerable(sc):
         raise ValueError(f"exhaustive oracle capped at (N-1)*m <= {EXHAUSTIVE_CAP}")
-    functional = BellFunctional(gradient)
-    integer = functional.is_integer
-    G = exact_operand(functional.integer_array()) if integer else gradient.to_float().entries
+    ints = integer_entries(gradient)
+    G = gradient.to_float().entries if ints is None else exact_operand(ints)
 
     outer_vars = (N - 1) * m
     ids = 1 << outer_vars
@@ -189,7 +154,7 @@ def exhaustive_lmo(gradient):
 
     strategy = DeterministicStrategy.from_signs([*best_outer, best_last])
     value = best_val - (G[(0,) * N] if sc.marginals else 0)
-    return strategy, int(value) if integer else value
+    return strategy, value if ints is None else int(value)
 
 
 @dataclass(frozen=True)
@@ -205,22 +170,20 @@ class QuboInstance:
 
 
 def to_qubo(functional):
-    """QUBO form of the bipartite no-marginal local-bound problem.
+    """QUBO form of the bipartite no-marginal local-bound problem, for M a
+    CorrelationTensor or an (m1, m2) array.
 
     Q has the row sums of M negated on the first diagonal block, the column
     sums negated on the second, and M / M^T off-diagonal; c is the entry sum.
     The identity a^T M b = c + 2 w^T Q w with w = ((a+1)/2, (b+1)/2) holds for
     every sign assignment.
     """
-    if isinstance(functional, BellFunctional):
+    if isinstance(functional, CorrelationTensor):
         sc = functional.scenario
         if sc.parties != 2 or sc.marginals:
             raise ValueError("QUBO reformulation needs a bipartite no-marginal functional")
-        M = (
-            functional.integer_array().astype(np.int64)
-            if functional.is_integer
-            else functional.tensor.entries.astype(float)
-        )
+        ints = integer_entries(functional)
+        M = functional.entries.astype(float) if ints is None else ints.astype(np.int64)
     else:
         M = np.asarray(functional)
     m1, m2 = M.shape
@@ -326,8 +289,5 @@ def local_bound(functional):
     by ``exhaustive_lmo`` on -M (ValueError past its cap).  Exact, as an int,
     for integer functionals; others are solved in float64 and flagged inexact.
     """
-    if not isinstance(functional, BellFunctional):
-        functional = BellFunctional(functional)
-    neg = CorrelationTensor(functional.scenario, -functional.tensor.entries)
-    strategy, v = exhaustive_lmo(neg)
+    strategy, v = exhaustive_lmo(CorrelationTensor(functional.scenario, -functional.entries))
     return LocalBound(-v, strategy, exact=isinstance(v, int))

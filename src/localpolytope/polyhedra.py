@@ -54,13 +54,9 @@ def icosahedron():
 
 
 def octahedron():
-    verts = np.array(
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-        dtype=float,
-    )
-    faces = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
-             (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
-    return verts, faces
+    """The 6 unit vertices +-e_k of a regular octahedron."""
+    return np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+                    dtype=float)
 
 
 def dodecahedron():
@@ -437,47 +433,38 @@ def rationalize_all(float_vertices, tol=1e-6):
     return out
 
 
-def shrink_weights(poly, direction, tol=1e-12):
+def shrink_weights(poly, direction):
     """Convex weights p_x over the vertices with sum_x p_x a_x = eta * direction.
 
     Locates the face met by the ray along ``direction``, solves the local
     barycentric system there, and pads the leftover mass with an antipodal
-    vertex pair (whose mean is the origin).
+    vertex pair (whose mean is the origin).  Coplanar triangles share the
+    least exit distance, and the exit point may lie in any of them: the faces
+    are tried nearest first, and the first within 1e-9 of that distance whose
+    barycentric coordinates are all >= -1e-9 is taken.
     """
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     eta = poly.eta
     target = eta * d
 
-    best = None
-    for f in poly.faces:
-        a = float(np.dot(f.normal, d))
-        if a <= 0:
-            continue
-        r = f.beta / a
-        if best is None or r < best[0] - 1e-15:
-            best = (r, f)
-    if best is None:
+    exits = sorted((f.beta / a, k) for k, f in enumerate(poly.faces)
+                   if (a := float(np.dot(f.normal, d))) > 0)
+    if not exits:
         raise RuntimeError("direction outside all face cones")
-    r_exit, face = best
-
-    V = poly.vertex_array()
-    tri = V[list(face.vertices)].T
+    r_exit = exits[0][0]
     exit_point = r_exit * d
-    mu = np.linalg.solve(tri, exit_point)
-    if mu.min() < -1e-9:
-        # coplanar triangulation can put the exit point in a neighbour triangle
-        mu = None
-        for f in poly.faces:
-            a = float(np.dot(f.normal, d))
-            if a <= 0 or abs(f.beta / a - r_exit) > 1e-9:
-                continue
-            cand = np.linalg.solve(V[list(f.vertices)].T, exit_point)
-            if cand.min() >= -1e-12:
-                mu, face = cand, f
-                break
-        if mu is None:
-            raise RuntimeError("failed to locate the exit face")
+    V = poly.vertex_array()
+    face = None
+    for r, k in exits:
+        if r > r_exit + 1e-9:
+            break
+        mu = np.linalg.solve(V[list(poly.faces[k].vertices)].T, exit_point)
+        if mu.min() >= -1e-9:
+            face = poly.faces[k]
+            break
+    if face is None:
+        raise RuntimeError("failed to locate the exit face")
     mu = np.clip(mu, 0.0, None)
 
     t = eta / r_exit

@@ -9,8 +9,7 @@ lists coming from a polyhedron on the sphere.
 import numpy as np
 from fractions import Fraction
 
-from .tensor import (CorrelationTensor, QuantumSetup, Scenario, common_denominator,
-                     quantum_tensor)
+from .tensor import CorrelationTensor, Scenario, common_denominator, quantum_tensor
 
 
 def singlet_state():
@@ -101,4 +100,4 @@ def build_quantum_tensor(state_name, bloch_per_party, scenario):
         st = ghz_state(scenario.parties)
     else:
         raise ValueError(f"unknown state {state_name!r}")
-    return quantum_tensor(QuantumSetup(st, tuple(bloch_per_party)), scenario)
+    return quantum_tensor(st, bloch_per_party, scenario)

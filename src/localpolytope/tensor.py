@@ -107,11 +107,6 @@ def inner(t1, t2):
     return s
 
 
-def norm2_sq(t):
-    """Exact squared 2-norm (root excluded); a Fraction for exact tensors."""
-    return inner(t, t)
-
-
 def scale(t, v):
     """Multiply every entry by a visibility 0 <= v <= 1 (marginal slots included)."""
     if not 0 <= v <= 1:
@@ -260,6 +255,19 @@ def exact_operand(ints):
     return k.astype(np.float64) if np.abs(k).sum() <= 2**53 else k
 
 
+def integer_entries(t):
+    """The entries of ``t`` as Python ints (object dtype), exact at any size,
+    or None unless every entry is an integer: an int, a Fraction of
+    denominator 1, or a finite integral float."""
+    flat = t.entries.reshape(-1)
+    if t.is_exact:
+        whole = all(isinstance(x, (int, np.integer)) or
+                    (isinstance(x, Fraction) and x.denominator == 1) for x in flat)
+    else:
+        whole = np.isfinite(flat).all() and (flat == np.round(flat)).all()
+    return np.array([int(x) for x in flat], object).reshape(t.entries.shape) if whole else None
+
+
 def strategy_tensor(s, scenario, exact=False):
     """Rank-one tensor induced by a strategy; marginal slots contribute factor 1.
     Exact tensors hold ``Fraction`` entries."""
@@ -325,25 +333,6 @@ def tensor_strategy_inner(t, s):
     return rows_inner(t, [r[0][:, None] for r in sign_rows([s], t.scenario, dtype)])[0]
 
 
-@dataclass(frozen=True)
-class QuantumSetup:
-    """A shared N-qubit state plus m Bloch vectors per party.
-
-    ``state`` is a complex vector of length 2^N or a density matrix; each row
-    of ``bloch[n]`` is a unit vector a with observable a . sigma.
-    """
-
-    state: np.ndarray
-    bloch: tuple
-
-    def density(self):
-        st = np.asarray(self.state, dtype=complex)
-        if st.ndim == 1:
-            st = st / np.linalg.norm(st)
-            return np.outer(st, st.conj())
-        return st
-
-
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -351,18 +340,25 @@ _PAULI = (
 )
 
 
-def quantum_tensor(setup, scenario, tol=1e-8):
-    """Correlation tensor of a quantum setup, entry by the Born rule.
+def quantum_tensor(state, bloch, scenario, tol=1e-8):
+    """Correlation tensor of a shared N-qubit state measured along m Bloch
+    vectors per party, entry by the Born rule.
 
-    Index 0 of a party (marginal slot) uses the identity observable.  Raises
-    for non-unit Bloch vectors or a state that is not a valid density matrix.
+    ``state`` is a complex vector of length 2^N (normalised here) or a density
+    matrix; each row of ``bloch[n]`` is a unit vector a with observable
+    a . sigma.  Index 0 of a party (marginal slot) uses the identity
+    observable.  Raises for non-unit Bloch vectors or a state that is not a
+    valid density matrix.
     """
     N, m = scenario.parties, scenario.inputs
     if N > 4:
         raise ValueError("quantum tensors are supported for at most 4 qubits")
-    if len(setup.bloch) != N:
+    if len(bloch) != N:
         raise ValueError("need one Bloch-vector family per party")
-    rho = setup.density()
+    rho = np.asarray(state, dtype=complex)
+    if rho.ndim == 1:
+        rho = rho / np.linalg.norm(rho)
+        rho = np.outer(rho, rho.conj())
     if rho.shape != (2**N, 2**N):
         raise ValueError("state dimension does not match party count")
     if np.abs(rho - rho.conj().T).max() > tol:
@@ -374,7 +370,7 @@ def quantum_tensor(setup, scenario, tol=1e-8):
 
     ops = []
     for n in range(N):
-        vecs = np.asarray(setup.bloch[n], dtype=float)
+        vecs = np.asarray(bloch[n], dtype=float)
         if vecs.shape != (m, 3):
             raise ValueError("each party needs m Bloch vectors in R^3")
         lens = np.linalg.norm(vecs, axis=1)

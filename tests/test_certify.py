@@ -29,8 +29,8 @@ from localpolytope.certify import (
     write_certificate,
 )
 from localpolytope.fw import SolverConfig, bpcg
-from localpolytope.lmo import BellFunctional, local_bound
-from localpolytope.polyhedra import antipodal_representatives
+from localpolytope.lmo import local_bound
+from localpolytope.polyhedra import RationalPoint, antipodal_representatives
 from localpolytope.states import ghz_polygon_tensor
 from localpolytope.tensor import (
     CorrelationTensor,
@@ -38,7 +38,9 @@ from localpolytope.tensor import (
     Scenario,
     common_denominator,
     exact_operand,
-    norm2_sq,
+    format_number,
+    format_row,
+    inner,
     strategy_tensor,
 )
 from util import ball_reference, chsh_corner_cert, residual_sq_reference
@@ -147,12 +149,12 @@ def test_ball_weight_sum_is_rational_norm_bound():
     e[0, 0] = Fraction(1, 2)
     e[1, 1] = Fraction(-1, 2)
     r = CorrelationTensor(NM22, e)
-    assert norm2_sq(r) == Fraction(1, 2)
+    assert inner(r, r) == Fraction(1, 2)
     bd = ball_decomposition(r)
     rec = bd.reconstruct()
     assert all(a == b for a, b in zip(rec.entries.reshape(-1), e.reshape(-1)))
     assert all(w >= 0 for w in bd.weights)
-    assert bd.weight_sum() == sqrt_upper(norm2_sq(r))
+    assert bd.weight_sum() == sqrt_upper(inner(r, r))
     assert bd.deficit == 1 - bd.weight_sum()
 
 
@@ -311,7 +313,8 @@ def test_rationalize_weights_sensitivity(ico_singlet):
         x = x + q * strategy_tensor(a, sc, exact=True).entries
     bump = Fraction(1, 2**48)
     x2 = x + bump * strategy_tensor(model.atoms[0], sc, exact=True).entries
-    r2 = norm2_sq(CorrelationTensor(sc, x2 - v0 * ico_singlet.entries))
+    r = CorrelationTensor(sc, x2 - v0 * ico_singlet.entries)
+    r2 = inner(r, r)
     D = sc.dimension
     assert abs(r2 - model.residual_sq) <= Fraction(D, 2**46)
 
@@ -564,7 +567,7 @@ def mermin_cert():
     M = np.zeros((2, 2, 2), dtype=object)
     M[0, 0, 0] = 1
     M[0, 1, 1] = M[1, 0, 1] = M[1, 1, 0] = -1
-    f = BellFunctional(CorrelationTensor(sc, M))
+    f = CorrelationTensor(sc, M)
     lb = local_bound(f)
     return assemble_upper(f, lb.value, p, TargetSpec("ghz-polygon"))
 
@@ -578,9 +581,7 @@ def test_assemble_upper_mermin_exact(mermin_cert):
 
 
 def test_assemble_upper_chsh_float(chsh_singlet):
-    M = BellFunctional(
-        CorrelationTensor(NM22, np.array([[-1, -1], [-1, 1]], dtype=object))
-    )
+    M = CorrelationTensor(NM22, np.array([[-1, -1], [-1, 1]], dtype=object))
     lb = local_bound(M)
     al = tuple(map(tuple, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     s = 1 / math.sqrt(2)
@@ -607,7 +608,7 @@ def test_verify_upper_proves_bipartite_bound_up_to_qubo_cap(monkeypatch):
     sc = Scenario(2, 17, marginals=False)
     M = np.zeros(sc.shape, dtype=object)
     M[:2, :2] = [[1, 1], [1, -1]]
-    f = BellFunctional(CorrelationTensor(sc, M))
+    f = CorrelationTensor(sc, M)
     p_ent = np.zeros(sc.shape, dtype=object)
     p_ent[:2, :2] = [[Fraction(7, 10), Fraction(7, 10)], [Fraction(7, 10), Fraction(-7, 10)]]
     p = CorrelationTensor(sc, p_ent)
@@ -663,7 +664,7 @@ def test_verify_upper_past_the_cap_is_unproven():
 def test_verify_upper_rejects_non_finite_target(q):
     # every float comparison is False on nan: the checks must fail closed
     p = CorrelationTensor(NM22, np.array([[math.nan, 0.7], [0.7, -0.7]]))
-    M = BellFunctional(CorrelationTensor(NM22, CHSH_INT.copy()))
+    M = CorrelationTensor(NM22, CHSH_INT.copy())
     cert = UpperBoundCertificate(NM22, TargetSpec("tensor", tensor=p), M, 2, q, 0.1)
     assert verify(cert)[0] is False
 
@@ -680,23 +681,23 @@ def test_assemble_upper_requires_violation():
     p = ghz_polygon_tensor(3, 2)
     M = np.zeros((2, 2, 2), dtype=object)
     M[0, 0, 0] = 1  # local bound 1, quantum value 1: no violation
-    f = BellFunctional(CorrelationTensor(p.scenario, M))
+    f = CorrelationTensor(p.scenario, M)
     with pytest.raises(CertificateError):
         assemble_upper(f, 1, p, TargetSpec("ghz-polygon"))
 
 
 def test_assemble_upper_rejects_float_functional(chsh_singlet):
-    f = BellFunctional(CorrelationTensor(NM22, np.array([[0.5, 0], [0, 0]])))
+    f = CorrelationTensor(NM22, np.array([[0.5, 0], [0, 0]]))
     with pytest.raises(CertificateError):
         assemble_upper(f, 1, chsh_singlet, TargetSpec("tensor", tensor=chsh_singlet))
 
 
 def test_integerize_recovers_patterns():
     g = CorrelationTensor(NM22, np.array([[0.0501, 0.0499], [0.05, -0.0502]]))
-    M = integerize_functional(BellFunctional(g), scale=10)
-    assert M.tensor.entries.tolist() == [[1, 1], [1, -1]]
+    M = integerize_functional(g, scale=10)
+    assert M.entries.tolist() == [[1, 1], [1, -1]]
     with pytest.raises(CertificateError):
-        integerize_functional(BellFunctional(CorrelationTensor.zeros(NM22)))
+        integerize_functional(CorrelationTensor.zeros(NM22))
 
 
 def test_upper_roundtrip_and_mutations(mermin_cert):
@@ -721,6 +722,127 @@ def test_upper_roundtrip_and_mutations(mermin_cert):
     assert rejected(_mutate(text, "V_UP 1/2", "V_UP 1/3"))
     # corrupt one functional entry
     assert rejected(_mutate(text, "\n1 0\n", "\n2 0\n"))
+
+
+# --- every rejection verify gives -----------------------------------------------
+
+
+def _text(cert):
+    buf = io.StringIO()
+    write_certificate(cert, buf)
+    return buf.getvalue()
+
+
+def _row(point):
+    return format_row(point.as_tuple()) + "\n"
+
+
+def _in_vertices(text, old, new):
+    """``text`` with the first ``old`` after the VERTICES line replaced."""
+    i = text.index("\nVERTICES ")
+    return text[:i] + _mutate(text[i:], old, new)
+
+
+def _atom(cert, i):
+    return f"\n{cert.atoms[i].to_string()}\n"
+
+
+@pytest.fixture(scope="module")
+def cert_texts(m6_cert, mermin_cert, ico_singlet):
+    """The file text of a valid certificate of each kind, by name."""
+    m6_tensor = dataclasses.replace(m6_cert, target=TargetSpec("tensor", tensor=ico_singlet))
+    certs = {"m6": m6_cert, "m6-tensor": m6_tensor, "mermin": mermin_cert,
+             "corner": chsh_corner_cert(NM22, CHSH_INT, 2)}
+    return {name: _text(c) for name, c in certs.items()}
+
+
+def _off_sphere(cert):
+    p = RationalPoint(Fraction(1), Fraction(0), Fraction(0))
+    object.__setattr__(p, "x", Fraction(2))  # RationalPoint itself refuses it
+    return dataclasses.replace(cert, vertices=(p, *cert.vertices[1:]))
+
+
+# (id, certificate, fault, reason): a fault maps the certificate's text and a
+# fresh read of it to a faulty text, or to a faulty object where the reader
+# would refuse the text.  The checks run in a fixed order, so each fault
+# leaves every earlier check passing.
+VERIFY_REJECTIONS = [
+    ("unknown-type", "m6", lambda t, c: dataclasses.asdict(c), "unknown certificate type"),
+    ("marginal-scenario", "m6",
+     lambda t, c: _mutate(t, "SCENARIO 2 6 false", "SCENARIO 2 6 true"),
+     "scenario outside the certified domain (lower-order correlators)"),
+    ("v0", "m6", lambda t, c: _mutate(t, "V0 3/5", "V0 6/5"), "v0 outside [0, 1]"),
+    ("length-mismatch", "m6",
+     lambda t, c: _mutate(t, f"WEIGHTS {len(c.weights)}\n{format_number(c.weights[0])}\n",
+                          f"WEIGHTS {len(c.weights) - 1}\n"),
+     "atom/weight length mismatch"),
+    ("atom-scenario", "m6",
+     lambda t, c: _mutate(t, _atom(c, 0), "\n+++++++|+++++++\n"),
+     "atom does not match scenario"),
+    # the second atom becomes the first with both parties flipped: the same tensor
+    ("duplicate-atom", "m6",
+     lambda t, c: _mutate(t, _atom(c, 1), f"\n{c.atoms[0].flip_parties([0, 1]).to_string()}\n"),
+     "duplicate atom"),
+    ("lower-target-build", "m6",
+     lambda t, c: _mutate(t, "MEASUREMENTS_A 6\n" + format_row(c.target.alice[0]) + "\n",
+                          "MEASUREMENTS_A 5\n"),
+     "target reconstruction failed: singlet tensors live in the bipartite no-marginal scenario"),
+    ("lower-target-float", "m6",
+     lambda t, c: _mutate(t, format_row(c.target.alice[0]),
+                          " ".join(repr(float(x)) for x in c.target.alice[0])),
+     "target is not exactly rational"),
+    ("eta-without-vertices", "m6",
+     lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)), ""),
+     "eta claimed without polyhedron vertices"),
+    ("vertex-off-sphere", "m6", lambda t, c: _off_sphere(c), "vertex off the unit sphere"),
+    ("vertex-antipodes", "m6", lambda t, c: _in_vertices(t, _row(c.vertices[0]), "1 0 0\n"),
+     "vertex set not closed under antipodes"),
+    # one antipodal pair, a measurement and its antipode, swapped for +-e1
+    ("measurement-not-vertex", "m6",
+     lambda t, c: _in_vertices(_in_vertices(t, _row(c.vertices[0]), "1 0 0\n"),
+                               _row(-c.vertices[0]), "-1 0 0\n"),
+     "measurement is not a polyhedron vertex"),
+    ("measurements-do-not-span", "m6",
+     lambda t, c: _mutate(t, "VERTICES 12\n", "VERTICES 14\n1 0 0\n-1 0 0\n"),
+     "measurements do not span the polyhedron"),
+    # a tensor target has no measurements to check against the vertices
+    ("hull", "m6-tensor",
+     lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)),
+                          "VERTICES 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n"),
+     "hull reconstruction failed: degenerate input: all points coplanar"),
+    ("functional-scenario", "mermin",
+     lambda t, c: _mutate(t, "SCENARIO 3 2 false", "SCENARIO 3 2 true"),
+     "functional does not match scenario"),
+    ("functional-fraction", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n1/2 0\n"),
+     "functional is not integer"),
+    ("functional-float", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n0.5 0\n"),
+     "functional is not integer"),
+    ("ell-not-integer", "mermin", lambda t, c: _mutate(t, "ELL 2", "ELL 2.0"),
+     "local bound is not an integer"),
+    ("upper-target-build", "corner",
+     lambda t, c: _mutate(t, "TENSOR\n2 2 false", "TENSOR\n1 4 false"),
+     "target reconstruction failed: embedded tensor does not match scenario"),
+    ("q-not-exact", "corner", lambda t, c: _mutate(t, "7/10", "0.7", -1),
+     "quantum value not reproducible exactly"),
+    # ELL is the enumerated bound 2, and so is <M, p> once p is halved CHSH
+    ("no-violation-exact", "corner",
+     lambda t, c: _mutate(_mutate(t, "7/10", "1/2", -1), "Q 14/5", "Q 2"), "no violation"),
+    ("no-violation-float", "corner",
+     lambda t, c: _mutate(_mutate(_mutate(t, "7/10", "0.5", -1), "Q 14/5", "Q 2.0 TOL 1e-09"),
+                          "V_UP 5/7", "V_UP 1.0"),
+     "no violation"),
+]
+
+
+@pytest.mark.parametrize("base, fault, reason", [case[1:] for case in VERIFY_REJECTIONS],
+                         ids=[case[0] for case in VERIFY_REJECTIONS])
+def test_verify_gives_each_rejection(cert_texts, base, fault, reason):
+    text = cert_texts[base]
+    assert verify(read_certificate(io.StringIO(text))) == (True, "ok")
+    faulty = fault(text, read_certificate(io.StringIO(text)))
+    if isinstance(faulty, str):
+        faulty = read_certificate(io.StringIO(faulty))
+    assert verify(faulty) == (False, reason)
 
 
 # --- derived bounds -------------------------------------------------------------
@@ -779,7 +901,7 @@ def test_verify_upper_spot_check_path():
     M = np.zeros(sc.shape, dtype=object)
     M[0, 0, 0] = 1
     M[0, 1, 1] = M[1, 0, 1] = M[1, 1, 0] = -1
-    f = BellFunctional(CorrelationTensor(sc, M))
+    f = CorrelationTensor(sc, M)
     # the functional only touches inputs {1,2}, so its local bound equals the
     # (3,2) Mermin bound 2
     p_ent = np.zeros(sc.shape, dtype=object)

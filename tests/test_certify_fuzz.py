@@ -27,7 +27,7 @@ from localpolytope.certify import (  # noqa: E402
     write_certificate,
 )
 from localpolytope.fw import SolverConfig, bpcg  # noqa: E402
-from localpolytope.lmo import BellFunctional, local_bound  # noqa: E402
+from localpolytope.lmo import local_bound  # noqa: E402
 from localpolytope.polyhedra import (  # noqa: E402
     antipodal_representatives,
     faces_and_eta,
@@ -139,7 +139,7 @@ def chsh_upper_lines(kind):
     else:
         alice = tuple(tuple(float(c) for c in v) for v in alice)
     sc = Scenario(2, 2, marginals=False)
-    M = BellFunctional(CorrelationTensor(sc, np.array([[-1, -1], [-1, 1]], dtype=object)))
+    M = CorrelationTensor(sc, np.array([[-1, -1], [-1, 1]], dtype=object))
     p = singlet_tensor(list(alice), list(bob))
     cert = assemble_upper(M, local_bound(M).value, p, TargetSpec("singlet", alice, bob))
     assert cert.q_exact == (kind == "exact")

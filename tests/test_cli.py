@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from localpolytope import cli
 from localpolytope.cli import GEODESIC_SCHEDULES, main
-from localpolytope.certify import read_certificate, write_certificate
+from localpolytope.certify import CertificateError, read_certificate, write_certificate
 from localpolytope.lmo import EXTRA_ATOMS
 from localpolytope.polyhedra import geodesic_icosahedron
 from localpolytope.states import ghz_polygon_tensor
@@ -44,6 +44,11 @@ def test_polyhedron_gen_pentakis(tmp_path, capsys):
     text = capsys.readouterr().out
     eta = float(text.split("eta   = ")[1].split()[0])
     assert abs(eta - 0.9226) < 1e-3
+    # the octahedron's faces lie at distance 1/sqrt(3), exactly
+    out = tmp_path / "oct.txt"
+    assert run(["polyhedron", "gen", "--solid", "octahedron", "--out", str(out)]) == 0
+    assert run(["polyhedron", "eta", "--in", str(out)]) == 0
+    assert "eta^2 = 1/3 = " in capsys.readouterr().out
 
 
 def test_solve_upper_chsh(tmp_path, capsys):
@@ -145,6 +150,39 @@ def test_run_record_written_on_inconclusive_exit(tmp_path):
     meta = json.loads((tmp_path / "inside.cert.run.json").read_text())
     assert set(meta["stages"]) == {"build", "solve"}
     assert meta["status"] == "converged_inside"
+
+
+def test_solve_lower_outside_the_polytope_is_inconclusive(tmp_path, capsys):
+    out = tmp_path / "C"
+    assert run(["solve", "lower", "--state", "werner", "--m", "6", "--v0", "0.9",
+                "--restarts", "50", "--seed", "0", "--out", str(out)]) == 2
+    assert "inconclusive: no convex decomposition within tolerance" in capsys.readouterr().out
+    assert not out.exists()
+    meta = json.loads((tmp_path / "C.run.json").read_text())
+    assert meta["status"] == "separated"
+    assert list(meta["stages"]) == ["build", "solve"]
+
+
+def _refuse(*args, **kwargs):
+    raise CertificateError("refused here")
+
+
+@pytest.mark.parametrize("mode, v0, stage, fake, code, message", [
+    ("lower", "0.60", "assemble_lower", _refuse, 2, "certificate assembly failed: refused here"),
+    ("upper", "0.75", "assemble_upper", _refuse, 2,
+     "inconclusive: no violation after integerization"),
+    ("upper", "0.75", "verify", lambda cert: (False, "refused here"), 1,
+     "certificate failed self-verification: refused here"),
+], ids=["assemble-lower", "assemble-upper", "verify"])
+def test_solve_exits_when_a_certificate_stage_fails(tmp_path, monkeypatch, capsys,
+                                                    mode, v0, stage, fake, code, message):
+    monkeypatch.setattr(cli, stage, fake)
+    out = tmp_path / "c.cert"
+    assert run(["solve", mode, "--state", "werner", "--m", "2", "--v0", v0,
+                "--out", str(out)]) == code
+    assert message in capsys.readouterr().out
+    assert not out.exists()
+
 
 def test_run_record_names_the_command_main_parsed(tmp_path, monkeypatch):
     # main(argv) called from Python records its argv, not the process's

@@ -710,7 +710,7 @@ def test_extract_hyperplane_chsh(chsh_singlet):
     M = integerize_functional(G)
     lb = local_bound(M)
     assert lb.exact and lb.value == 2
-    q = inner(M.tensor, chsh_singlet)
+    q = inner(M, chsh_singlet)
     assert abs(lb.value / float(q) - 1 / np.sqrt(2)) < 1e-3
 
 
@@ -721,7 +721,7 @@ def test_extract_hyperplane_ghz_mermin():
     G = extract_hyperplane(res)
     M = integerize_functional(G)
     lb = local_bound(M)
-    q = inner(M.tensor, p)
+    q = inner(M, p)
     assert (lb.value, q) == (2, 4)
 
 

@@ -5,7 +5,6 @@ from itertools import product
 from localpolytope import lmo
 from localpolytope.lmo import (
     HEURISTIC_ROUNDS,
-    BellFunctional,
     QuboInstance,
     exhaustive_lmo,
     heuristic_lmo,
@@ -364,7 +363,7 @@ def test_local_bound_exact_at_the_float_boundary(total, bound):
     # sum |M| = 2^53 runs in float64, where every partial sum is exact; one
     # more makes the odd bound 2^53 + 1 unrepresentable, so it runs on ints
     M = np.array([[2**52, total - 2**52], [0, 0]], dtype=object)
-    lb = local_bound(BellFunctional(CorrelationTensor(NM22, M)))
+    lb = local_bound(CorrelationTensor(NM22, M))
     assert (lb.value, lb.exact) == (bound, True)
     assert lb.strategy.to_string() == "++|++"
 
@@ -391,7 +390,7 @@ def test_exhaustive_agrees_with_qubo_path():
 
 
 def test_to_qubo_chsh():
-    inst = to_qubo(BellFunctional(CHSH))
+    inst = to_qubo(CHSH)
     assert inst.c == 2
     assert np.diag(inst.Q).tolist() == [-2, 0, -2, 0]
     assert np.array_equal(inst.Q[:2, 2:], [[1, 1], [1, -1]])
@@ -406,7 +405,7 @@ def test_to_qubo_zero():
 
 def test_to_qubo_rejects_marginals():
     with pytest.raises(ValueError):
-        to_qubo(BellFunctional(CorrelationTensor.zeros(Scenario(2, 2, marginals=True))))
+        to_qubo(CorrelationTensor.zeros(Scenario(2, 2, marginals=True)))
 
 
 def test_qubo_identity_exhaustive():
@@ -437,7 +436,7 @@ def test_qubo_identity_sampled():
 
 
 def test_bnb_chsh():
-    v, w, ok = qubo_branch_and_bound(to_qubo(BellFunctional(CHSH)))
+    v, w, ok = qubo_branch_and_bound(to_qubo(CHSH))
     assert (v, ok) == (2, True)
 
 
@@ -492,7 +491,7 @@ def test_bnb_budget_exhaustion():
 
 
 def test_local_bound_chsh():
-    lb = local_bound(BellFunctional(CHSH))
+    lb = local_bound(CHSH)
     assert (lb.value, lb.exact) == (2, True)
     a, b = lb.strategy.sign_vectors()
     M = np.array([[1, 1], [1, -1]])
@@ -504,22 +503,22 @@ def test_local_bound_mermin():
     M = np.zeros((2, 2, 2), dtype=object)
     M[0, 0, 0] = 1
     M[0, 1, 1] = M[1, 0, 1] = M[1, 1, 0] = -1
-    f = BellFunctional(CorrelationTensor(sc, M))
+    f = CorrelationTensor(sc, M)
     lb = local_bound(f)
     assert (lb.value, lb.exact) == (2, True)
-    assert inner(f.tensor, ghz_polygon_tensor(3, 2)) == 4
+    assert inner(f, ghz_polygon_tensor(3, 2)) == 4
 
 
 def test_local_bound_single_entry():
     sc = Scenario(2, 3, marginals=False)
     M = np.zeros((3, 3), dtype=object)
     M[2, 1] = 1
-    lb = local_bound(BellFunctional(CorrelationTensor(sc, M)))
+    lb = local_bound(CorrelationTensor(sc, M))
     assert (lb.value, lb.exact) == (1, True)
 
 
 def test_local_bound_noninteger_flagged():
     sc = Scenario(2, 2, marginals=False)
-    lb = local_bound(BellFunctional(CorrelationTensor(sc, np.array([[0.5, 0], [0, 0]]))))
+    lb = local_bound(CorrelationTensor(sc, np.array([[0.5, 0], [0, 0]])))
     assert not lb.exact
     assert lb.value == pytest.approx(0.5)

@@ -362,6 +362,25 @@ def test_shrink_weights_random_directions(ico_poly):
         assert np.linalg.norm(arr.T @ w - ico_poly.eta * d) < 1e-10
 
 
+def test_shrink_weights_coplanar_faces():
+    # the 8 points (+-2/3, +-2/3, +-1/3) span a box: each side is split into two
+    # coplanar triangles, so a ray often exits through the neighbour of the
+    # first face found at the least exit distance
+    pts = [RationalPoint(Fraction(2 * a, 3), Fraction(2 * b, 3), Fraction(c, 3))
+           for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    poly = faces_and_eta(pts)
+    assert len(poly.faces) == 12 and poly.eta_sq == Fraction(1, 9)
+    arr = poly.vertex_array()
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        w = shrink_weights(poly, d)
+        assert w.min() >= 0
+        assert abs(w.sum() - 1) < 1e-8
+        assert np.linalg.norm(arr.T @ w - poly.eta * d) < 1e-8
+
+
 def test_polyhedron_file_roundtrip(ico_points):
     buf = io.StringIO()
     write_polyhedron_vertices(ico_points, buf)

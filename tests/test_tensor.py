@@ -21,12 +21,11 @@ from localpolytope.tensor import (
     _contract_unfolded,
     CorrelationTensor,
     DeterministicStrategy,
-    QuantumSetup,
     Scenario,
     common_denominator,
     format_number,
     inner,
-    norm2_sq,
+    integer_entries,
     parse_exact,
     parse_value,
     quantum_tensor,
@@ -96,7 +95,7 @@ def test_singlet_entries_are_minus_dot_products():
     bob = rng.normal(size=(m, 3))
     bob /= np.linalg.norm(bob, axis=1, keepdims=True)
     sc = Scenario(2, m, marginals=False)
-    t = quantum_tensor(QuantumSetup(singlet_state(), (alice, bob)), sc)
+    t = quantum_tensor(singlet_state(), (alice, bob), sc)
     assert np.abs(t.entries + alice @ bob.T).max() < 1e-12
 
 
@@ -104,7 +103,7 @@ def test_ghz_polygon_formula_against_born_rule():
     for m in (2, 3, 5):
         sc = Scenario(3, m, marginals=False)
         vecs = polygon_vectors(m)
-        q = quantum_tensor(QuantumSetup(ghz_state(3), (vecs, vecs, vecs)), sc)
+        q = quantum_tensor(ghz_state(3), (vecs, vecs, vecs), sc)
         ref = ghz_polygon_tensor(3, m, exact=False)
         assert np.abs(q.entries - ref.entries).max() < 1e-12
 
@@ -119,7 +118,7 @@ def test_ghz_polygon_m2_values():
 def test_ghz_polygon_marginals_vanish():
     sc = Scenario(3, 2, marginals=True)
     vecs = polygon_vectors(2)
-    t = quantum_tensor(QuantumSetup(ghz_state(3), (vecs, vecs, vecs)), sc)
+    t = quantum_tensor(ghz_state(3), (vecs, vecs, vecs), sc)
     full = t.entries[1:, 1:, 1:]
     mask = np.ones(sc.shape, dtype=bool)
     mask[1:, 1:, 1:] = False
@@ -140,7 +139,7 @@ def test_quantum_tensor_entry_range():
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             vecs.append(v)
         psi = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
-        t = quantum_tensor(QuantumSetup(psi, tuple(vecs)), sc)
+        t = quantum_tensor(psi, tuple(vecs), sc)
         assert np.abs(t.entries).max() <= 1 + 1e-9
 
 
@@ -149,25 +148,23 @@ def test_quantum_tensor_rejects_bad_input():
     good = np.array([[0.0, 0.0, 1.0]])
     bad = np.array([[0.0, 0.0, 2.0]])
     with pytest.raises(ValueError):
-        quantum_tensor(QuantumSetup(singlet_state(), (good, bad)), sc)
+        quantum_tensor(singlet_state(), (good, bad), sc)
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        quantum_tensor(QuantumSetup(rho, (good, good)), sc)
+        quantum_tensor(rho, (good, good), sc)
 
 
 def test_inner_and_norms():
     z = CorrelationTensor.zeros(NO_MARG_22)
-    assert norm2_sq(z) == 0
+    assert inner(z, z) == 0
     s = DeterministicStrategy.from_signs([[1, -1], [1, 1]])
     t = strategy_tensor(s, NO_MARG_22)
-    assert norm2_sq(t) == 4
     assert inner(t, t) == 4
 
     sc = Scenario(2, 2, marginals=True)
     tm = strategy_tensor(s, sc)
     # root excluded: 8 remaining entries of magnitude 1
     assert inner(tm, tm) == 8
-    assert norm2_sq(tm) == 8
 
 
 def test_inner_scenario_mismatch():
@@ -175,6 +172,20 @@ def test_inner_scenario_mismatch():
     t2 = CorrelationTensor.zeros(Scenario(2, 3, marginals=False))
     with pytest.raises(ValueError):
         inner(t1, t2)
+
+
+def test_integer_entries():
+    def ints(values, dtype=None):
+        out = integer_entries(CorrelationTensor(NO_MARG_22, np.array(values, dtype).reshape(2, 2)))
+        return None if out is None else out.tolist()
+
+    big = 2**70
+    assert ints([1, -2, Fraction(4, 2), big], object) == [[1, -2], [2, big]]
+    assert all(type(x) is int for row in ints([1.0, -2.0, 0.0, 1e30]) for x in row)
+    assert ints([1.0, -2.0, 0.0, 1e30]) == [[1, -2], [0, int(1e30)]]
+    assert ints([1, Fraction(1, 2), 0, 0], object) is None
+    for bad in (0.5, np.inf, -np.inf, np.nan):  # a non-finite float is no integer
+        assert ints([1.0, bad, 0.0, 0.0]) is None
 
 
 def test_scale():
@@ -267,7 +278,7 @@ def test_number_codec():
 def test_w_state_valid():
     sc = Scenario(3, 2, marginals=True)
     vecs = polygon_vectors(2)
-    t = quantum_tensor(QuantumSetup(w_state(), (vecs, vecs, vecs)), sc)
+    t = quantum_tensor(w_state(), (vecs, vecs, vecs), sc)
     assert abs(t.root - 1) < 1e-12
     assert np.abs(t.entries).max() <= 1 + 1e-9
 
@@ -331,14 +342,14 @@ def test_werner_mixture_equals_scaled_singlet():
     base = singlet_tensor(alice.tolist(), bob.tolist())
     for v in (0.0, 0.3, 1 / np.sqrt(2), 1.0):
         rho = v * np.outer(psi, psi.conj()) + (1 - v) * np.eye(4) / 4
-        t = quantum_tensor(QuantumSetup(rho, (alice, bob)), sc)
+        t = quantum_tensor(rho, (alice, bob), sc)
         assert np.abs(t.entries - scale(base, v).entries).max() < 1e-12
 
 
 def test_ghz4_polygon_formula():
     sc = Scenario(4, 2, marginals=False)
     vecs = polygon_vectors(2)
-    q = quantum_tensor(QuantumSetup(ghz_state(4), (vecs,) * 4), sc)
+    q = quantum_tensor(ghz_state(4), (vecs,) * 4, sc)
     ref = ghz_polygon_tensor(4, 2, exact=False)
     assert np.abs(q.entries - ref.entries).max() < 1e-12
 

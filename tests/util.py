@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from localpolytope.certify import TargetSpec, _even_flip_orbit, assemble_upper, sqrt_upper
 from localpolytope.fw import SolverConfig
-from localpolytope.lmo import HEURISTIC_ROUNDS, BellFunctional
+from localpolytope.lmo import HEURISTIC_ROUNDS
 from localpolytope.polyhedra import (
     Face,
     RationalPolyhedron,
@@ -26,7 +26,7 @@ from localpolytope.tensor import (
     DeterministicStrategy,
     Scenario,
     common_denominator,
-    norm2_sq,
+    inner,
     strategy_tensor,
     tensor_strategy_inner,
 )
@@ -65,7 +65,7 @@ def chsh_corner_cert(sc, corner, ell):
     p = np.zeros(sc.shape, dtype=object)
     p[:2, :2] = [[Fraction(7, 10), Fraction(7, 10)], [Fraction(7, 10), Fraction(-7, 10)]]
     p = CorrelationTensor(sc, p)
-    return assemble_upper(BellFunctional(CorrelationTensor(sc, M)), ell, p,
+    return assemble_upper(CorrelationTensor(sc, M), ell, p,
                           TargetSpec("tensor", tensor=p))
 
 
@@ -191,7 +191,8 @@ def residual_sq_reference(atoms, weights, p, v0):
     x = np.full(sc.shape, Fraction(0), dtype=object)
     for q, a in zip(weights, atoms):
         x = x + q * strategy_tensor(a, sc, exact=True).entries
-    return norm2_sq(CorrelationTensor(sc, x - Fraction(v0) * p.entries))
+    r = CorrelationTensor(sc, x - Fraction(v0) * p.entries)
+    return inner(r, r)
 
 
 def faces_and_eta_reference(vertices):
@@ -320,7 +321,7 @@ def ball_reference(r):
     """
     sc = r.scenario
     N, m = sc.parties, sc.inputs
-    nsq = norm2_sq(r)
+    nsq = inner(r, r)
     if sc.marginals:
         core = CorrelationTensor(Scenario(N, m, marginals=False),
                                  r.entries[(slice(1, None),) * N])
