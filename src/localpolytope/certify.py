@@ -88,6 +88,14 @@ def nu_factor(residual_sq):
 # --- the 2-norm-ball decomposition -----------------------------------------
 
 
+def _integer_model(atoms, weights, sc):
+    """(X, D), sum_i w_i d_i = X / D: D the lcm of the weights' denominators and X the
+    flat integer product of k = w D with the atoms' sign rows (``exact_operand``)."""
+    k, D = common_denominator(weights)
+    k = exact_operand(k)
+    return combine_rows(k, sign_rows(atoms, sc, k.dtype)).reshape(-1), D
+
+
 @dataclass
 class BallDecomposition:
     """Convex decomposition of a tensor in the closed unit 2-norm ball.
@@ -107,12 +115,9 @@ class BallDecomposition:
         return sum(self.weights, Fraction(0))
 
     def reconstruct(self):
-        """sum_i w_i d_i, with the root at 1: one product of the weights'
-        integer lift with the atoms' sign rows, exact by ``exact_operand``."""
+        """sum_i w_i d_i, with the root at 1, from ``_integer_model``."""
         sc = self.scenario
-        k, D = common_denominator(self.weights)
-        k = exact_operand(k)
-        X = combine_rows(k, sign_rows(self.atoms, sc, k.dtype)).reshape(-1)
+        X, D = _integer_model(self.atoms, self.weights, sc)
         ent = np.array([Fraction(int(x), D) for x in X], dtype=object).reshape(sc.shape)
         if sc.marginals:
             ent[(0,) * sc.parties] = 1
@@ -248,16 +253,12 @@ def rationalize_weights(active, p, v0):
 def _exact_residual_sq(atoms, weights, p, v0):
     """||sum_i w_i d_i - v0 p||^2 as an exact Fraction, root entry excluded.
 
-    With D the lcm of the weight denominators, k_i = w_i D are integers and
-    X = sum_i k_i s_i^(1) x ... x s_i^(N) is an integer tensor, built as one
-    product of the k's with the atoms' sign rows, exact by ``exact_operand``.
-    With v0 = a/b and P the lcm of the denominators of p, the residual is
-    ||X b P - a D (p P)||^2 / (D b P)^2, summed in Python ints.
+    With sum_i w_i d_i = X / D (``_integer_model``), v0 = a/b and P the lcm of
+    the denominators of p, the residual is ||X b P - a D (p P)||^2 / (D b P)^2,
+    summed in Python ints.
     """
     sc = p.scenario
-    k, D = common_denominator(weights)
-    k = exact_operand(k)
-    X = combine_rows(k, sign_rows(atoms, sc, k.dtype)).reshape(-1)
+    X, D = _integer_model(atoms, weights, sc)
 
     v0 = Fraction(v0)
     target, P = common_denominator(p.entries.reshape(-1))

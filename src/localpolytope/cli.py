@@ -392,10 +392,10 @@ def build_parser():
     ps.add_argument("--polygon", action="store_true",
                     help="XY-plane polygon measurements (ghz)")
     ps.add_argument("--v0", required=True, help="initial visibility, exact decimal")
-    ps.add_argument("--eps", type=float, default=1e-6)
-    ps.add_argument("--max-iter", type=int, default=1_000_000)
-    ps.add_argument("--restarts", type=int, default=3000)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--eps", type=float, default=SolverConfig.eps)
+    ps.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
+    ps.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+    ps.add_argument("--seed", type=int, default=SolverConfig.seed)
     ps.add_argument("--tol", type=float, default=1e-6, help="rationalization tolerance")
     ps.add_argument("--out", help="certificate output file")
     ps.set_defaults(func=cmd_solve)

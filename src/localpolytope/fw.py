@@ -7,10 +7,11 @@ it a weak-separation query (Braun, Pokutta, Zink 2017) and between calls takes
 local steps over the active set (lazified BPCG, Tsuji, Tanaka, Pokutta 2022):
 a local step costs microseconds, a call far more.  ``bpcg`` gives the rules.
 
-Atoms are per-party sign rows, never dense tensors.  BPCG's steps need only
-the weights and the atoms' Gram matrix, so they leave the dense iterate stale.
-It is formed from the weights and rows only where it is read: by the oracle
-branch, which needs the gradient, at exit, and by a callback that calls
+Atoms are per-party sign rows in an ``ActiveSet``, never dense tensors.
+``_solve`` picks each step and ``InnerProductCache`` takes it, from the weights
+and the atoms' Gram matrix alone, leaving the dense iterate stale.  That is
+formed from the weights and rows only where it is read: by the oracle branch,
+which needs the gradient, at exit, and by a callback that calls
 ``active.iterate()``; the steps do not depend on whether it was formed there.
 So ``dist <= eps`` is tested when the oracle is consulted, and a run that
 ends inside may take a few more pairwise steps than one that tested every
@@ -67,9 +68,9 @@ class SolverConfig:
                                      # (faster verdicts, cruder final gradient)
 
     def __post_init__(self):
-        if not (self.eps > 0 and np.isfinite(self.eps * self.eps)  # eps**2 would raise
+        if not (self.eps > 0 and 0 < self.eps * self.eps < np.inf  # eps**2 would raise
                 and self.restarts >= 1 and self.max_iterations >= 0):
-            raise ValueError("need eps > 0 with a finite square, restarts >= 1 and "
+            raise ValueError("need eps > 0 with a finite nonzero square, restarts >= 1 and "
                              "max_iterations >= 0")
 
 
@@ -80,7 +81,8 @@ class ActiveSet:
     for the marginal slot; the matrices grow by doubling and removals shift
     later rows up, so atoms keep their order.  Atoms are in canonical sign
     form, so strategies inducing the same tensor merge.  ``x`` is the dense
-    iterate, or None while it is stale.
+    iterate, or None while it is stale.  The solver adds atoms; from then on
+    ``InnerProductCache`` writes the weights and ``x`` and removes atoms.
 
     Weights stay nonnegative and sum to 1 without renormalisation: a pairwise
     step moves the sum by at most two roundings of 2^-53, a drop step removes
@@ -137,8 +139,7 @@ class ActiveSet:
         for r in self._rows:
             r[i : n - 1] = r[i + 1 : n]
         self.weights = np.delete(self.weights, i)
-        for j in range(i, n - 1):
-            self._index[self.atoms[j]] = j
+        self._index.update(zip(self.atoms[i:], range(i, n - 1)))
 
     def recompute_iterate(self):
         """sum_i w_i d_i as one product of the weights with the sign rows."""
@@ -161,7 +162,9 @@ def _gram(rows, other, marginals):
 
 
 class InnerProductCache:
-    """Incrementally maintained <grad f(x_t), d_lambda> over the active set.
+    """Incrementally maintained <grad f(x_t), d_lambda> over the active set,
+    and its steps: each takes its line search from the Gram matrix, writes the
+    weights, marks the iterate stale and removes the atoms it empties.
 
     The values are Gram @ weights - b, with b_lambda = <v0 p, d_lambda>, so
     they need no dense iterate.  A step that changes at most two weights
@@ -177,15 +180,14 @@ class InnerProductCache:
         self.v0p = v0p
         self._gram = np.zeros((MIN_CAPACITY, MIN_CAPACITY))
         self.b = self.v = np.zeros(0)
-        self.add_atom(0)
+        self.add_atom()
 
     @property
     def gram(self):
         return self._gram[: len(self.b), : len(self.b)]
 
-    def add_atom(self, i):
-        """Extend the cache, in one batch, by every atom the active set holds
-        beyond it; so atom i, new or already held, is covered afterwards."""
+    def add_atom(self):
+        """Extend the cache, in one batch, by every atom the active set holds beyond it."""
         n, k = len(self.b), len(self.active)
         if k == n:
             return
@@ -202,28 +204,46 @@ class InnerProductCache:
         self.v = np.append(self.v, self.active.weights @ cols - b)
 
     def remove_atom(self, i):
-        n = len(self.b)
-        g = self._gram
+        """Remove atom i from the active set and the cache; later atoms shift up."""
+        self.active.remove_atom(i)
+        n, g = len(self.b), self._gram
         g[i : n - 1, :n] = g[i + 1 : n, :n]
         g[: n - 1, i : n - 1] = g[: n - 1, i + 1 : n]
         self.b = np.delete(self.b, i)
         self.v = np.delete(self.v, i)
 
-    def distance_sq(self, i, j):  # ||d_i - d_j||^2 as a Python float
-        return self._gram.item(i, i) + self._gram.item(j, j) - 2 * self._gram.item(i, j)
-
-    def apply_pairwise(self, i_from, i_to, gamma):
-        n, g = len(self.v), self._gram
+    def apply_pairwise(self, i_from, i_to, gap):
+        """Pairwise step from atom i_from to i_to by the line search min(gap /
+        ||d_from - d_to||^2, w_from); True if it emptied and removed i_from."""
+        n, g, w = len(self.v), self._gram, self.active.weights
+        cap = w.item(i_from)
+        dist_sq = g.item(i_from, i_from) + g.item(i_to, i_to) - 2 * g.item(i_from, i_to)
+        gamma = min(gap / dist_sq, cap)
+        w[i_from] = cap - gamma
+        w[i_to] = w.item(i_to) + gamma
+        self.active.x = None
         step = g[i_to, :n] - g[i_from, :n]
         step *= gamma
         self.v += step
+        if gamma >= cap:
+            self.remove_atom(i_from)
+        return gamma >= cap
 
-    def apply_fw(self, i_new, gamma):
-        self.v = (1 - gamma) * self.v + gamma * (self._gram[i_new, : len(self.v)] - self.b)
+    def apply_fw(self, i, gap, gx):
+        """Frank-Wolfe step toward atom i by the exact line search, clamped to
+        [0, 1], for its gap ``gap`` and ``gx`` = <grad f(x), x>; returns gamma."""
+        w, b, g = self.active.weights, self.b, self._gram
+        # ||x - d_i||^2 = <x, x> - 2 <x, d_i> + G_ii, with <x, d_j> = v_j + b_j
+        denom = gx + float(w @ b) - 2 * (self.v.item(i) + b.item(i)) + g.item(i, i)
+        gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
+        w *= 1 - gamma
+        w[i] += gamma
+        self.active.x = None
+        self.v = (1 - gamma) * self.v + gamma * (g[i, : len(self.v)] - b)
+        return gamma
 
     def values(self):
-        """<grad f(x), d_lambda> for every active atom, updated in place by
-        the next pairwise step."""
+        """<grad f(x), d_lambda> per active atom; the next pairwise step updates it in place."""
         return self.v
 
     def rebuild(self):
@@ -264,10 +284,9 @@ class InnerProductCache:
         u[keep] = y  # y > 0, so u is 0 exactly at the dropped atoms
         if f(u) > f(w0):
             return False
-        for i in np.flatnonzero(u == 0)[::-1]:
-            self.active.remove_atom(int(i))
+        self.active.weights, self.active.x = u, None
+        for i in np.flatnonzero(u == 0)[::-1]:  # drop steps; the weights left are y
             self.remove_atom(int(i))
-        self.active.weights, self.active.x = y, None
         self.rebuild()
         return True
 
@@ -413,19 +432,7 @@ def _solve(p, v0, cfg, lazy):
         elif lazy and ga >= floor:
             # pairwise transfer along d_local - d_away, in Gram space
             local = 0 if local >= len(active) else local + 1  # 0 after a refused face step
-            w = active.weights
-            cap = w.item(i_away)
-            gamma = min(ga / cache.distance_sq(i_away, i_local), cap)
-            w[i_away] = cap - gamma
-            w[i_local] = w.item(i_local) + gamma
-            active.x = None
-            cache.apply_pairwise(i_away, i_local, gamma)
-            if gamma >= cap:
-                step = "drop"
-                active.remove_atom(i_away)
-                cache.remove_atom(i_away)
-            else:
-                step = "pairwise"
+            step = "drop" if cache.apply_pairwise(i_away, i_local, ga) else "pairwise"
         else:
             local = 0
             x = active.iterate()
@@ -464,19 +471,11 @@ def _solve(p, v0, cfg, lazy):
                 for s, r in extras:
                     active.add_atom(s, 0.0, r)
                 stats.extra_atoms += len(active) - max(n, i + 1)
-                cache.add_atom(i)
-                w, b = active.weights, cache.b
-                # ||x - d_i||^2 = <x, x> - 2 <x, d_i> + G_ii, with <x, d_j> = v_j + b_j
-                denom = gx + float(w @ b) - 2 * (cache.v.item(i) + b.item(i))
-                denom += cache.gram.item(i, i)
-                gamma = min(1.0, max(0.0, gap / denom)) if denom > 0 else 0.0
-                w *= 1 - gamma
-                w[i] += gamma
-                active.x = None  # stale, as after a local step
-                if not lazy:  # vanilla reads it every iteration: a rank-one update
+                cache.add_atom()
+                gamma = cache.apply_fw(i, gap, gx)
+                if not lazy:  # vanilla reads the iterate every iteration: a rank-one update
                     d = combine_rows(np.ones(1), [r[i : i + 1] for r in active.rows])
                     active.x = x + gamma * (d.reshape(sc.shape) - x)
-                cache.apply_fw(i, gamma)
                 stats.peak_atoms = max(stats.peak_atoms, len(active))
                 g_last = gap
                 step = "fw"

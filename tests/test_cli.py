@@ -412,7 +412,7 @@ def test_reproducible_separated_certificates(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--eps", "-1"), ("--eps", "0"), ("--restarts", "0"),
                                          ("--max-iter", "-5"), ("--eps", "1e200"),
-                                         ("--eps", "inf")])
+                                         ("--eps", "inf"), ("--eps", "1e-200")])
 def test_solve_rejects_bad_solver_settings(capsys, flag, value):
     capsys.readouterr()
     assert run(["solve", "decide", "--m", "6", "--v0", "0.5", "--restarts", "50",
@@ -572,32 +572,48 @@ END
 """
 
 
-@pytest.mark.parametrize("files, argv", [
-    ({"v.txt": "1/0 0 0\n"}, ["polyhedron", "eta", "--in", "v.txt"]),
-    ({"v.txt": "1/0 0 0\n"}, ["solve", "lower", "--polyhedron", "v.txt", "--v0", "0.5"]),
-    ({"f.txt": "2 2 false\n1/0 1 1 -1\n"}, ["bound", "--functional", "f.txt"]),
-    ({"f.txt": "2 2 false\ninf 1 1 -1\n"}, ["bound", "--functional", "f.txt"]),
-    ({}, ["polyhedron", "gen", "--tol", "1e-30", "--out", "g.txt"]),
+@pytest.mark.parametrize("files, argv, message", [
+    ({"v.txt": "1/0 0 0\n"}, ["polyhedron", "eta", "--in", "v.txt"], "bad vertex line"),
+    ({"v.txt": "1/0 0 0\n"}, ["solve", "lower", "--polyhedron", "v.txt", "--v0", "0.5"],
+     "bad vertex line"),
+    ({"f.txt": "2 2 false\n1/0 1 1 -1\n"}, ["bound", "--functional", "f.txt"],
+     "zero denominator"),
+    ({"f.txt": "2 2 false\ninf 1 1 -1\n"}, ["bound", "--functional", "f.txt"],
+     "non-finite number 'inf'"),
+    ({}, ["polyhedron", "gen", "--tol", "1e-30", "--out", "g.txt"], "did not converge"),
     ({"t.txt": "2 2 false\nnan 0.5 0.5 -0.5\n"},
-     ["solve", "upper", "--state", "custom", "--tensor", "t.txt", "--v0", "0.8"]),
-    ({"c.cert": NAN_TARGET_CERT}, ["certify", "verify", "--in", "c.cert"]),
+     ["solve", "upper", "--state", "custom", "--tensor", "t.txt", "--v0", "0.8"],
+     "non-finite number 'nan'"),
+    ({"c.cert": NAN_TARGET_CERT}, ["certify", "verify", "--in", "c.cert"],
+     "malformed certificate"),
     ({"c.cert": NAN_TARGET_CERT.replace("Q nan", "Q 5.0")},
-     ["certify", "verify", "--in", "c.cert"]),
-    ({}, ["solve", "lower", "--m", "2", "--v0", "1/0"]),
-    ({}, ["polyhedron", "gen"]),
-    ({}, ["solve", "lower", "--m", "2", "--v0", "1e400"]),
-    ({}, ["solve", "lower", "--m", "2", "--v0", "2"]),
+     ["certify", "verify", "--in", "c.cert"], "malformed certificate"),
+    ({}, ["solve", "lower", "--m", "2", "--v0", "1/0"], "zero denominator"),
+    ({}, ["polyhedron", "gen"], "needs --out"),
+    ({}, ["solve", "lower", "--m", "2", "--v0", "1e400"], "v0 must lie in [0, 1]"),
+    ({}, ["solve", "lower", "--m", "2", "--v0", "2"], "v0 must lie in [0, 1]"),
+    ({"v.txt": "1 0 0\n-1 0 0\n1 0 0\n-1 0 0\n"}, ["polyhedron", "eta", "--in", "v.txt"],
+     "all points collinear"),
+    ({"v.txt": "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n"},
+     ["solve", "lower", "--polyhedron", "v.txt", "--v0", "0.5"], "not closed under antipodes"),
+    ({}, ["solve", "lower", "--state", "werner", "--polygon", "--m", "2", "--v0", "0.5"],
+     "only meaningful for the GHZ state"),
+    ({}, ["solve", "lower", "--state", "custom", "--v0", "0.5"], "needs --tensor FILE"),
+    ({"f.txt": "2 2 maybe\n1 1 1 -1\n"}, ["bound", "--functional", "f.txt"],
+     "bad marginals flag 'maybe'"),
 ], ids=["vertex-1/0", "solve-vertex-1/0", "tensor-1/0", "tensor-inf", "gen-tol-1e-30",
         "custom-nan", "cert-nan-target", "cert-nan-target-q5", "v0-1/0", "gen-no-out",
-        "v0-1e400", "v0-2"])
-def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, argv):
+        "v0-1e400", "v0-2", "eta-collinear", "polyhedron-not-antipodal",
+        "polygon-not-ghz", "custom-no-tensor", "tensor-bad-marginals"])
+def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, argv,
+                                          message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     capsys.readouterr()
     assert run(argv) == 1
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and "VALID" not in out
+    assert err.startswith("error: ") and message in err and "VALID" not in out
 
 
 @pytest.mark.parametrize("argv, reason", [

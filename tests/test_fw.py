@@ -328,8 +328,21 @@ def _scripted_active_set(sc, target, atoms, weights):
     return active, cache
 
 
+def _dense(active, i):
+    return strategy_tensor(active.atoms[i], active.scenario).entries
+
+
+def _pairwise_gap(active, i_from, i_to, gamma):
+    """The gap for which apply_pairwise's line search takes a step of gamma."""
+    return gamma * float(np.sum((_dense(active, i_from) - _dense(active, i_to)) ** 2))
+
+
+def _fw_gap(active, i, gamma):
+    """The gap for which apply_fw's line search takes a step of gamma."""
+    return gamma * float(np.sum((active.recompute_iterate() - _dense(active, i)) ** 2))
+
+
 def test_cache_matches_recomputation_after_updates(chsh_singlet):
-    rng = np.random.default_rng(3)
     target_entries = 0.6 * chsh_singlet.entries
     target = CorrelationTensor(NM22, target_entries)
     atoms = [
@@ -339,39 +352,42 @@ def test_cache_matches_recomputation_after_updates(chsh_singlet):
     active, cache = _scripted_active_set(NM22, target, atoms, [0.5, 0.3, 0.2])
 
     def check():
-        grad = active.x - target_entries
-        assert np.abs(cache.values() - recomputed_values(active, grad)).max() < 1e-12
+        x = sum(w * _dense(active, i) for i, w in enumerate(active.weights))
+        assert np.abs(cache.values() - recomputed_values(active, x - target_entries)).max() < 1e-12
 
     check()
-    dense = [strategy_tensor(a, NM22).entries for a in active.atoms]
 
-    # pairwise transfer between two atoms
-    gamma = 0.1
-    active.weights[0] -= gamma
-    active.weights[2] += gamma
-    active.x += gamma * (dense[2] - dense[0])
-    cache.apply_pairwise(0, 2, gamma)
+    # pairwise transfer between two atoms, by the line search for gamma = 0.1
+    assert not cache.apply_pairwise(0, 2, _pairwise_gap(active, 0, 2, 0.1))
+    assert np.allclose(active.weights, [0.4, 0.3, 0.3], rtol=0, atol=1e-15)
+    assert active.x is None  # stale
     check()
 
-    # drop step: move all remaining weight off atom 1
-    gamma = active.weights[1]
-    active.weights[1] = 0.0
-    active.weights[2] += gamma
-    active.x += gamma * (dense[2] - dense[1])
-    cache.apply_pairwise(1, 2, gamma)
-    active.remove_atom(1)
-    cache.remove_atom(1)
+    # drop step: a gap of twice w_1 ||d_1 - d_2||^2 moves all of atom 1's
+    # weight, and the emptied atom leaves the active set and the cache
+    order = list(active.atoms)
+    assert cache.apply_pairwise(1, 2, _pairwise_gap(active, 1, 2, 2 * active.weights[1]))
+    assert active.atoms == [order[0], order[2]]
+    assert len(cache.b) == len(cache.values()) == 2 and cache.gram.shape == (2, 2)
+    assert np.allclose(active.weights, [0.4, 0.6], rtol=0, atol=1e-15)
     check()
 
-    # frank-wolfe step toward a fresh atom
+    # frank-wolfe step toward a fresh atom, by the exact line search
     new = DeterministicStrategy([2, 2], 2)
+    x = active.recompute_iterate()
     i = active.add_atom(new)
-    cache.add_atom(i)
-    gamma = 0.25
-    active.weights *= 1 - gamma
-    active.weights[i] += gamma
-    active.x += gamma * (strategy_tensor(new, NM22).entries - active.x)
-    cache.apply_fw(i, gamma)
+    cache.add_atom()
+    grad = x - target_entries
+    gx = float(active.weights @ cache.values())
+    assert gx == pytest.approx(float(np.sum(grad * x)), abs=1e-12)
+    d = strategy_tensor(new, NM22).entries
+    gap = gx - float(np.sum(grad * d))
+    gamma = cache.apply_fw(i, gap, gx)
+    assert 0 < gamma < 1
+    assert gamma == pytest.approx(gap / float(np.sum((x - d) ** 2)), rel=1e-12)
+    assert np.allclose(active.weights, [0.4 * (1 - gamma), 0.6 * (1 - gamma), gamma],
+                       rtol=0, atol=1e-15)
+    assert active.x is None
     check()
 
     # no-op leaves values untouched
@@ -406,18 +422,16 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
         assert np.abs(cache.values() - expected).max() < 1e-10
 
     def fw_step(gamma):
+        # a gap above ||x - d_i||^2 clamps the step at gamma = 1 exactly
         bits = [int(b) for b in rng.integers(0, 1 << inputs, parties)]
         i = active.add_atom(DeterministicStrategy(bits, inputs))
-        cache.add_atom(i)
-        active.weights *= 1 - gamma
-        active.weights[i] += gamma
-        cache.apply_fw(i, gamma)
+        cache.add_atom()
+        gx = float(active.weights @ cache.values())
+        assert cache.apply_fw(i, _fw_gap(active, i, gamma), gx) == pytest.approx(min(gamma, 1))
         return i
 
     def pairwise(i_from, i_to, gamma):
-        active.weights[i_from] -= gamma
-        active.weights[i_to] += gamma
-        cache.apply_pairwise(i_from, i_to, gamma)
+        return cache.apply_pairwise(i_from, i_to, _pairwise_gap(active, i_from, i_to, gamma))
 
     check()
     # more atoms than a fresh buffer holds, so the rows and the Gram matrix grow
@@ -425,36 +439,33 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
         fw_step(0.2)
     assert len(active) > 8
     check()
-    pairwise(0, len(active) - 1, active.weights[0] / 2)
+    assert not pairwise(0, len(active) - 1, active.weights[0] / 2)
     check()
-    # drop step: the rows after the dropped atom shift up, in order
-    order = list(active.atoms)
-    pairwise(1, 2, active.weights[1])
-    active.remove_atom(1)
-    cache.remove_atom(1)
+    # drop step: the emptied atom leaves both objects, and the rows after it
+    # shift up, in order
+    order, n = list(active.atoms), len(active)
+    assert pairwise(1, 2, 2 * active.weights[1])
     assert active.atoms == order[:1] + order[2:]
+    assert len(active) == len(active.weights) == len(cache.b) == n - 1
     check()
     fw_step(0.5)
     check()
     # a gamma = 1 step leaves every other weight at exactly 0 and the atoms in
     # order, and the cache stays valid without a rebuild
     order = list(active.atoms)
-    i = fw_step(1.0)
+    i = fw_step(2.0)
     assert active.atoms[: len(order)] == order
     assert active.weights[i] == 1.0
     assert np.all(np.delete(active.weights, i) == 0.0)
     check()
     # the solver's next away step on a zero-weight atom is a drop step with
-    # gamma = 0, which removes it and leaves the weights unchanged
+    # gamma = 0, which removes it and leaves the other weights unchanged
     j = 0 if i else 1
-    order = list(active.atoms)
-    cap = active.weights[j]
-    gamma = min(0.25, cap)
-    assert gamma == 0.0 and gamma >= cap
-    pairwise(j, i, gamma)
-    active.remove_atom(j)
-    cache.remove_atom(j)
+    order, weights = list(active.atoms), active.weights.copy()
+    assert weights[j] == 0.0
+    assert pairwise(j, i, 0.25)
     assert active.atoms == order[:j] + order[j + 1 :]
+    assert np.array_equal(active.weights, np.delete(weights, j))
     assert active.weights.sum() == 1.0
     check()
 
@@ -480,11 +491,11 @@ def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
     n = len(active)
     x, v = active.recompute_iterate(), cache.values().copy()
     for batch in (1, 3, 17):
-        first = active.add_atom(strategy())
+        active.add_atom(strategy())
         active.add_atom(active.atoms[0])  # already held: no new atom
         for _ in range(batch - 1):
             active.add_atom(strategy())
-        cache.add_atom(first)
+        cache.add_atom()
         fresh = InnerProductCache(active, target)
         assert len(cache.b) == len(active) and cache.gram.shape == fresh.gram.shape
         assert np.array_equal(cache.gram, fresh.gram)
@@ -493,7 +504,7 @@ def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
         assert np.array_equal(cache.values()[:n], v)
         assert np.abs(active.recompute_iterate() - x).max() <= 1e-12
     assert len(cache._gram) >= len(active) > 2 * MIN_CAPACITY
-    cache.add_atom(first)  # nothing beyond the cache: unchanged
+    cache.add_atom()  # nothing beyond the cache: unchanged
     assert len(cache.b) == len(active)
 
 
