@@ -64,19 +64,19 @@ class CertificateError(ValueError):
     pass
 
 
-def sqrt_lower(q, scale=SQRT_SCALE):
-    """Largest n/scale with (n/scale)^2 <= q: with q = a/b, the integer n^2 is
-    at most a scale^2 / b exactly when it is at most its floor."""
+def sqrt_lower(q):
+    """Largest n/scale with (n/scale)^2 <= q, scale = SQRT_SCALE: with q = a/b,
+    the integer n^2 is at most a scale^2 / b exactly when it is at most its floor."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
-    return Fraction(math.isqrt(q.numerator * scale * scale // q.denominator), scale)
+    return Fraction(math.isqrt(q.numerator * SQRT_SCALE**2 // q.denominator), SQRT_SCALE)
 
 
-def sqrt_upper(q, scale=SQRT_SCALE):
-    """Smallest n/scale with (n/scale)^2 >= q: sqrt_lower, or one step above."""
-    lo = sqrt_lower(q, scale)
-    return lo if lo * lo == q else lo + Fraction(1, scale)
+def sqrt_upper(q):
+    """Smallest n/SQRT_SCALE with (n/SQRT_SCALE)^2 >= q: sqrt_lower, or one step above."""
+    lo = sqrt_lower(q)
+    return lo if lo * lo == q else lo + Fraction(1, SQRT_SCALE)
 
 
 def nu_factor(residual_sq):

@@ -7,7 +7,8 @@ it a weak-separation query (Braun, Pokutta, Zink 2017) and between calls takes
 local steps over the active set (lazified BPCG, Tsuji, Tanaka, Pokutta 2022):
 a local step costs microseconds, a call far more.  ``bpcg`` gives the rules.
 
-Atoms are per-party sign rows in an ``ActiveSet``, never dense tensors.
+Atoms are per-party sign rows in an ``ActiveSet``, never dense tensors; the
+oracle answers with strategies, which ``InnerProductCache.add_atom`` enters.
 ``_solve`` picks each step and ``InnerProductCache`` takes it, from the weights
 and the atoms' Gram matrix alone, leaving the dense iterate stale.  That is
 formed from the weights and rows only where it is read: by the oracle branch,
@@ -80,9 +81,10 @@ class ActiveSet:
     Atom i is row i of every party's (capacity, axis) sign matrix, led by a 1
     for the marginal slot; the matrices grow by doubling and removals shift
     later rows up, so atoms keep their order.  Atoms are in canonical sign
-    form, so strategies inducing the same tensor merge.  ``x`` is the dense
-    iterate, or None while it is stale.  The solver adds atoms; from then on
-    ``InnerProductCache`` writes the weights and ``x`` and removes atoms.
+    form, so strategies inducing the same tensor merge; a new atom's rows are
+    that form's ``sign_rows``.  ``x`` is the dense iterate, or None while it
+    is stale.  The solver adds the first atom; from then on
+    ``InnerProductCache`` adds atoms, writes the weights and ``x`` and removes them.
 
     Weights stay nonnegative and sum to 1 without renormalisation: a pairwise
     step moves the sum by at most two roundings of 2^-53, a drop step removes
@@ -112,20 +114,16 @@ class ActiveSet:
         """Per-party (atoms, axis) sign rows of the active atoms."""
         return [r[: len(self.atoms)] for r in self._rows]
 
-    def add_atom(self, strategy, weight=0.0, rows=None):
-        """Index of the strategy's atom, added if new, plus ``weight``.  ``rows``:
-        its sign rows as ``sign_rows`` lays them out (the oracle's), or None."""
+    def add_atom(self, strategy, weight=0.0):
+        """Index of the strategy's atom, added if new, plus ``weight``."""
         s = strategy.canonical(self.scenario)
         i = self._index.get(s)
         if i is None:
             i = len(self.atoms)
             if i == len(self._rows[0]):
                 self._rows = [np.concatenate([r, np.zeros_like(r)]) for r in self._rows]
-            if rows is None:
-                strategy, rows = s, [v[0] for v in sign_rows([s], self.scenario)]
-            # canonical() flips whole parties, whose rows flip with them
-            for r, v, b, c in zip(self._rows, rows, strategy.bits, s.bits):
-                r[i] = v if b == c else -v
+            for r, v in zip(self._rows, sign_rows([s], self.scenario)):
+                r[i] = v[0]
             self.atoms.append(s)
             self._index[s] = i
             self.weights = np.append(self.weights, 0.0)
@@ -168,11 +166,11 @@ class InnerProductCache:
 
     The values are Gram @ weights - b, with b_lambda = <v0 p, d_lambda>, so
     they need no dense iterate.  A step that changes at most two weights
-    updates them from one or two Gram rows.  New atoms' Gram rows come from
-    the sign rows, one matrix product per party for the whole batch; the Gram
-    buffer grows by doubling and removals shift it in place.  Rows,
-    contiguous, stand in for columns exactly: every entry is an exact integer
-    and ``add_atom`` writes each block as rows and columns alike.
+    updates them from one or two Gram rows.  ``add_atom`` enters strategies
+    into the active set in one batch: their Gram rows take one matrix product
+    per party.  The Gram buffer grows by doubling and removals shift it in
+    place.  Rows, contiguous, stand in for columns exactly: every entry is an
+    exact integer and ``add_atom`` writes each block as rows and columns alike.
     """
 
     def __init__(self, active, v0p):
@@ -186,11 +184,13 @@ class InnerProductCache:
     def gram(self):
         return self._gram[: len(self.b), : len(self.b)]
 
-    def add_atom(self):
-        """Extend the cache, in one batch, by every atom the active set holds beyond it."""
+    def add_atom(self, strategies=()):
+        """Add the strategies to the active set at weight 0 and return their
+        indices; extend the cache, in one batch, by every atom beyond it."""
+        indices = [self.active.add_atom(s) for s in strategies]
         n, k = len(self.b), len(self.active)
         if k == n:
-            return
+            return indices
         if k > len(self._gram):
             g, self._gram = self._gram, np.zeros((max(2 * len(self._gram), k),) * 2)
             self._gram[:n, :n] = g[:n, :n]
@@ -202,6 +202,7 @@ class InnerProductCache:
         b = rows_inner(self.v0p, [v.T for v in new])
         self.b = np.append(self.b, b)
         self.v = np.append(self.v, self.active.weights @ cols - b)
+        return indices
 
     def remove_atom(self, i):
         """Remove atom i from the active set and the cache; later atoms shift up."""
@@ -355,18 +356,19 @@ def bpcg(p, v0, cfg=None):
     ``LAZY_TOLERANCE`` and tol = eps^2 / 2 (the clamp at tol stops local work
     the stopping test cannot see), and returns the first vertex whose gap
     reaches Phi / K, and up to ``lmo.EXTRA_ATOMS`` more that clear it in that
-    round, added at weight 0 (``RunStats.extra_atoms``); a useless one leaves
-    by a drop step.  A null step follows only a call that ran its full batch
-    and found none; later null steps reuse its answer while the iterate stays
-    put and it misses the threshold.  The null step that would end a run
-    (Phi <= 2 tol) first asks ``exhaustive_lmo``, where the scenario is
-    enumerable, and a vertex that clears the threshold takes a Frank-Wolfe
-    step instead (``RunStats.exact_calls``): a separated run's last gradient
-    does not rest on the heuristic.  1 + fw + null - oracle_calls steps had
-    no heuristic call of their own (plus one if ``early_separation`` ended
-    the run).  After as many local steps in a row as there are atoms, where
-    pairwise steps converge slowly, the next tries a face step first: Wolfe's
-    minor cycle (Wolfe 1976).  Parameters, result and callback as in
+    round, added at weight 0 (``RunStats.extra_atoms``) by the same
+    ``InnerProductCache.add_atom`` call; a useless one leaves by a drop step.
+    A null step follows only a call that ran its full batch and found none;
+    later null steps reuse its answer while the iterate stays put and it
+    misses the threshold.  The null step that would end a run (Phi <= 2 tol)
+    first asks ``exhaustive_lmo``, where the scenario is enumerable, and a
+    vertex that clears the threshold takes a Frank-Wolfe step instead
+    (``RunStats.exact_calls``): a separated run's last gradient does not rest
+    on the heuristic.  1 + fw + null - oracle_calls steps had no heuristic
+    call of their own (plus one if ``early_separation`` ended the run).  After
+    as many local steps in a row as there are atoms, where pairwise steps
+    converge slowly, the next tries a face step first: Wolfe's minor cycle
+    (Wolfe 1976).  Parameters, result and callback as in
     ``frank_wolfe_vanilla``, with Phi the gap estimate."""
     return _solve(p, v0, cfg, lazy=True)
 
@@ -391,21 +393,20 @@ def _solve(p, v0, cfg, lazy):
     stats = RunStats()
 
     def oracle(gradient, seed, threshold=None):
-        """The oracle's vertex and its sign rows, its value <gradient, d>, whether
-        it cleared ``threshold`` (only a call cut short can), and its extras."""
+        """The oracle's value <gradient, d> and its strategies: the vertex,
+        then its extras.  Only a call cut short can clear ``threshold``."""
         t0 = time.perf_counter()
-        omega, value, rounds, rows, extras = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
+        strategy, value, rounds, extras = heuristic_lmo(gradient, cfg.restarts, seed, threshold)
         stats.oracle_seconds += time.perf_counter() - t0
         stats.oracle_calls += 1
         stats.oracle_rounds += rounds
-        cleared = threshold is not None and value <= threshold
-        stats.oracle_early_exits += cleared
-        return omega, rows, value, cleared, extras
+        stats.oracle_early_exits += threshold is not None and value <= threshold
+        return value, [strategy, *extras]
 
     active = ActiveSet(sc)
     seed = cfg.seed
-    omega, rows = oracle(CorrelationTensor(sc, -target), seed)[:2]
-    active.add_atom(omega, 1.0, rows)
+    _, strategies = oracle(CorrelationTensor(sc, -target), seed)
+    active.add_atom(strategies[0], 1.0)
     cache = InnerProductCache(active, target_t)
 
     phi = 0.5 * float(np.linalg.norm(active.iterate() - target)) ** 2 if lazy else np.inf
@@ -447,15 +448,15 @@ def _solve(p, v0, cfg, lazy):
             # lazy: the oracle may stop at any vertex with gap >= Phi / K; only a
             # full batch ends in a null step, whose answer stands while it misses
             threshold = gx - phi / LAZY_TOLERANCE if lazy else None
-            if held is None or held[2] <= threshold:
+            if held is None or held[0] <= threshold:
                 held = oracle(grad, seed, threshold)
-            if lazy and not held[3] and phi <= 2 * tol and enumerable(sc):
+            gw, strategies = held
+            if lazy and gw > threshold and phi <= 2 * tol and enumerable(sc):
                 # the null step that would end the run: the exact oracle has the last word
                 stats.exact_calls += 1
                 strategy, value = exhaustive_lmo(grad)
                 if value <= threshold:
-                    held = (strategy, None, float(value), True, [])
-            omega, rows, gw, cleared, extras = held
+                    gw, strategies = float(value), [strategy]
             gap = gx - gw
             # f(x) - gap lower-bounds the optimum; if that exceeds the target
             # accuracy the point cannot be inside (up to oracle suboptimality)
@@ -464,14 +465,11 @@ def _solve(p, v0, cfg, lazy):
                 if gap <= tol or f - gap > tol:
                     status = STATUS_SEPARATED
                     break
-            if not lazy or cleared:
+            if not lazy or gw <= threshold:  # the answer cleared the threshold
                 # Frank-Wolfe step toward the oracle vertex, its extras at weight 0
                 n = len(active)
-                i = active.add_atom(omega, 0.0, rows)
-                for s, r in extras:
-                    active.add_atom(s, 0.0, r)
+                i = cache.add_atom(strategies)[0]
                 stats.extra_atoms += len(active) - max(n, i + 1)
-                cache.add_atom()
                 gamma = cache.apply_fw(i, gap, gx)
                 if not lazy:  # vanilla reads the iterate every iteration: a rank-one update
                     d = combine_rows(np.ones(1), [r[i : i + 1] for r in active.rows])

@@ -34,16 +34,16 @@ def maximize_functional_heuristic(tensor, restarts=3000, seed=0):
 
 
 def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
-    """(strategy, value, rounds, rows, extras): a strategy approximately
-    minimising <gradient, d>, its value with the root entry left out, as
-    ``tensor_strategy_inner`` counts it, the alternating rounds run, its float
-    (N, axis) sign rows as ``sign_rows`` lays them out, and (strategy, rows)
-    pairs.  With a ``threshold`` this is a weak-separation query: the first
-    strategy at or below it is returned, and the extras are the other restarts
-    of that round that clear it, by value (stable), distinct tensors other
-    than the strategy's, at most EXTRA_ATOMS.  A value above it means the full
-    batch ran and none cleared it; then, as without a threshold, there are no
-    extras.
+    """(strategy, value, rounds, extras): a strategy approximately minimising
+    <gradient, d>, its value with the root entry left out, as
+    ``tensor_strategy_inner`` counts it, the alternating rounds run, and a
+    list of more strategies.  With a ``threshold`` this is a weak-separation
+    query: the first strategy at or below it is returned, and the extras are
+    the other restarts of that round that clear it, by value (stable),
+    distinct tensors other than the strategy's, at most EXTRA_ATOMS; a
+    restart whose raw signs an earlier one had is skipped before it is
+    built.  A value above it means the full batch ran and none cleared it;
+    then, as without a threshold, there are no extras.
 
     Alternating minimisation of <G, d>: each restart, a column of one
     (N, axis, R) sign buffer, starts from random signs: the (N, m, R) bits of
@@ -81,14 +81,17 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
         vals = (C * work[N - 1]).sum(axis=0)
         best = float(vals.min()) - root
         if threshold is not None and best <= threshold:
-            found = {}  # canonical form -> (strategy, rows) of the clearing restarts
+            found, seen = {}, set()  # canonical form -> strategy; raw signs met
             for j in np.argsort(vals, kind="stable")[: np.count_nonzero(vals - root <= threshold)]:
-                s = DeterministicStrategy.from_signs(work[:, off:, j])
-                found.setdefault(s.canonical(sc), (s, work[:, :, j].copy()))
-                if len(found) > EXTRA_ATOMS:
-                    break
-            (s, rows), *extras = found.values()  # the first is the first argmin
-            return s, best, rounds, rows, extras
+                raw = work[:, off:, j].tobytes()
+                if raw not in seen:
+                    seen.add(raw)
+                    s = DeterministicStrategy.from_signs(work[:, off:, j])
+                    found.setdefault(s.canonical(sc), s)
+                    if len(found) > EXTRA_ATOMS:
+                        break
+            s, *extras = found.values()  # the first is the first argmin
+            return s, best, rounds, extras
         done = vals >= prev - 1e-12
         if done.any():
             signs[:, :, live[done]] = work[:, :, done]
@@ -99,8 +102,7 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
     signs[:, :, live] = work
     final[live] = prev
     i = int(np.argmin(final))
-    rows = signs[:, :, i].copy()
-    return DeterministicStrategy.from_signs(rows[:, off:]), final.item(i) - root, rounds, rows, []
+    return DeterministicStrategy.from_signs(signs[:, off:, i]), final.item(i) - root, rounds, []
 
 
 def enumerable(scenario):

@@ -69,21 +69,17 @@ def singlet_tensor(alice, bob, scenario=None):
     return CorrelationTensor(scenario, ent)
 
 
-def ghz_polygon_tensor(parties, m, exact=None):
+def ghz_polygon_tensor(parties, m):
     """GHZ_N with XY-plane polygon inputs: entry cos((x_1+...+x_N - N) pi / m).
 
     Every marginal and partial correlator vanishes for these measurements, so
     the tensor lives in the full-correlation scenario.  For m <= 3 the cosines
-    are rational and the tensor is exact unless ``exact=False``.
+    are rational and the tensor is exact; otherwise it is float.
     """
     sc = Scenario(parties, m, marginals=False)
-    if exact is None:
-        exact = m <= 3
     grids = np.meshgrid(*[np.arange(1, m + 1)] * parties, indexing="ij")
     total = sum(grids) - parties
-    if exact:
-        if m > 3:
-            raise ValueError(f"cos(k pi/{m}) is irrational; use exact=False")
+    if m <= 3:
         # cos(k pi / m) is 0, +-1/2 or +-1 here, and its float lies within 1e-15 of it
         ent = np.frompyfunc(lambda k: Fraction(round(2 * np.cos(k * np.pi / m)), 2), 1, 1)(total)
     else:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 MAX_ENTRIES = 10**8
+QUANTUM_TOL = 1e-8  # quantum_tensor's tolerance on the state and the Bloch-vector lengths
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ _PAULI = (
 )
 
 
-def quantum_tensor(state, bloch, scenario, tol=1e-8):
+def quantum_tensor(state, bloch, scenario):
     """Correlation tensor of a shared N-qubit state measured along m Bloch
     vectors per party, entry by the Born rule.
 
@@ -361,11 +362,11 @@ def quantum_tensor(state, bloch, scenario, tol=1e-8):
         rho = np.outer(rho, rho.conj())
     if rho.shape != (2**N, 2**N):
         raise ValueError("state dimension does not match party count")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().T).max() > QUANTUM_TOL:
         raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1) > tol:
+    if abs(np.trace(rho) - 1) > QUANTUM_TOL:
         raise ValueError("state trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -QUANTUM_TOL:
         raise ValueError("state is not positive semidefinite")
 
     ops = []
@@ -374,7 +375,7 @@ def quantum_tensor(state, bloch, scenario, tol=1e-8):
         if vecs.shape != (m, 3):
             raise ValueError("each party needs m Bloch vectors in R^3")
         lens = np.linalg.norm(vecs, axis=1)
-        if np.abs(lens - 1).max() > tol:
+        if np.abs(lens - 1).max() > QUANTUM_TOL:
             raise ValueError("Bloch vectors must have unit length")
         party_ops = [np.eye(2, dtype=complex)] if scenario.marginals else []
         party_ops += [v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2] for v in vecs]

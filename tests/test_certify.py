@@ -474,7 +474,7 @@ def test_exact_residual_matches_reference_m6(m6_cert, ico_singlet):
 
 
 def test_exact_residual_matches_reference_ghz_polygon():
-    p = ghz_polygon_tensor(3, 3, exact=True)
+    p = ghz_polygon_tensor(3, 3)
     v0 = Fraction(2, 5)
     res = bpcg(p, float(v0), SolverConfig(restarts=200, seed=1))
     assert res.converged

@@ -49,6 +49,11 @@ def test_polyhedron_gen_pentakis(tmp_path, capsys):
     assert run(["polyhedron", "gen", "--solid", "octahedron", "--out", str(out)]) == 0
     assert run(["polyhedron", "eta", "--in", str(out)]) == 0
     assert "eta^2 = 1/3 = " in capsys.readouterr().out
+    # a vertex file may hold comment lines and blank lines
+    first, *rest = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(["# the octahedron\n", first, "\n", *rest]))
+    assert run(["polyhedron", "eta", "--in", str(out)]) == 0
+    assert "eta^2 = 1/3 = " in capsys.readouterr().out
 
 
 def test_solve_upper_chsh(tmp_path, capsys):
@@ -554,6 +559,29 @@ def test_solve_upper_three_party_m9_is_certified(tmp_path, capsys):
     assert json.loads((tmp_path / "ghz9.cert.run.json").read_text())["solver"]["exact_calls"] >= 1
 
 
+@pytest.fixture(scope="module")
+def ghz_m6_upper_text(tmp_path_factory):
+    cert = tmp_path_factory.mktemp("cert") / "ghz.cert"
+    assert run(["solve", "upper", "--state", "ghz", "--N", "3", "--m", "6", "--v0", "0.80",
+                "--restarts", "300", "--seed", "0", "--out", str(cert)]) == 0
+    return cert.read_text()
+
+
+def test_certify_unknown_target_kind_is_invalid(ghz_m6_upper_text, tmp_path, capsys):
+    # the reader accepts any target kind; verify rejects it when it rebuilds the target
+    lines = ghz_m6_upper_text.splitlines(keepends=True)
+    start, stop = lines.index("TARGET tensor\n"), lines.index("M\n")
+    assert lines[start + 1] == "TENSOR\n"
+    bad = tmp_path / "bad.cert"
+    bad.write_text("".join(lines[:start] + ["TARGET bogus\n"] + lines[stop:]))
+    capsys.readouterr()
+    assert run(["certify", "verify", "--in", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ("INVALID certificate: target reconstruction failed: "
+                   "unknown target kind 'bogus'\n")
+    assert err == ""
+
+
 NAN_TARGET_CERT = """UPPER-CERTIFICATE
 SCENARIO 2 2 false
 TARGET tensor
@@ -570,6 +598,10 @@ Q nan TOL 0.0
 V_UP 0.1
 END
 """
+
+
+# the same with a finite tensor, so that the reader gets past it
+CHSH_TARGET_CERT = NAN_TARGET_CERT.replace("nan 0.7", "0.7 0.7").replace("Q nan", "Q 1.4")
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -601,10 +633,17 @@ END
     ({}, ["solve", "lower", "--state", "custom", "--v0", "0.5"], "needs --tensor FILE"),
     ({"f.txt": "2 2 maybe\n1 1 1 -1\n"}, ["bound", "--functional", "f.txt"],
      "bad marginals flag 'maybe'"),
+    ({"c.cert": CHSH_TARGET_CERT.replace("TENSOR\n2 2 false\n0.7 0.7\n0.7 -0.7\n", "")},
+     ["certify", "verify", "--in", "c.cert"], "missing TENSOR section"),
+    ({"c.cert": CHSH_TARGET_CERT.replace("Q 1.4 TOL 0.0", "Q 1.4 FOO 0.0")},
+     ["certify", "verify", "--in", "c.cert"], "expected a Q line"),
+    ({"v.txt": "1 0 0\n-1 0 0\n0 1 0\n"}, ["polyhedron", "eta", "--in", "v.txt"],
+     "need at least 4 vertices"),
 ], ids=["vertex-1/0", "solve-vertex-1/0", "tensor-1/0", "tensor-inf", "gen-tol-1e-30",
         "custom-nan", "cert-nan-target", "cert-nan-target-q5", "v0-1/0", "gen-no-out",
         "v0-1e400", "v0-2", "eta-collinear", "polyhedron-not-antipodal",
-        "polygon-not-ghz", "custom-no-tensor", "tensor-bad-marginals"])
+        "polygon-not-ghz", "custom-no-tensor", "tensor-bad-marginals",
+        "cert-missing-tensor", "cert-bad-q-tag", "eta-three-vertices"])
 def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, argv,
                                           message):
     monkeypatch.chdir(tmp_path)

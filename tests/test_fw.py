@@ -152,7 +152,7 @@ def _exact_lmo(gradient, restarts, seed, threshold=None):
     """A seed-independent oracle: the exact minimiser, so a fresh call on the
     same gradient returns the same answer."""
     strategy, value = exhaustive_lmo(gradient)
-    return strategy, float(value), 1, None, []
+    return strategy, float(value), 1, []
 
 
 # inside at 0.60; separated at 0.90, where the last Phi levels reach the
@@ -375,8 +375,8 @@ def test_cache_matches_recomputation_after_updates(chsh_singlet):
     # frank-wolfe step toward a fresh atom, by the exact line search
     new = DeterministicStrategy([2, 2], 2)
     x = active.recompute_iterate()
-    i = active.add_atom(new)
-    cache.add_atom()
+    (i,) = cache.add_atom([new])
+    assert i == 2 and len(cache.b) == 3
     grad = x - target_entries
     gx = float(active.weights @ cache.values())
     assert gx == pytest.approx(float(np.sum(grad * x)), abs=1e-12)
@@ -424,8 +424,7 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
     def fw_step(gamma):
         # a gap above ||x - d_i||^2 clamps the step at gamma = 1 exactly
         bits = [int(b) for b in rng.integers(0, 1 << inputs, parties)]
-        i = active.add_atom(DeterministicStrategy(bits, inputs))
-        cache.add_atom()
+        (i,) = cache.add_atom([DeterministicStrategy(bits, inputs)])
         gx = float(active.weights @ cache.values())
         assert cache.apply_fw(i, _fw_gap(active, i, gamma), gx) == pytest.approx(min(gamma, 1))
         return i
@@ -474,9 +473,9 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
     "parties, inputs, marginals", [(2, 4, False), (2, 3, True), (3, 3, True)]
 )
 def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
-    # atoms enter the active set one by one and the cache in one batch, past
-    # the buffer's capacity and with a duplicate among them; the Gram matrix,
-    # b and the values then equal those of a cache built from scratch, and the
+    # atoms enter the active set and the cache in one batch, past the
+    # buffer's capacity and with a duplicate among them; the Gram matrix, b
+    # and the values then equal those of a cache built from scratch, and the
     # zero-weight newcomers leave the iterate and the old values as they were
     sc = Scenario(parties, inputs, marginals)
     rng = np.random.default_rng(60 + 10 * parties + marginals)
@@ -491,11 +490,11 @@ def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
     n = len(active)
     x, v = active.recompute_iterate(), cache.values().copy()
     for batch in (1, 3, 17):
-        active.add_atom(strategy())
-        active.add_atom(active.atoms[0])  # already held: no new atom
-        for _ in range(batch - 1):
-            active.add_atom(strategy())
-        cache.add_atom()
+        k = len(active)
+        new = [strategy(), active.atoms[0], *(strategy() for _ in range(batch - 1))]
+        indices = cache.add_atom(new)  # atoms[0] is already held: no new atom
+        assert indices == [active.atoms.index(s.canonical(sc)) for s in new]
+        assert indices[1] == 0 and len(active) <= k + batch
         fresh = InnerProductCache(active, target)
         assert len(cache.b) == len(active) and cache.gram.shape == fresh.gram.shape
         assert np.array_equal(cache.gram, fresh.gram)
@@ -504,7 +503,7 @@ def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
         assert np.array_equal(cache.values()[:n], v)
         assert np.abs(active.recompute_iterate() - x).max() <= 1e-12
     assert len(cache._gram) >= len(active) > 2 * MIN_CAPACITY
-    cache.add_atom()  # nothing beyond the cache: unchanged
+    assert cache.add_atom() == []  # nothing beyond the cache: unchanged
     assert len(cache.b) == len(active)
 
 
@@ -516,7 +515,7 @@ def test_fw_steps_add_the_extras_at_weight_zero(monkeypatch, ico_singlet):
     def lmo(*args):
         answer = heuristic_lmo(*args)
         winners.add(answer[0].canonical(sc))
-        extras.update(s.canonical(sc) for s, _ in answer[4])
+        extras.update(s.canonical(sc) for s in answer[3])
         return answer
 
     res, rec, seen, _ = _recorded_run(monkeypatch, ico_singlet, 0.60,

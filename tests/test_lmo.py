@@ -21,7 +21,6 @@ from localpolytope.tensor import (
     _contract_unfolded,
     inner,
     rows_inner,
-    sign_rows,
     strategy_tensor,
     tensor_strategy_inner,
 )
@@ -172,8 +171,7 @@ def test_unreachable_threshold_runs_the_full_batch(parties, marginals):
         plain = heuristic_lmo(g, restarts=50, seed=trial)
         capped = heuristic_lmo(g, restarts=50, seed=trial, threshold=v_opt - 1e-9)
         assert capped[:3] == plain[:3]
-        assert (capped[3] == plain[3]).all()
-        assert capped[4] == plain[4] == []  # a full batch returns no extras
+        assert capped[3] == plain[3] == []  # a full batch returns no extras
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -188,22 +186,19 @@ def test_reachable_threshold_returns_a_vertex_that_clears_it(parties, marginals)
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
         _, v_opt = exhaustive_lmo(g)
         threshold = 0.5 * (v_opt + tensor_strategy_inner(g, plus))
-        s, v, rounds, rows, extras = heuristic_lmo(g, restarts=200, seed=trial,
-                                                   threshold=threshold)
+        s, v, rounds, extras = heuristic_lmo(g, restarts=200, seed=trial, threshold=threshold)
         assert v <= threshold
         assert tensor_strategy_inner(g, s) <= threshold + 1e-12
         assert tensor_strategy_inner(g, s) == pytest.approx(v, abs=1e-12)
         assert rounds >= 1
-        assert np.array_equal(rows, np.array([S[0] for S in sign_rows([s], sc)]))
         # the other restarts of that round that clear it: distinct tensors,
-        # none the winner's, by value, within the cap, each with its rows
+        # none the winner's, by value, within the cap
         assert len(extras) <= lmo.EXTRA_ATOMS
-        assert len({t.canonical(sc) for t, _ in extras} | {s.canonical(sc)}) == 1 + len(extras)
-        values = [tensor_strategy_inner(g, t) for t, _ in extras]
+        assert all(isinstance(t, DeterministicStrategy) for t in extras)
+        assert len({t.canonical(sc) for t in extras} | {s.canonical(sc)}) == 1 + len(extras)
+        values = [tensor_strategy_inner(g, t) for t in extras]
         assert all(v - 1e-12 <= u <= threshold + 1e-12 for u in values)
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-        for t, r in extras:
-            assert np.array_equal(r, np.array([S[0] for S in sign_rows([t], sc)]))
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -215,19 +210,45 @@ def test_early_exit_keeps_the_best_clearing_restarts_up_to_the_cap(marginals, mo
     sc = Scenario(2, 5, marginals)
     for trial in range(5):
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
-        s, v, rounds, rows, extras = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)
+        s, v, rounds, extras = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)
         assert rounds == 1 and len(extras) == 3
-        found = [s, *(t for t, _ in extras)]
+        found = [s, *extras]
         assert len({t.canonical(sc) for t in found}) == 4
         values = [tensor_strategy_inner(g, t) for t in found]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         # nothing missed: every other distinct vertex the same call reaches at
         # a larger cap is no better than the last one kept
         monkeypatch.setattr(lmo, "EXTRA_ATOMS", 200)
-        wider = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)[4]
+        wider = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)[3]
         monkeypatch.setattr(lmo, "EXTRA_ATOMS", 3)
-        assert [t for t, _ in wider[:3]] == found[1:]
-        assert min(tensor_strategy_inner(g, t) for t, _ in wider[3:]) >= values[-1] - 1e-12
+        assert wider[:3] == found[1:]
+        assert min(tensor_strategy_inner(g, t) for t in wider[3:]) >= values[-1] - 1e-12
+
+
+@pytest.mark.parametrize("marginals", [False, True])
+def test_early_exit_builds_each_raw_sign_pattern_once(marginals, monkeypatch):
+    # every one of 200 restarts clears the threshold, and with a cap no scan
+    # reaches, all are scanned; 2 x 3 inputs have 64 raw sign patterns, so
+    # most restarts repeat one and are skipped before a strategy is built
+    monkeypatch.setattr(lmo, "EXTRA_ATOMS", 200)
+    from_signs, built = DeterministicStrategy.from_signs.__func__, []
+
+    def counted(cls, signs):
+        built.append(np.asarray(signs).tobytes())
+        return from_signs(cls, signs)
+
+    monkeypatch.setattr(DeterministicStrategy, "from_signs", classmethod(counted))
+    rng = np.random.default_rng(70 + marginals)
+    sc = Scenario(2, 3, marginals)
+    for trial in range(5):
+        built.clear()
+        g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        s, v, rounds, extras = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)
+        assert rounds == 1
+        assert len(set(built)) == len(built) <= 64
+        tensors = {from_signs(DeterministicStrategy, np.frombuffer(b).reshape(2, 3)).canonical(sc)
+                   for b in built}
+        assert len(tensors) == 1 + len(extras)
 
 
 @pytest.mark.parametrize("marginals", [False, True])
@@ -241,12 +262,12 @@ def test_restart_stop_matches_reference(parties, marginals):
     for trial in range(5):
         t = CorrelationTensor(sc, rng.normal(size=sc.shape))
         neg = CorrelationTensor(sc, -t.entries)
-        s, v, rounds, rows, extras = heuristic_lmo(neg, restarts=300, seed=trial)
+        s, v, rounds, extras = heuristic_lmo(neg, restarts=300, seed=trial)
         assert extras == []  # no threshold, no extras
         s_ref, v_ref = heuristic_reference(t, 300, trial)
         assert -v == pytest.approx(v_ref, abs=1e-12)
         assert 1 <= rounds <= HEURISTIC_ROUNDS
-        assert np.array_equal(rows, np.array([S[0] for S in sign_rows([s], sc)]))
+        assert tensor_strategy_inner(neg, s) == pytest.approx(v, abs=1e-12)
         if parties == 2:
             assert s.canonical(sc) == s_ref.canonical(sc)
 

@@ -104,7 +104,7 @@ def test_ghz_polygon_formula_against_born_rule():
         sc = Scenario(3, m, marginals=False)
         vecs = polygon_vectors(m)
         q = quantum_tensor(ghz_state(3), (vecs, vecs, vecs), sc)
-        ref = ghz_polygon_tensor(3, m, exact=False)
+        ref = ghz_polygon_tensor(3, m).to_float()
         assert np.abs(q.entries - ref.entries).max() < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_ghz_polygon_marginals_vanish():
     mask[1:, 1:, 1:] = False
     mask[0, 0, 0] = False
     assert np.abs(t.entries[mask]).max() < 1e-12
-    assert np.abs(full - ghz_polygon_tensor(3, 2, exact=False).entries).max() < 1e-12
+    assert np.abs(full - ghz_polygon_tensor(3, 2).to_float().entries).max() < 1e-12
 
 
 def test_quantum_tensor_entry_range():
@@ -350,7 +350,7 @@ def test_ghz4_polygon_formula():
     sc = Scenario(4, 2, marginals=False)
     vecs = polygon_vectors(2)
     q = quantum_tensor(ghz_state(4), (vecs,) * 4, sc)
-    ref = ghz_polygon_tensor(4, 2, exact=False)
+    ref = ghz_polygon_tensor(4, 2).to_float()
     assert np.abs(q.entries - ref.entries).max() < 1e-12
 
 
