@@ -114,22 +114,29 @@ class ActiveSet:
         """Per-party (atoms, axis) sign rows of the active atoms."""
         return [r[: len(self.atoms)] for r in self._rows]
 
-    def add_atom(self, strategy, weight=0.0):
-        """Index of the strategy's atom, added if new, plus ``weight``."""
-        s = strategy.canonical(self.scenario)
-        i = self._index.get(s)
-        if i is None:
-            i = len(self.atoms)
-            if i == len(self._rows[0]):
-                self._rows = [np.concatenate([r, np.zeros_like(r)]) for r in self._rows]
-            for r, v in zip(self._rows, sign_rows([s], self.scenario)):
-                r[i] = v[0]
-            self.atoms.append(s)
-            self._index[s] = i
-            self.weights = np.append(self.weights, 0.0)
+    def add_atom(self, strategies, weight=0.0):
+        """Indices of the strategies' atoms, each added if new, plus ``weight``
+        on each index; the new atoms' rows come from one ``sign_rows`` call."""
+        indices, n = [], len(self.atoms)
+        for s in [s.canonical(self.scenario) for s in strategies]:
+            i = self._index.setdefault(s, len(self.atoms))
+            if i == len(self.atoms):
+                self.atoms.append(s)
+            indices.append(i)
+        k = len(self.atoms)
+        if k > n:
+            cap = len(self._rows[0])
+            if k > cap:
+                while cap < k:
+                    cap *= 2
+                self._rows = [np.concatenate([r, np.zeros((cap - len(r), r.shape[1]))])
+                              for r in self._rows]
+            for r, v in zip(self._rows, sign_rows(self.atoms[n:], self.scenario)):
+                r[n:k] = v
+            self.weights = np.concatenate([self.weights, np.zeros(k - n)])
         if weight:
-            self.weights[i] += weight
-        return i
+            np.add.at(self.weights, indices, weight)
+        return indices
 
     def remove_atom(self, i):
         n = len(self.atoms)
@@ -187,7 +194,7 @@ class InnerProductCache:
     def add_atom(self, strategies=()):
         """Add the strategies to the active set at weight 0 and return their
         indices; extend the cache, in one batch, by every atom beyond it."""
-        indices = [self.active.add_atom(s) for s in strategies]
+        indices = self.active.add_atom(strategies)
         n, k = len(self.b), len(self.active)
         if k == n:
             return indices
@@ -406,7 +413,7 @@ def _solve(p, v0, cfg, lazy):
     active = ActiveSet(sc)
     seed = cfg.seed
     _, strategies = oracle(CorrelationTensor(sc, -target), seed)
-    active.add_atom(strategies[0], 1.0)
+    active.add_atom(strategies[:1], 1.0)
     cache = InnerProductCache(active, target_t)
 
     phi = 0.5 * float(np.linalg.norm(active.iterate() - target)) ** 2 if lazy else np.inf

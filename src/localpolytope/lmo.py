@@ -40,10 +40,9 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
     list of more strategies.  With a ``threshold`` this is a weak-separation
     query: the first strategy at or below it is returned, and the extras are
     the other restarts of that round that clear it, by value (stable),
-    distinct tensors other than the strategy's, at most EXTRA_ATOMS; a
-    restart whose raw signs an earlier one had is skipped before it is
-    built.  A value above it means the full batch ran and none cleared it;
-    then, as without a threshold, there are no extras.
+    distinct tensors other than the strategy's, at most EXTRA_ATOMS
+    (``_distinct_strategies``).  A value above it means the full batch ran
+    and none cleared it; then, as without a threshold, there are no extras.
 
     Alternating minimisation of <G, d>: each restart, a column of one
     (N, axis, R) sign buffer, starts from random signs: the (N, m, R) bits of
@@ -81,16 +80,8 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
         vals = (C * work[N - 1]).sum(axis=0)
         best = float(vals.min()) - root
         if threshold is not None and best <= threshold:
-            found, seen = {}, set()  # canonical form -> strategy; raw signs met
-            for j in np.argsort(vals, kind="stable")[: np.count_nonzero(vals - root <= threshold)]:
-                raw = work[:, off:, j].tobytes()
-                if raw not in seen:
-                    seen.add(raw)
-                    s = DeterministicStrategy.from_signs(work[:, off:, j])
-                    found.setdefault(s.canonical(sc), s)
-                    if len(found) > EXTRA_ATOMS:
-                        break
-            s, *extras = found.values()  # the first is the first argmin
+            order = np.argsort(vals, kind="stable")[: np.count_nonzero(vals - root <= threshold)]
+            s, *extras = _distinct_strategies(work[:, off:, order] < 0, sc)  # s: first argmin
             return s, best, rounds, extras
         done = vals >= prev - 1e-12
         if done.any():
@@ -103,6 +94,31 @@ def heuristic_lmo(gradient, restarts=3000, seed=0, threshold=None):
     final[live] = prev
     i = int(np.argmin(final))
     return DeterministicStrategy.from_signs(signs[:, off:, i]), final.item(i) - root, rounds, []
+
+
+def _distinct_strategies(bits, scenario):
+    """The strategies of the columns of the (N, m, k) sign bits (bit 1 -> -1)
+    that induce distinct tensors, each from its first column, in column
+    order, up to EXTRA_ATOMS + 1 of them.  The k columns are put in the form
+    of ``DeterministicStrategy.canonical`` at once, by xor: without marginal
+    slots party n < N-1 is flipped by its first bit, the last party by their
+    parity.  Their packed bytes are the keys; only the kept columns' raw
+    packed bytes become strategies."""
+    N, m, k = bits.shape
+    raw = np.packbits(bits.transpose(2, 0, 1), axis=2, bitorder="little")  # (k, N, bytes)
+    keys = raw
+    if not scenario.marginals:
+        first = bits[:-1, :1]
+        flip = np.concatenate([first, np.bitwise_xor.reduce(first, axis=0, keepdims=True)])
+        keys = np.packbits((bits ^ flip).transpose(2, 0, 1), axis=2, bitorder="little")
+    buf, w = keys.tobytes(), keys[0].size
+    kept = {}  # key -> its first column
+    for j in range(k):
+        kept.setdefault(buf[j * w : (j + 1) * w], j)
+        if len(kept) > EXTRA_ATOMS:
+            break
+    return [DeterministicStrategy([int.from_bytes(p.tobytes(), "little") for p in raw[j]], m)
+            for j in kept.values()]
 
 
 def enumerable(scenario):

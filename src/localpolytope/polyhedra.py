@@ -168,6 +168,16 @@ def _point_from_tangents(t, u):
     return RationalPoint(st * cu, st * su, ct)
 
 
+def _float_point(t, u):
+    """``_point_from_tangents`` in float64, from the floats of t and u."""
+    t = float(t)
+    st, ct = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
+    if u is None:
+        return -st, 0.0, ct
+    u = float(u)
+    return st * ((1 - u * u) / (1 + u * u)), st * (2 * u / (1 + u * u)), ct
+
+
 def rationalize(p, tol=1e-6):
     """Nearest-enough rational point exactly on the unit sphere.
 
@@ -175,6 +185,17 @@ def rationalize(p, tol=1e-6):
     are replaced by continued-fraction convergents with the smallest
     denominator meeting ``tol``, and the rational parametrisation is applied.
     The distance check |p - q| <= tol is performed in exact arithmetic.
+
+    A float screen runs first: the same parametrisation in float64 from the
+    convergents' floats.  A coordinate is a product of at most two ratios
+    (1 - s^2) / (1 + s^2) or 2s / (1 + s^2), whose numerators and rounding
+    errors are bounded by their denominators, so each is within a few ulps
+    of 1 of its exact value, and each float coordinate within 3e-15 of the
+    exact one; the float distance is then within 1e-14 of the exact
+    distance.  A cap whose float distance exceeds tol + 1e-12 fails the
+    exact test, and is skipped.  Every other cap, and a nan from an
+    overflowing s^2, is tested exactly, so the point returned and the error
+    past the cap are those of the exact loop alone.
     """
     p = np.asarray(p, dtype=float)
     n = np.linalg.norm(p)
@@ -199,10 +220,11 @@ def rationalize(p, tol=1e-6):
     while True:
         t = Fraction(t_exact).limit_denominator(cap)
         u = None if u_exact is None else Fraction(u_exact).limit_denominator(cap)
-        q = _point_from_tangents(t, u)
-        d2 = sum((a - b) ** 2 for a, b in zip(q.as_tuple(), target))
-        if d2 <= tol_sq:
-            return q
+        if not math.dist(_float_point(t, u), p) > tol + 1e-12:  # a nan is tested exactly
+            q = _point_from_tangents(t, u)
+            d2 = sum((a - b) ** 2 for a, b in zip(q.as_tuple(), target))
+            if d2 <= tol_sq:
+                return q
         if cap > 2**80:
             raise ValueError(f"rational approximation did not converge to tol = {tol!r}")
         cap *= 8

@@ -117,6 +117,11 @@ def scale(t, v):
     return CorrelationTensor(t.scenario, t.entries * v)
 
 
+_TO_SIGNS = str.maketrans("01", "+-")
+_TO_BITS = str.maketrans("+-", "01")
+_SIGN_CHARS = str.maketrans("", "", "+-|")  # deletes them: anything left is foreign
+
+
 class DeterministicStrategy:
     """One fixed +-1 answer for every input of every party; a polytope vertex.
 
@@ -185,21 +190,22 @@ class DeterministicStrategy:
         return s
 
     def to_string(self):
-        return "|".join(
-            "".join("-" if b >> x & 1 else "+" for x in range(self.inputs))
-            for b in self.bits
-        )
+        """Input 1 first, '+' for +1 and '-' for -1, parties joined by '|'.
+        A leading 1 bit pins each party's binary digits to m; it is cut off
+        after the reversal to input order."""
+        top = 1 << self.inputs
+        return "|".join(format(b | top, "b")[:0:-1] for b in self.bits).translate(_TO_SIGNS)
 
     @classmethod
     def from_string(cls, text):
-        parts = text.strip().split("|")
+        """The inverse of ``to_string``: ValueError unless every party has as
+        many '+'/'-' characters as the first."""
+        t = text.strip()
+        parts = t.translate(_TO_BITS).split("|")
         m = len(parts[0])
-        bits = []
-        for p in parts:
-            if len(p) != m or set(p) - {"+", "-"}:
-                raise ValueError(f"malformed strategy string {text!r}")
-            bits.append(sum(1 << x for x, ch in enumerate(p) if ch == "-"))
-        return cls(bits, m)
+        if t.translate(_SIGN_CHARS) or any(len(p) != m for p in parts):
+            raise ValueError(f"malformed strategy string {text!r}")
+        return cls([int("0" + p[::-1], 2) for p in parts], m)
 
     def __eq__(self, other):
         return (

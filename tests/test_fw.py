@@ -312,8 +312,7 @@ def test_active_set_dedupes_sign_flips():
     active = ActiveSet(NM22)
     s = DeterministicStrategy.from_signs([[1, -1], [1, 1]])
     flipped = DeterministicStrategy.from_signs([[-1, 1], [-1, -1]])
-    i = active.add_atom(s, 0.5)
-    j = active.add_atom(flipped, 0.5)
+    i, j = active.add_atom([s, flipped], 0.5)  # the weight goes on once per strategy
     assert i == j
     assert len(active) == 1
     assert active.weights.sum() == 1.0
@@ -322,7 +321,7 @@ def test_active_set_dedupes_sign_flips():
 def _scripted_active_set(sc, target, atoms, weights):
     active = ActiveSet(sc)
     for a, w in zip(atoms, weights):
-        active.add_atom(a, w)
+        active.add_atom([a], w)
     active.x = active.recompute_iterate()
     cache = InnerProductCache(active, target)
     return active, cache
@@ -403,7 +402,7 @@ def test_sign_rows_match_dense_atoms_after_scripted_steps(parties, inputs, margi
     rng = np.random.default_rng(10 * parties + inputs)
     target = CorrelationTensor(sc, rng.normal(size=sc.shape))
     active = ActiveSet(sc)
-    active.add_atom(DeterministicStrategy([0] * parties, inputs), 1.0)
+    active.add_atom([DeterministicStrategy([0] * parties, inputs)], 1.0)
     cache = InnerProductCache(active, target)
 
     def check():
@@ -505,6 +504,41 @@ def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
     assert len(cache._gram) >= len(active) > 2 * MIN_CAPACITY
     assert cache.add_atom() == []  # nothing beyond the cache: unchanged
     assert len(cache.b) == len(active)
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_batched_add_equals_one_at_a_time_adds(parties):
+    # one batch of 69 strategies without marginal slots, among them a
+    # duplicate, a sign-flip twin of an earlier one and of the held atom,
+    # grows the rows from 8 to 16, 32 and 64 (and 128) at once; every index, row,
+    # weight and cache entry equals that of adding the same strategies one at
+    # a time.  An integer target keeps b exact, so equality is exact
+    sc = Scenario(parties, 4, marginals=False)
+    rng = np.random.default_rng(90 + parties)
+    target = CorrelationTensor(sc, rng.integers(-3, 4, size=sc.shape).astype(float))
+    batch = [DeterministicStrategy([int(b) for b in rng.integers(0, 16, parties)], 4)
+             for _ in range(66)]
+    first = DeterministicStrategy([1] * parties, 4)
+    twin = batch[3].flip_parties([0, parties - 1])
+    batch[10:10] = [batch[5], twin, first.flip_parties([0, 1])]
+
+    def fresh():
+        active = ActiveSet(sc)
+        active.add_atom([first], 1.0)
+        return active, InnerProductCache(active, target)
+
+    (active, cache), (single, one_by_one) = fresh(), fresh()
+    indices = cache.add_atom(batch)
+    assert indices == [i for s in batch for i in one_by_one.add_atom([s])]
+    assert indices[10] == indices[5] and indices[11] == indices[3] and indices[12] == 0
+    assert len(batch) - 3 > len(active) - 1 > 4 * MIN_CAPACITY
+    assert active.atoms == single.atoms and len(active._rows[0]) == len(single._rows[0])
+    for r, s in zip(active.rows, single.rows):
+        assert np.array_equal(r, s)
+    assert np.array_equal(active.weights, single.weights)
+    assert np.array_equal(cache.gram, one_by_one.gram)
+    assert np.array_equal(cache.b, one_by_one.b)
+    assert np.array_equal(cache.values(), one_by_one.values())
 
 
 def test_fw_steps_add_the_extras_at_weight_zero(monkeypatch, ico_singlet):
@@ -708,7 +742,7 @@ def test_iterate_formed_at_most_once_per_oracle_call(v0, ico_singlet, monkeypatc
 
 def test_fast_inner_cache_factory(chsh_singlet):
     active = ActiveSet(NM22)
-    active.add_atom(DeterministicStrategy([0, 0], 2), 1.0)
+    active.add_atom([DeterministicStrategy([0, 0], 2)], 1.0)
     active.x = active.recompute_iterate()
     cache = InnerProductCache(active, chsh_singlet)
     assert cache.values().shape == (1,)

@@ -225,30 +225,58 @@ def test_early_exit_keeps_the_best_clearing_restarts_up_to_the_cap(marginals, mo
         assert min(tensor_strategy_inner(g, t) for t in wider[3:]) >= values[-1] - 1e-12
 
 
+def scan_reference(bits, sc):
+    """The early-exit scan as a loop over the (N, m, k) sign bits' columns:
+    one strategy per new raw pattern, kept if its canonical form is new,
+    until EXTRA_ATOMS + 1 are kept."""
+    found, seen = {}, set()  # canonical form -> strategy; raw signs met
+    for j in range(bits.shape[2]):
+        raw = bits[:, :, j].tobytes()
+        if raw not in seen:
+            seen.add(raw)
+            s = DeterministicStrategy.from_signs(np.where(bits[:, :, j], -1.0, 1.0))
+            found.setdefault(s.canonical(sc), s)
+            if len(found) > lmo.EXTRA_ATOMS:
+                break
+    return list(found.values())
+
+
 @pytest.mark.parametrize("marginals", [False, True])
-def test_early_exit_builds_each_raw_sign_pattern_once(marginals, monkeypatch):
-    # every one of 200 restarts clears the threshold, and with a cap no scan
-    # reaches, all are scanned; 2 x 3 inputs have 64 raw sign patterns, so
-    # most restarts repeat one and are skipped before a strategy is built
-    monkeypatch.setattr(lmo, "EXTRA_ATOMS", 200)
-    from_signs, built = DeterministicStrategy.from_signs.__func__, []
+@pytest.mark.parametrize("parties", [2, 3])
+@pytest.mark.parametrize("cap", [0, 3, 8, 200])
+def test_early_exit_matches_reference_scan(cap, parties, marginals, monkeypatch):
+    # every one of 200 restarts clears the threshold after one round; with 5
+    # inputs they hold 13-141 raw sign patterns, and without marginals about
+    # half are a sign-flip twin's.  The call's answer equals the loop's on
+    # the same clearing columns, and builds no strategy beyond those it keeps
+    monkeypatch.setattr(lmo, "EXTRA_ATOMS", cap)
+    scans, built = [], []
+    scan = lmo._distinct_strategies
 
-    def counted(cls, signs):
-        built.append(np.asarray(signs).tobytes())
-        return from_signs(cls, signs)
+    def recorded(bits, sc):
+        scans.append(bits.copy())
+        return scan(bits, sc)
 
-    monkeypatch.setattr(DeterministicStrategy, "from_signs", classmethod(counted))
-    rng = np.random.default_rng(70 + marginals)
-    sc = Scenario(2, 3, marginals)
+    init = DeterministicStrategy.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(lmo, "_distinct_strategies", recorded)
+    rng = np.random.default_rng(70 + 10 * parties + marginals)
+    sc = Scenario(parties, 5, marginals)
     for trial in range(5):
-        built.clear()
         g = CorrelationTensor(sc, rng.normal(size=sc.shape))
+        scans.clear()
+        built.clear()
+        monkeypatch.setattr(DeterministicStrategy, "__init__", counted)
         s, v, rounds, extras = heuristic_lmo(g, restarts=200, seed=trial, threshold=1e9)
-        assert rounds == 1
-        assert len(set(built)) == len(built) <= 64
-        tensors = {from_signs(DeterministicStrategy, np.frombuffer(b).reshape(2, 3)).canonical(sc)
-                   for b in built}
-        assert len(tensors) == 1 + len(extras)
+        monkeypatch.setattr(DeterministicStrategy, "__init__", init)
+        assert rounds == 1 and len(scans) == 1 and scans[0].shape == (parties, 5, 200)
+        assert len(built) <= cap + 1
+        assert [s, *extras] == scan_reference(scans[0], sc)
+        assert (len(extras) == cap) == (cap <= 8)  # only 200 is past the distinct tensors
 
 
 @pytest.mark.parametrize("marginals", [False, True])

@@ -10,6 +10,7 @@ from localpolytope.polyhedra import (
     FILTER,
     RationalPoint,
     _exact_hull_faces,
+    _float_point,
     _height,
     _homogeneous,
     _plane_row,
@@ -89,6 +90,43 @@ def test_rationalize_random_points():
         assert q.x**2 + q.y**2 + q.z**2 == 1
         d2 = sum((Fraction(float(c)) - qc) ** 2 for c, qc in zip(v, q.as_tuple()))
         assert d2 <= Fraction(tol) ** 2
+
+
+def rationalize_reference(p, tol):
+    """``rationalize`` as the exact loop alone, with no float screen."""
+    p = np.asarray(p, float) / np.linalg.norm(p)
+    target, tol_sq = [Fraction(c) for c in p], Fraction(tol) ** 2
+    t_exact = math.tan(math.atan2(math.hypot(p[0], p[1]), p[2]) / 2)
+    theta = math.atan2(p[1], p[0])
+    u_exact = None if abs(theta - math.pi) < 1e-15 else math.tan(theta / 2)
+    cap = 4
+    while True:
+        t = Fraction(t_exact).limit_denominator(cap)
+        u = None if u_exact is None else Fraction(u_exact).limit_denominator(cap)
+        q = _point_from_tangents(t, u)
+        if sum((a - b) ** 2 for a, b in zip(q.as_tuple(), target)) <= tol_sq:
+            return q, cap
+        cap *= 8
+
+
+def test_float_screen_returns_the_exact_loops_point():
+    # the screen skips only caps the exact test would refuse: the same point
+    # at every tolerance, and every float point it screens with lies within
+    # 3e-15 of the exact one, as rationalize's docstring argues
+    rng = np.random.default_rng(43)
+    points = [*pentakis_dodecahedron(), *rng.normal(size=(100, 3)), (-1.0, 0.0, 0.0)]
+    for i, v in enumerate(points):
+        v = np.asarray(v, float) / np.linalg.norm(v)
+        tol = 10.0 ** -(3 + i % 7)
+        q, cap = rationalize_reference(v, tol)
+        assert rationalize(v, tol) == q
+        t_exact = math.tan(math.atan2(math.hypot(v[0], v[1]), v[2]) / 2)
+        for c in (4, cap, 8 * cap):
+            t = Fraction(t_exact).limit_denominator(c)
+            u = Fraction(math.tan(math.atan2(v[1], v[0]) / 2)).limit_denominator(c)
+            exact = _point_from_tangents(t, u).as_tuple()
+            f = _float_point(t, u)
+            assert max(abs(Fraction(a) - b) for a, b in zip(f, exact)) < 3e-15
 
 
 def test_rationalize_rejects_off_sphere():

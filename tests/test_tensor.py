@@ -1,4 +1,5 @@
 import io
+import random
 
 import numpy as np
 import pytest
@@ -85,6 +86,51 @@ def test_strategy_string_roundtrip():
     assert DeterministicStrategy.from_string(s.to_string()) == s
     with pytest.raises(ValueError):
         DeterministicStrategy.from_string("+-|x+")
+
+
+def to_string_reference(s):
+    """The codec as a loop over every input of every party."""
+    return "|".join(
+        "".join("-" if b >> x & 1 else "+" for x in range(s.inputs)) for b in s.bits
+    )
+
+
+def from_string_reference(text):
+    parts = text.strip().split("|")
+    m = len(parts[0])
+    bits = []
+    for p in parts:
+        if len(p) != m or set(p) - {"+", "-"}:
+            raise ValueError(f"malformed strategy string {text!r}")
+        bits.append(sum(1 << x for x, ch in enumerate(p) if ch == "-"))
+    return DeterministicStrategy(bits, m)
+
+
+def test_strategy_codec_matches_the_per_character_reference():
+    rng = random.Random(17)
+    cases = [(n, m) for n in range(1, 5) for m in (*range(1, 71), 406)]
+    for n, m in cases:
+        # random bits, and the all-plus and all-minus corners
+        for bits in ([rng.getrandbits(m) for _ in range(n)], [0] * n, [(1 << m) - 1] * n):
+            s = DeterministicStrategy(bits, m)
+            text = s.to_string()
+            assert text == to_string_reference(s)
+            assert DeterministicStrategy.from_string(text) == from_string_reference(text) == s
+            assert DeterministicStrategy.from_string(f" {text}\n") == s
+    good = "+-+|--+|+++"
+    malformed = [
+        "+-|x+", "+-+|--0|+++", "+-+|-_+|+++", "+ -|+-+", "+-+|\u2212-+|+++",  # a foreign character
+        "+-+|--|+++", "+-+|--++", "+|+-",  # ragged parties
+        "+-+||+++", "+-+|", "|+-+",  # an empty party
+    ]
+    for text in malformed:
+        with pytest.raises(ValueError, match="malformed strategy string"):
+            from_string_reference(text)
+        with pytest.raises(ValueError, match="malformed strategy string"):
+            DeterministicStrategy.from_string(text)
+    for text in (good, "", "|", "+", "-|-"):  # parties of no inputs are well formed
+        assert DeterministicStrategy.from_string(text) == from_string_reference(text)
+        assert DeterministicStrategy.from_string(text).to_string() == text
 
 
 def test_singlet_entries_are_minus_dot_products():
