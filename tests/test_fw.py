@@ -510,9 +510,9 @@ def test_batched_add_matches_a_fresh_cache(parties, inputs, marginals):
 def test_batched_add_equals_one_at_a_time_adds(parties):
     # one batch of 69 strategies without marginal slots, among them a
     # duplicate, a sign-flip twin of an earlier one and of the held atom,
-    # grows the rows from 8 to 16, 32 and 64 (and 128) at once; every index, row,
-    # weight and cache entry equals that of adding the same strategies one at
-    # a time.  An integer target keeps b exact, so equality is exact
+    # grows the rows from 8 to 64 (128 with three parties) in one call, where
+    # single adds double them one at a time; every index, row, weight and
+    # cache entry is the same.  An integer target keeps b exact
     sc = Scenario(parties, 4, marginals=False)
     rng = np.random.default_rng(90 + parties)
     target = CorrelationTensor(sc, rng.integers(-3, 4, size=sc.shape).astype(float))
