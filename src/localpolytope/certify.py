@@ -35,6 +35,7 @@ from .tensor import (
     combine_rows,
     common_denominator,
     exact_operand,
+    exact_sum,
     format_number,
     format_row,
     inner,
@@ -112,7 +113,7 @@ class BallDecomposition:
     deficit: object
 
     def weight_sum(self):
-        return sum(self.weights, Fraction(0))
+        return exact_sum(self.weights)
 
     def reconstruct(self):
         """sum_i w_i d_i, with the root at 1, from ``_integer_model``."""
@@ -240,7 +241,7 @@ def rationalize_weights(active, p, v0):
         if q > 0:
             atoms.append(a)
             weights.append(q)
-    total = sum(weights, Fraction(0))
+    total = exact_sum(weights)
     if total > 1:
         i = max(range(len(weights)), key=lambda k: weights[k])
         weights[i] -= total - 1
@@ -476,7 +477,7 @@ def _verify_lower(cert):
         return _fail("negative weight")
     if len(cert.weights) != len(cert.atoms):
         return _fail("atom/weight length mismatch")
-    total = sum(cert.weights, Fraction(0))
+    total = exact_sum(cert.weights)
     if total > 1:
         return _fail("weight sum exceeds 1")
     seen = set()
@@ -509,13 +510,14 @@ def _verify_lower(cert):
     else:
         if cert.vertices is None:
             return _fail("eta claimed without polyhedron vertices")
-        if any(v.x**2 + v.y**2 + v.z**2 != 1 for v in cert.vertices):
+        vertex_set = {v.xyzd for v in cert.vertices}
+        if any(X * X + Y * Y + Z * Z != D * D for X, Y, Z, D in vertex_set):
             return _fail("vertex off the unit sphere")
-        vertex_set = {v.as_tuple() for v in cert.vertices}
-        if any((-v.x, -v.y, -v.z) not in vertex_set for v in cert.vertices):
+        if any((-X, -Y, -Z, D) not in vertex_set for X, Y, Z, D in vertex_set):
             return _fail("vertex set not closed under antipodes")
         if cert.target.kind == "singlet":
-            meas = set(cert.target.alice) | set(cert.target.bob)
+            meas = {(*xyz, D) for xyz, D in
+                    map(common_denominator, (*cert.target.alice, *cert.target.bob))}
             if not meas <= vertex_set:
                 return _fail("measurement is not a polyhedron vertex")
             if len(cert.target.alice) * 2 != len(vertex_set):

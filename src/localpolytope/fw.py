@@ -56,6 +56,7 @@ STEP_TYPES = ("pairwise", "drop", "fw", "null", "face")
 MIN_CAPACITY = 8  # atoms held by a fresh active set or Gram buffer
 LAZY_TOLERANCE = 2.0  # K: FW steps need gap Phi / K, local ones min(Phi, g) / K
 FACE_SUM_TOL = 1e-13  # a face step's KKT weights must sum to 1 within this
+FACE_MAX_ATOMS = 512  # larger active sets take no face step: it re-solves (n+1)^2 per drop
 
 
 @dataclass
@@ -375,7 +376,7 @@ def bpcg(p, v0, cfg=None):
     call of their own (plus one if ``early_separation`` ended the run).  After
     as many local steps in a row as there are atoms, where pairwise steps
     converge slowly, the next tries a face step first: Wolfe's minor cycle
-    (Wolfe 1976).  Parameters, result and callback as in
+    (Wolfe 1976), up to ``FACE_MAX_ATOMS`` atoms.  Parameters, result and callback as in
     ``frank_wolfe_vanilla``, with Phi the gap estimate."""
     return _solve(p, v0, cfg, lazy=True)
 
@@ -435,7 +436,7 @@ def _solve(p, v0, cfg, lazy):
         i_local = int(vals.argmin())
         ga = vals.item(i_away) - vals.item(i_local)
 
-        if lazy and ga >= floor and local >= len(active) and cache.face_step():
+        if lazy and ga >= floor and local >= len(active) <= FACE_MAX_ATOMS and cache.face_step():
             step, local = "face", 0
         elif lazy and ga >= floor:
             # pairwise transfer along d_local - d_away, in Gram space

@@ -11,8 +11,9 @@ tangent parametrisation
                  (1-t^2)/(1+t^2)),   t = tan(phi/2), u = tan(theta/2),
 
 which maps rational (t, u) to rational points with x^2+y^2+z^2 = 1 exactly.
-The convex hull runs on one exact representation throughout: homogeneous
-integer points (X, Y, Z, D) for (X/D, Y/D, Z/D).  Each face is an integer
+Points are held in one exact form throughout, from ``rationalize`` to the
+hull: reduced homogeneous integers (X, Y, Z, D) for (X/D, Y/D, Z/D), D > 0
+and gcd 1, so that no step needs Fraction arithmetic.  Each face is an integer
 plane n . x = off / d, and beta_f^2 = off^2 / (d^2 |n|^2) follows in Python
 ints, so eta^2 = min_f beta_f^2 comes out as an exact rational.  The
 orientation tests and the soundness audit decide each sign in float64 when
@@ -136,58 +137,102 @@ def geodesic_icosahedron(subdivision_schedule=()):
 # --- rational points on the sphere ----------------------------------------
 
 
-@dataclass(frozen=True)
 class RationalPoint:
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    """The point (x/d, y/d, z/d), for ints or Fractions x, y, z and an int
+    d > 0, exactly on the unit sphere.  It is held as its reduced homogeneous
+    integers ``xyzd`` = (X, Y, Z, D), D > 0 and gcd 1, on which points compare,
+    hash and negate; X^2 + Y^2 + Z^2 = D^2 is checked.  ``x``, ``y``, ``z``
+    and ``as_tuple()`` give Fractions.  Instances are immutable."""
 
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y + self.z * self.z != 1:
+    __slots__ = ("xyzd",)
+
+    def __init__(self, x, y, z, d=1):
+        (X, Y, Z), D = common_denominator((x, y, z))
+        D *= d
+        if D <= 0 or X * X + Y * Y + Z * Z != D * D:
             raise ValueError("point is not exactly on the unit sphere")
+        g = math.gcd(X, Y, Z, D)
+        self.xyzd = (X // g, Y // g, Z // g, D // g)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalPoint) and self.xyzd == other.xyzd
+
+    def __hash__(self):
+        return hash(self.xyzd)
+
+    def __repr__(self):
+        return f"RationalPoint{self.xyzd}"
 
     def __neg__(self):
-        return RationalPoint(-self.x, -self.y, -self.z)
+        return RationalPoint(*(-c for c in self.xyzd[:3]), self.xyzd[3])
+
+    x = property(lambda self: Fraction(self.xyzd[0], self.xyzd[3]))
+    y = property(lambda self: Fraction(self.xyzd[1], self.xyzd[3]))
+    z = property(lambda self: Fraction(self.xyzd[2], self.xyzd[3]))
 
     def as_tuple(self):
-        return (self.x, self.y, self.z)
+        return self.x, self.y, self.z
 
-    def to_float(self):
-        return np.array([float(self.x), float(self.y), float(self.z)])
+    def to_float(self):  # int / int true division: correctly rounded
+        return np.array([c / self.xyzd[3] for c in self.xyzd[:3]])
+
+
+def _limit_denominator(n, d, cap):
+    """(p, q) with p / q = Fraction(n, d).limit_denominator(cap), for n / d in
+    lowest terms, d > 0: the same continued-fraction walk, and the same pick
+    between the last convergent p1 / q1 and the semiconvergent, p1 / q1 on a
+    tie, decided in ints as CPython 3.12 does."""
+    if d <= cap:
+        return n, d
+    d0, p0, q0, p1, q1 = d, 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    if 2 * d * (q0 + k * q1) <= d0:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def _point_from_tangents(t, u):
-    """Rational sphere point from half-angle tangents (u=None means theta=pi)."""
-    st = 2 * t / (1 + t * t)          # sin(phi)
-    ct = (1 - t * t) / (1 + t * t)    # cos(phi)
+    """Unreduced integers (X, Y, Z, D) of the sphere point with half-angle tangents
+    t = a / b and u = c / e, given as (a, b) and (c, e), b, e > 0 (u=None: theta = pi)."""
+    a, b = t
+    st, ct, dt = 2 * a * b, b * b - a * a, a * a + b * b  # sin, cos of phi, times dt
     if u is None:
-        cu, su = Fraction(-1), Fraction(0)
-    else:
-        cu = (1 - u * u) / (1 + u * u)
-        su = 2 * u / (1 + u * u)
-    return RationalPoint(st * cu, st * su, ct)
+        return -st, 0, ct, dt
+    c, e = u
+    su, cu, du = 2 * c * e, e * e - c * c, c * c + e * e
+    return st * cu, st * su, ct * du, dt * du
 
 
 def _float_point(t, u):
-    """``_point_from_tangents`` in float64, from the floats of t and u."""
-    t = float(t)
+    """``_point_from_tangents`` in float64, from t = a / b and u = c / e."""
+    t = t[0] / t[1]
     st, ct = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
     if u is None:
         return -st, 0.0, ct
-    u = float(u)
+    u = u[0] / u[1]
     return st * ((1 - u * u) / (1 + u * u)), st * (2 * u / (1 + u * u)), ct
 
 
 def rationalize(p, tol=1e-6):
     """Nearest-enough rational point exactly on the unit sphere.
 
-    The spherical angles of ``p`` are converted to half-angle tangents, those
-    are replaced by continued-fraction convergents with the smallest
-    denominator meeting ``tol``, and the rational parametrisation is applied.
-    The distance check |p - q| <= tol is performed in exact arithmetic.
+    The spherical angles of ``p`` become half-angle tangents, which are
+    replaced by continued-fraction convergents (``_limit_denominator`` of
+    each float's ``as_integer_ratio``) with the smallest denominator meeting
+    ``tol``, and the parametrisation is applied in Python ints.  The test
+    |p - q| <= tol is exact, cross-multiplied: with q = X / D and p = P / T
+    over integers, sum_k (X_k T - P_k D)^2 <= tol^2 (D T)^2.
 
-    A float screen runs first: the same parametrisation in float64 from the
-    convergents' floats.  A coordinate is a product of at most two ratios
+    A float screen runs first: the same parametrisation in float64 from each
+    convergent a / b, read by int/int true division, which is correctly
+    rounded.  A coordinate is a product of at most two ratios
     (1 - s^2) / (1 + s^2) or 2s / (1 + s^2), whose numerators and rounding
     errors are bounded by their denominators, so each is within a few ulps
     of 1 of its exact value, and each float coordinate within 3e-15 of the
@@ -204,39 +249,33 @@ def rationalize(p, tol=1e-6):
     if tol <= 0:
         raise ValueError("tol must be positive")
     p = p / n
-    x, y, z = p
-    target = (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
-    tol_sq = Fraction(tol) ** 2
+    x, y, z = p.tolist()
+    (px, py, pz), T = common_denominator((x, y, z))
+    tn, td = Fraction(tol).as_integer_ratio()
 
     sin_phi = math.hypot(x, y)
     if sin_phi == 0.0:
-        return RationalPoint(Fraction(0), Fraction(0), Fraction(1 if z > 0 else -1))
+        return RationalPoint(0, 0, 1 if z > 0 else -1)
     phi = math.atan2(sin_phi, z)
     theta = math.atan2(y, x)
-    t_exact = math.tan(phi / 2)
-    u_exact = None if abs(theta - math.pi) < 1e-15 else math.tan(theta / 2)
+    t_exact = math.tan(phi / 2).as_integer_ratio()
+    u_exact = None if abs(theta - math.pi) < 1e-15 else math.tan(theta / 2).as_integer_ratio()
 
     cap = 4
     while True:
-        t = Fraction(t_exact).limit_denominator(cap)
-        u = None if u_exact is None else Fraction(u_exact).limit_denominator(cap)
+        t = _limit_denominator(*t_exact, cap)
+        u = None if u_exact is None else _limit_denominator(*u_exact, cap)
         if not math.dist(_float_point(t, u), p) > tol + 1e-12:  # a nan is tested exactly
-            q = _point_from_tangents(t, u)
-            d2 = sum((a - b) ** 2 for a, b in zip(q.as_tuple(), target))
-            if d2 <= tol_sq:
-                return q
+            X, Y, Z, D = _point_from_tangents(t, u)
+            d2 = (X * T - px * D) ** 2 + (Y * T - py * D) ** 2 + (Z * T - pz * D) ** 2
+            if d2 * td * td <= (tn * D * T) ** 2:
+                return RationalPoint(X, Y, Z, D)
         if cap > 2**80:
             raise ValueError(f"rational approximation did not converge to tol = {tol!r}")
         cap *= 8
 
 
 # --- exact convex hull -----------------------------------------------------
-
-
-def _homogeneous(pt):
-    """(x, y, z, d) integers with d > 0 representing (x/d, y/d, z/d)."""
-    (x, y, z), d = common_denominator(pt.as_tuple())
-    return x, y, z, d
 
 
 def _normal(p, q, r):
@@ -337,10 +376,9 @@ def _exact_hull_faces(hpts):
         raise ValueError("degenerate input: all points coplanar")
     seed = (i0, i1, i2, i3)
 
-    # interior reference point: centroid of the initial tetrahedron
-    xyz, den = common_denominator(
-        sum(Fraction(hpts[i][k], 4 * hpts[i][3]) for i in seed) for k in range(3))
-    interior = (*xyz, den)
+    # interior reference point: centroid of the initial tetrahedron, unreduced
+    den = math.lcm(*(hpts[i][3] for i in seed))
+    interior = (*(sum(hpts[i][k] * (den // hpts[i][3]) for i in seed) for k in range(3)), 4 * den)
     ci = _point_row(interior)
 
     faces = {}
@@ -384,11 +422,11 @@ def _exact_hull_faces(hpts):
 def close_under_antipodes(points):
     """(points, added): the distinct points in first-seen order, then each
     missing antipode; ``added`` counts those antipodes."""
-    seen = {p.as_tuple(): p for p in points}  # a repeat keeps its first place
+    seen = {p.xyzd: p for p in points}  # a repeat keeps its first place
     distinct = len(seen)
-    for p in list(seen.values()):
-        if (anti := (-p.x, -p.y, -p.z)) not in seen:
-            seen[anti] = -p
+    for (X, Y, Z, D), p in list(seen.items()):
+        if (-X, -Y, -Z, D) not in seen:
+            seen[-X, -Y, -Z, D] = -p
     return list(seen.values()), len(seen) - distinct
 
 
@@ -400,8 +438,9 @@ def faces_and_eta(vertices):
     n . x = off / d comes from the hull on homogeneous integer points, with
     an integer outward normal n, so beta_f^2 = off^2 / (d^2 |n|^2) is exact;
     off > 0 certifies that the hull contains the centre.  An audit then
-    checks every vertex against every face: one float matrix-vector product
-    per face decides the clear signs, and Python ints the rest (see FILTER).
+    checks every vertex against every face: one (vertices x faces) float
+    product of the plane rows decides the clear signs, and Python ints the
+    rest (see FILTER).
     Returns a RationalPolyhedron whose eta_sq is the exact minimum of
     beta_f^2 over faces.
     """
@@ -410,24 +449,23 @@ def faces_and_eta(vertices):
     points, added = close_under_antipodes(list(vertices))
     if added:
         warnings.warn(f"input not closed under antipodes; added {added} points")
-    hpts = [_homogeneous(p) for p in points]
+    hpts = [p.xyzd for p in points]
 
     planes = _exact_hull_faces(hpts)
-    prow = np.array([_point_row(q) for q in hpts])
+    plist = list(planes.values())
+    rows = np.array([_plane_row(plane) for plane in plist])
     faces = []
-    for tri, plane in planes.items():
-        n, off, d = plane
+    for (tri, (n, off, d)), r in zip(planes.items(), rows):
         if off <= 0:
             raise ValueError("hull does not contain the sphere center")
-        # soundness audit: every vertex satisfies the face inequality exactly
-        r = np.array(_plane_row(plane))
-        h = prow @ r
-        near = np.flatnonzero(h >= -FILTER).tolist()
-        if any(h.item(j) > FILTER or _height(plane, hpts[j]) > 0 for j in near):
-            raise AssertionError("hull construction produced a violated face")
         beta_sq = Fraction(off * off, d * d * sum(c * c for c in n))
         faces.append(Face(r[:3] / np.linalg.norm(r[:3]), math.sqrt(float(beta_sq)), beta_sq,
                           tri, n, Fraction(off, d)))
+    # soundness audit: every vertex satisfies every face inequality exactly
+    h = np.array([_point_row(q) for q in hpts]) @ rows.T
+    if any(h.item(j, f) > FILTER or _height(plist[f], hpts[j]) > 0
+           for j, f in np.argwhere(h >= -FILTER).tolist()):
+        raise AssertionError("hull construction produced a violated face")
 
     eta_sq = min(f.beta_sq for f in faces)
     return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)
@@ -439,19 +477,15 @@ def rationalize_all(float_vertices, tol=1e-6):
     Antipodal float pairs are mapped to exact negations of each other so the
     closure does not double the vertex count.
     """
-    out = []
-    seen = {}
+    out, seen = [], set()
     for v in float_vertices:
-        key = _merge_key(v)
-        anti = _merge_key(-np.asarray(v))
-        if key in seen:
+        if (key := _merge_key(v)) in seen:
             continue
-        q = rationalize(v, tol)
-        out.append(q)
-        seen[key] = q
-        if anti not in seen:
+        out.append(q := rationalize(v, tol))
+        seen.add(key)
+        if (anti := _merge_key(-np.asarray(v))) not in seen:
             out.append(-q)
-            seen[anti] = -q
+            seen.add(anti)
     return out
 
 
@@ -495,8 +529,7 @@ def shrink_weights(poly, direction):
         weights[vi] += t * mu[k]
     # remaining mass on an antipodal pair, contributing zero
     rest = 1.0 - weights.sum()
-    v0 = poly.vertices[0]
-    j = next(i for i, q in enumerate(poly.vertices) if q.as_tuple() == (-v0.x, -v0.y, -v0.z))
+    j = poly.vertices.index(-poly.vertices[0])
     weights[0] += rest / 2
     weights[j] += rest / 2
 
@@ -529,12 +562,9 @@ def read_polyhedron_vertices(fp):
 
 def antipodal_representatives(vertices):
     """One vertex from each antipodal pair, in stable order."""
-    reps = []
-    seen = set()
+    reps, seen = [], set()
     for p in vertices:
-        if p.as_tuple() in seen:
-            continue
-        seen.add(p.as_tuple())
-        seen.add((-p.x, -p.y, -p.z))
-        reps.append(p)
+        if p.xyzd not in seen:
+            seen.update((p.xyzd, (-p).xyzd))
+            reps.append(p)
     return reps

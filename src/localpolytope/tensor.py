@@ -244,6 +244,12 @@ def common_denominator(values):
     return [v.numerator * (D // v.denominator) for v in fr], D
 
 
+def exact_sum(values):
+    """The Fraction sum of ``values``: one integer sum over ``common_denominator``."""
+    k, D = common_denominator(values)
+    return Fraction(sum(k), D)
+
+
 def _lex_sign_batch(start, stop, num_vars, dtype):
     """Sign rows for assignment ids start..stop-1; id order equals the
     lexicographic order of the '+'/'-' strings (bit 0 -> '+')."""

@@ -758,7 +758,7 @@ def cert_texts(m6_cert, mermin_cert, ico_singlet):
 
 def _off_sphere(cert):
     p = RationalPoint(Fraction(1), Fraction(0), Fraction(0))
-    object.__setattr__(p, "x", Fraction(2))  # RationalPoint itself refuses it
+    object.__setattr__(p, "xyzd", (2, 0, 0, 1))  # RationalPoint itself refuses it
     return dataclasses.replace(cert, vertices=(p, *cert.vertices[1:]))
 
 

@@ -701,6 +701,27 @@ def test_run_goes_on_when_every_face_solve_fails(ico_singlet, monkeypatch):
     assert res.status == STATUS_INSIDE
 
 
+def test_face_steps_only_up_to_the_atom_gate(ico_singlet, monkeypatch):
+    # the run of test_run_goes_on_when_every_face_solve_fails; with the gate
+    # set to the median active-set size of its face-step attempts, attempts
+    # above it stop and those at or below it go on
+    sizes, face_step = [], InnerProductCache.face_step
+
+    def counted(cache):
+        sizes.append(len(cache.active))
+        return face_step(cache)
+
+    monkeypatch.setattr(InnerProductCache, "face_step", counted)
+    settings = SolverConfig(restarts=300, seed=2)
+    bpcg(ico_singlet, 0.75, settings)
+    gate = sorted(sizes)[len(sizes) // 2]
+    assert max(sizes) > gate and fw.FACE_MAX_ATOMS >= max(sizes)
+    sizes.clear()
+    monkeypatch.setattr(fw, "FACE_MAX_ATOMS", gate)
+    bpcg(ico_singlet, 0.75, settings)
+    assert sizes and max(sizes) <= gate
+
+
 def _run_summary(res):
     return (
         res.active_set.atoms,

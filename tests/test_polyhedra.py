@@ -1,5 +1,9 @@
+import copy
+import hashlib
 import io
 import math
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from localpolytope.polyhedra import (
     _exact_hull_faces,
     _float_point,
     _height,
-    _homogeneous,
+    _limit_denominator,
     _plane_row,
     _point_from_tangents,
     _point_row,
@@ -92,8 +96,21 @@ def test_rationalize_random_points():
         assert d2 <= Fraction(tol) ** 2
 
 
+def fraction_point_from_tangents(t, u):
+    """The sphere point of half-angle tangents t and u as Fractions (u=None
+    means theta=pi); the reference for ``_point_from_tangents``."""
+    st = 2 * t / (1 + t * t)          # sin(phi)
+    ct = (1 - t * t) / (1 + t * t)    # cos(phi)
+    if u is None:
+        cu, su = Fraction(-1), Fraction(0)
+    else:
+        cu = (1 - u * u) / (1 + u * u)
+        su = 2 * u / (1 + u * u)
+    return st * cu, st * su, ct
+
+
 def rationalize_reference(p, tol):
-    """``rationalize`` as the exact loop alone, with no float screen."""
+    """``rationalize`` as the Fraction loop alone, with no float screen."""
     p = np.asarray(p, float) / np.linalg.norm(p)
     target, tol_sq = [Fraction(c) for c in p], Fraction(tol) ** 2
     t_exact = math.tan(math.atan2(math.hypot(p[0], p[1]), p[2]) / 2)
@@ -103,9 +120,9 @@ def rationalize_reference(p, tol):
     while True:
         t = Fraction(t_exact).limit_denominator(cap)
         u = None if u_exact is None else Fraction(u_exact).limit_denominator(cap)
-        q = _point_from_tangents(t, u)
-        if sum((a - b) ** 2 for a, b in zip(q.as_tuple(), target)) <= tol_sq:
-            return q, cap
+        q = fraction_point_from_tangents(t, u)
+        if sum((a - b) ** 2 for a, b in zip(q, target)) <= tol_sq:
+            return RationalPoint(*q), cap
         cap *= 8
 
 
@@ -119,14 +136,107 @@ def test_float_screen_returns_the_exact_loops_point():
         v = np.asarray(v, float) / np.linalg.norm(v)
         tol = 10.0 ** -(3 + i % 7)
         q, cap = rationalize_reference(v, tol)
-        assert rationalize(v, tol) == q
+        q_int = rationalize(v, tol)
+        assert q_int == q and q_int.as_tuple() == q.as_tuple()
         t_exact = math.tan(math.atan2(math.hypot(v[0], v[1]), v[2]) / 2)
         for c in (4, cap, 8 * cap):
             t = Fraction(t_exact).limit_denominator(c)
             u = Fraction(math.tan(math.atan2(v[1], v[0]) / 2)).limit_denominator(c)
-            exact = _point_from_tangents(t, u).as_tuple()
-            f = _float_point(t, u)
+            exact = fraction_point_from_tangents(t, u)
+            f = _float_point(t.as_integer_ratio(), u.as_integer_ratio())
             assert max(abs(Fraction(a) - b) for a, b in zip(f, exact)) < 3e-15
+
+
+def test_exact_test_decides_inside_the_screens_margin():
+    # at a tolerance one float below a returned point's exact distance, that
+    # cap passes the float screen and only the exact test refuses it; one
+    # float at or above the distance, the same point comes back
+    rng = np.random.default_rng(44)
+    for v in rng.normal(size=(20, 3)):
+        v /= np.linalg.norm(v)
+        q = rationalize(v, 1e-6)
+        d2 = sum((Fraction(c) - x) ** 2 for c, x in zip(v / np.linalg.norm(v), q.as_tuple()))
+        hi = math.sqrt(d2)
+        while Fraction(hi) ** 2 < d2:
+            hi = math.nextafter(hi, 1.0)
+        lo = math.nextafter(hi, 0.0)
+        assert Fraction(lo) ** 2 < d2 <= Fraction(hi) ** 2
+        assert rationalize(v, hi) == q
+        assert rationalize(v, lo) == rationalize_reference(v, lo)[0] != q
+
+
+def test_limit_denominator_matches_fraction():
+    # the integer walk against Fraction.limit_denominator as the reference:
+    # numerators of both signs up to 2^64, caps below and above the
+    # denominator, and ties at the midpoint x of Farey neighbours p/q < r/s:
+    # for s <= q <= cap < q + s both are the candidates, equally far from x
+    rng = random.Random(11)
+    cases = []
+    for _ in range(3000):
+        n, d = rng.randrange(-(2**64), 2**64 + 1), rng.randrange(1, 2**64 + 1)
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        cases += [(n, d, c) for c in (1, rng.randrange(1, d + 1), d - 1 or 1, d, d + 1, 2**70)]
+    ties = 0
+    for _ in range(1000):
+        q, p = rng.randrange(1, 2**32), rng.randrange(-(2**33), 2**33)
+        if math.gcd(p, q) != 1:
+            continue
+        s = -pow(p, -1, q) % q or q  # r q - p s = 1
+        r = (1 + p * s) // q
+        x = Fraction(p * s + r * q, 2 * q * s)
+        for cap in (q, q + s - 1):
+            cases.append((x.numerator, x.denominator, cap))
+            ties += abs(x - Fraction(p, q)) == abs(Fraction(r, s) - x)
+    assert ties > 1000
+    for n, d, cap in cases:
+        ref = Fraction(n, d).limit_denominator(cap)
+        assert _limit_denominator(n, d, cap) == (ref.numerator, ref.denominator)
+
+
+def test_rational_point_forms_agree():
+    # one point from Fractions, ints, homogeneous ints and file text: equal,
+    # one hash, the same reduced integers, and an exact negation
+    f = Fraction
+    forms = [
+        RationalPoint(f(2, 7), f(3, 7), f(-6, 7)),
+        RationalPoint(4, 6, -12, 14),
+        *read_polyhedron_vertices(io.StringIO("# a point\n4/14 3/7 -6/7\n")),
+    ]
+    for p in forms:
+        assert p == forms[0] and hash(p) == hash(forms[0]) and p.xyzd == (2, 3, -6, 7)
+        assert p.as_tuple() == (p.x, p.y, p.z) == (f(2, 7), f(3, 7), f(-6, 7))
+        assert (-p).xyzd == (-2, -3, 6, 7) and -p != p and -(-p) == p
+        assert list(p.to_float()) == [2 / 7, 3 / 7, -6 / 7]
+    text = io.StringIO("0/5 -1.0 0")
+    axis = [RationalPoint(0, -1, 0), RationalPoint(f(0), f(-1), 0),
+            RationalPoint(0, -3, 0, 3), *read_polyhedron_vertices(text)]
+    assert {p.xyzd for p in axis} == {(0, -1, 0, 1)} and len(set(axis)) == 1
+    assert axis[0].as_tuple() == (0, -1, 0)
+    assert all(type(c) is Fraction for c in axis[0].as_tuple())
+    assert -axis[0] == RationalPoint(0, 1, 0)
+    assert copy.deepcopy(forms[0]) == forms[0] and pickle.loads(pickle.dumps(axis[0])) == axis[0]
+    for build in (lambda: RationalPoint(f(1), f(1), f(0)), lambda: RationalPoint(1, 1, 0),
+                  lambda: RationalPoint(2, 3, 6, -7),
+                  lambda: RationalPoint(0, 0, 0, 0),
+                  lambda: read_polyhedron_vertices(io.StringIO("2/7 3/7 6/8\n"))):
+        with pytest.raises(ValueError, match="^point is not exactly on the unit sphere$"):
+            build()
+
+
+# sha256 of write_polyhedron_vertices(rationalize_all(solid, 1e-6)), as written
+# when points held Fractions
+@pytest.mark.parametrize("solid, digest", [
+    (pentakis_dodecahedron, "f4845bad1bba60da61aa76593a4af64072ed4548bdc797425c2209390b4432dd"),
+    (lambda: geodesic_icosahedron([4]),
+     "f31353bb6b04b1c417eaf2639231ad287dda48da3782ba3d0fdd23301abcefd3"),
+    (lambda: geodesic_icosahedron([3, 3]),
+     "ccde7a278b0ec4d32d7abebf859f71480d75b7f3d99fcfa7103fbbf949d3c7c6"),
+], ids=["pentakis", "[4]", "[3, 3]"])
+def test_vertex_files_are_pinned(solid, digest):
+    buf = io.StringIO()
+    write_polyhedron_vertices(rationalize_all(solid(), 1e-6), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_rationalize_rejects_off_sphere():
@@ -211,10 +321,8 @@ def huge_denominator_points():
     scale = 10**60
     a, b, c = (rng.integers(1, 10**6, size=8) for _ in range(3))
     points = [
-        _point_from_tangents(
-            Fraction(int(a[k]) * scale + 1, scale + int(b[k])),
-            Fraction(int(c[k]) * scale + 7, 3 * scale + 1),
-        )
+        RationalPoint(*_point_from_tangents(
+            (int(a[k]) * scale + 1, scale + int(b[k])), (int(c[k]) * scale + 7, 3 * scale + 1)))
         for k in range(8)
     ]
     return points + [-p for p in points]
@@ -251,7 +359,7 @@ def test_filtered_hull_matches_integer_reference(m):
     points = {"huge": huge_denominator_points, "coplanar": coplanar_heavy_points,
               "tilted": lambda: coplanar_heavy_points(tilted=True)}.get(
         m, lambda: polyhedron_points(m))()
-    hpts = [_homogeneous(p) for p in close_under_antipodes(points)[0]]
+    hpts = [p.xyzd for p in close_under_antipodes(points)[0]]
     # the same keys in the same order, each with the same integer plane; the
     # reversed insertion order meets other exactly coplanar points
     for order in (hpts, hpts[::-1]):
@@ -277,7 +385,7 @@ def test_coplanar_heavy_set_matches_reference(monkeypatch, tilted):
 def test_float_heights_within_the_filter_bound():
     # FILTER's error argument: <r, q> = _height / (d D B) is within 40 u of the
     # float product of the rows, for every face and vertex at m = 81
-    hpts = [_homogeneous(p) for p in close_under_antipodes(polyhedron_points(81))[0]]
+    hpts = [p.xyzd for p in close_under_antipodes(polyhedron_points(81))[0]]
     prow = np.array([_point_row(q) for q in hpts])
     worst = Fraction(0)
     for plane in _exact_hull_faces(hpts).values():

@@ -16,7 +16,6 @@ from localpolytope.polyhedra import (
     RationalPolyhedron,
     _exact_hull_faces,
     _height,
-    _homogeneous,
     _normal,
     _plane,
     close_under_antipodes,
@@ -212,7 +211,7 @@ def faces_and_eta_reference(vertices):
         uniq.setdefault(p.as_tuple(), p)
     points = list(uniq.values())
 
-    face_idx = _exact_hull_faces([_homogeneous(p) for p in points])
+    face_idx = _exact_hull_faces([p.xyzd for p in points])
     interior = [sum(p.as_tuple()[k] for p in points) / len(points) for k in range(3)]
 
     faces = []
