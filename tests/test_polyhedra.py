@@ -217,8 +217,7 @@ def test_rational_point_forms_agree():
     assert -axis[0] == RationalPoint(0, 1, 0)
     assert copy.deepcopy(forms[0]) == forms[0] and pickle.loads(pickle.dumps(axis[0])) == axis[0]
     for build in (lambda: RationalPoint(f(1), f(1), f(0)), lambda: RationalPoint(1, 1, 0),
-                  lambda: RationalPoint(2, 3, 6, -7),
-                  lambda: RationalPoint(0, 0, 0, 0),
+                  lambda: RationalPoint(2, 3, 6, -7), lambda: RationalPoint(0, 0, 0, 0),
                   lambda: read_polyhedron_vertices(io.StringIO("2/7 3/7 6/8\n"))):
         with pytest.raises(ValueError, match="^point is not exactly on the unit sphere$"):
             build()
