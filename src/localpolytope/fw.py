@@ -436,7 +436,8 @@ def _solve(p, v0, cfg, lazy):
         i_local = int(vals.argmin())
         ga = vals.item(i_away) - vals.item(i_local)
 
-        if lazy and ga >= floor and local >= len(active) <= FACE_MAX_ATOMS and cache.face_step():
+        if (lazy and ga >= floor and local >= len(active)
+                and len(active) <= FACE_MAX_ATOMS and cache.face_step()):
             step, local = "face", 0
         elif lazy and ga >= floor:
             # pairwise transfer along d_local - d_away, in Gram space

@@ -210,16 +210,6 @@ def _point_from_tangents(t, u):
     return st * cu, st * su, ct * du, dt * du
 
 
-def _float_point(t, u):
-    """``_point_from_tangents`` in float64, from t = a / b and u = c / e."""
-    t = t[0] / t[1]
-    st, ct = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
-    if u is None:
-        return -st, 0.0, ct
-    u = u[0] / u[1]
-    return st * ((1 - u * u) / (1 + u * u)), st * (2 * u / (1 + u * u)), ct
-
-
 def rationalize(p, tol=1e-6):
     """Nearest-enough rational point exactly on the unit sphere.
 
@@ -230,17 +220,13 @@ def rationalize(p, tol=1e-6):
     |p - q| <= tol is exact, cross-multiplied: with q = X / D and p = P / T
     over integers, sum_k (X_k T - P_k D)^2 <= tol^2 (D T)^2.
 
-    A float screen runs first: the same parametrisation in float64 from each
-    convergent a / b, read by int/int true division, which is correctly
-    rounded.  A coordinate is a product of at most two ratios
-    (1 - s^2) / (1 + s^2) or 2s / (1 + s^2), whose numerators and rounding
-    errors are bounded by their denominators, so each is within a few ulps
-    of 1 of its exact value, and each float coordinate within 3e-15 of the
-    exact one; the float distance is then within 1e-14 of the exact
-    distance.  A cap whose float distance exceeds tol + 1e-12 fails the
-    exact test, and is skipped.  Every other cap, and a nan from an
-    overflowing s^2, is tested exactly, so the point returned and the error
-    past the cap are those of the exact loop alone.
+    A float screen runs first on each cap's point: its coordinates X_k / D
+    are read by int/int true division, which is correctly rounded, so each
+    lies within 2^-53 of its exact value, and the float distance within
+    1e-14 of the exact distance.  A cap whose float distance exceeds
+    tol + 1e-12 fails the exact test, and is skipped; every other cap is
+    tested exactly, so the point returned and the error past the cap are
+    those of the exact test alone.
     """
     p = np.asarray(p, dtype=float)
     n = np.linalg.norm(p)
@@ -265,8 +251,8 @@ def rationalize(p, tol=1e-6):
     while True:
         t = _limit_denominator(*t_exact, cap)
         u = None if u_exact is None else _limit_denominator(*u_exact, cap)
-        if not math.dist(_float_point(t, u), p) > tol + 1e-12:  # a nan is tested exactly
-            X, Y, Z, D = _point_from_tangents(t, u)
+        X, Y, Z, D = _point_from_tangents(t, u)
+        if math.dist((X / D, Y / D, Z / D), p) <= tol + 1e-12:
             d2 = (X * T - px * D) ** 2 + (Y * T - py * D) ** 2 + (Z * T - pz * D) ** 2
             if d2 * td * td <= (tn * D * T) ** 2:
                 return RationalPoint(X, Y, Z, D)
@@ -313,6 +299,7 @@ def _height(plane, s):
 # 21 u of <r, q>, underflow adding under 2^-1070, so under 40 u.  A float
 # height beyond +-FILTER thus has the sign of _height; only the band calls it.
 FILTER = 2.0**-40
+AUDIT_BLOCK = 1024  # face rows per float product of the audit: memory O(vertices x block)
 
 
 def _plane_row(plane):
@@ -378,7 +365,8 @@ def _exact_hull_faces(hpts):
 
     # interior reference point: centroid of the initial tetrahedron, unreduced
     den = math.lcm(*(hpts[i][3] for i in seed))
-    interior = (*(sum(hpts[i][k] * (den // hpts[i][3]) for i in seed) for k in range(3)), 4 * den)
+    xyz = [sum(hpts[i][k] * (den // hpts[i][3]) for i in seed) for k in range(3)]
+    interior = (*xyz, 4 * den)
     ci = _point_row(interior)
 
     faces = {}
@@ -438,9 +426,9 @@ def faces_and_eta(vertices):
     n . x = off / d comes from the hull on homogeneous integer points, with
     an integer outward normal n, so beta_f^2 = off^2 / (d^2 |n|^2) is exact;
     off > 0 certifies that the hull contains the centre.  An audit then
-    checks every vertex against every face: one (vertices x faces) float
-    product of the plane rows decides the clear signs, and Python ints the
-    rest (see FILTER).
+    checks every vertex against every face: one (vertices x AUDIT_BLOCK)
+    float product per block of plane rows decides the clear signs, and Python
+    ints the rest (see FILTER).
     Returns a RationalPolyhedron whose eta_sq is the exact minimum of
     beta_f^2 over faces.
     """
@@ -462,10 +450,12 @@ def faces_and_eta(vertices):
         faces.append(Face(r[:3] / np.linalg.norm(r[:3]), math.sqrt(float(beta_sq)), beta_sq,
                           tri, n, Fraction(off, d)))
     # soundness audit: every vertex satisfies every face inequality exactly
-    h = np.array([_point_row(q) for q in hpts]) @ rows.T
-    if any(h.item(j, f) > FILTER or _height(plist[f], hpts[j]) > 0
-           for j, f in np.argwhere(h >= -FILTER).tolist()):
-        raise AssertionError("hull construction produced a violated face")
+    prow = np.array([_point_row(q) for q in hpts])
+    for b in range(0, len(plist), AUDIT_BLOCK):
+        h = prow @ rows[b : b + AUDIT_BLOCK].T
+        if any(h.item(j, f) > FILTER or _height(plist[b + f], hpts[j]) > 0
+               for j, f in np.argwhere(h >= -FILTER).tolist()):
+            raise AssertionError("hull construction produced a violated face")
 
     eta_sq = min(f.beta_sq for f in faces)
     return RationalPolyhedron(tuple(points), tuple(faces), eta_sq)
@@ -479,11 +469,14 @@ def rationalize_all(float_vertices, tol=1e-6):
     """
     out, seen = [], set()
     for v in float_vertices:
-        if (key := _merge_key(v)) in seen:
+        key = _merge_key(v)
+        if key in seen:
             continue
-        out.append(q := rationalize(v, tol))
+        q = rationalize(v, tol)
+        out.append(q)
         seen.add(key)
-        if (anti := _merge_key(-np.asarray(v))) not in seen:
+        anti = _merge_key(-np.asarray(v))
+        if anti not in seen:
             out.append(-q)
             seen.add(anti)
     return out
@@ -564,7 +557,9 @@ def antipodal_representatives(vertices):
     """One vertex from each antipodal pair, in stable order."""
     reps, seen = [], set()
     for p in vertices:
-        if p.xyzd not in seen:
-            seen.update((p.xyzd, (-p).xyzd))
-            reps.append(p)
+        if p.xyzd in seen:
+            continue
+        seen.add(p.xyzd)
+        seen.add((-p).xyzd)
+        reps.append(p)
     return reps

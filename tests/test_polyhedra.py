@@ -14,7 +14,6 @@ from localpolytope.polyhedra import (
     FILTER,
     RationalPoint,
     _exact_hull_faces,
-    _float_point,
     _height,
     _limit_denominator,
     _plane_row,
@@ -129,7 +128,7 @@ def rationalize_reference(p, tol):
 def test_float_screen_returns_the_exact_loops_point():
     # the screen skips only caps the exact test would refuse: the same point
     # at every tolerance, and every float point it screens with lies within
-    # 3e-15 of the exact one, as rationalize's docstring argues
+    # 2^-53 of the exact one in each coordinate, as rationalize's docstring argues
     rng = np.random.default_rng(43)
     points = [*pentakis_dodecahedron(), *rng.normal(size=(100, 3)), (-1.0, 0.0, 0.0)]
     for i, v in enumerate(points):
@@ -143,8 +142,8 @@ def test_float_screen_returns_the_exact_loops_point():
             t = Fraction(t_exact).limit_denominator(c)
             u = Fraction(math.tan(math.atan2(v[1], v[0]) / 2)).limit_denominator(c)
             exact = fraction_point_from_tangents(t, u)
-            f = _float_point(t.as_integer_ratio(), u.as_integer_ratio())
-            assert max(abs(Fraction(a) - b) for a, b in zip(f, exact)) < 3e-15
+            X, Y, Z, D = _point_from_tangents(t.as_integer_ratio(), u.as_integer_ratio())
+            assert max(abs(Fraction(c / D) - b) for c, b in zip((X, Y, Z), exact)) <= 2.0**-53
 
 
 def test_exact_test_decides_inside_the_screens_margin():
@@ -418,6 +417,28 @@ def test_corrupted_face_fails_the_audit(monkeypatch):
         faces[tri] = (n, 9 * off, 10 * d)  # moved inward: its own vertices lie above
         return faces
 
+    monkeypatch.setattr(polyhedra, "_exact_hull_faces", corrupted)
+    with pytest.raises(AssertionError, match="violated face"):
+        faces_and_eta(octahedron_points())
+
+
+@pytest.mark.parametrize("shift", ["inward", "by 2^-80"])
+def test_audit_checks_every_block_of_faces(monkeypatch, shift):
+    # three faces per block put the octahedron's last face in the third block;
+    # moved inward, or so little that only the exact fallback sees its own
+    # vertices above it, that face fails the audit; unmoved, eta_sq stands
+    hull = polyhedra._exact_hull_faces
+    eta_sq = faces_and_eta(octahedron_points()).eta_sq
+
+    def corrupted(hpts):
+        faces = hull(hpts)
+        tri, (n, off, d) = list(faces.items())[-1]
+        k = 10 if shift == "inward" else 2**80
+        faces[tri] = (n, off * k - (off if shift == "inward" else 1), d * k)
+        return faces
+
+    monkeypatch.setattr(polyhedra, "AUDIT_BLOCK", 3)
+    assert faces_and_eta(octahedron_points()).eta_sq == eta_sq
     monkeypatch.setattr(polyhedra, "_exact_hull_faces", corrupted)
     with pytest.raises(AssertionError, match="violated face"):
         faces_and_eta(octahedron_points())
