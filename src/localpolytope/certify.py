@@ -2,10 +2,10 @@
 
 Solver output is floating point; everything here is redone over the rationals
 so that a certificate stands on arithmetic identities alone.  Lower bounds
-combine an exact convex decomposition residual with the contraction factor
-nu = 1/(1 + ||x_T - v0 p||_2) and, when the measurements come from a
-polyhedron, the exact shrinking factor eta^2.  Upper bounds pair an integer
-Bell functional with its exact local bound.
+(full correlations only) combine an exact decomposition residual with the
+contraction factor nu = 1/(1 + ||x_T - v0 p||_2) and, for a singlet measured
+on every antipodal vertex pair of a polyhedron, its exact shrinking factor
+eta^2.  Upper bounds pair an integer Bell functional with its exact local bound.
 
 Every irrational square root is replaced by a directed rational bound at
 denominator scale 10^18, always rounded in the direction that weakens the
@@ -56,7 +56,7 @@ from .tensor import (
 SQRT_SCALE = 10**18
 WEIGHT_DENOMINATOR = 2**48
 BALL_CAP = 22  # max N*m for materialising the ball decomposition
-Q_TOL = 1e-9  # float quantum values: violation margin and verify's match tolerance
+Q_TOL = 1e-9  # float quantum values: violation margin, verify's match tolerance; float |a|^2 - 1
 MIN_NU = Fraction(1, 2)  # smallest contraction factor a lower certificate accepts
 DIGITS_PER_INPUT = 32  # digit budget of one measurement's denominators; see _digit_limit
 
@@ -229,10 +229,11 @@ def rationalize_weights(active, p, v0):
     Weights are rounded to denominator 2^48 and clipped at zero; if rounding
     pushed the sum above 1 the excess is taken from the largest weight, and
     any deficit implicitly rides on the zero tensor.  The residual against
-    v0 * p is then recomputed in exact arithmetic, so p must be exact.
+    v0 * p is then recomputed exactly, so p must pass ``lower_refusal``.
     """
-    if not p.is_exact:
-        raise CertificateError(lower_refusal(p.scenario, False))
+    refusal = lower_refusal(p.scenario, p.is_exact)
+    if refusal:
+        raise CertificateError(refusal)
 
     v0 = Fraction(v0)
     atoms, weights = [], []
@@ -252,22 +253,19 @@ def rationalize_weights(active, p, v0):
 
 
 def _exact_residual_sq(atoms, weights, p, v0):
-    """||sum_i w_i d_i - v0 p||^2 as an exact Fraction, root entry excluded.
+    """||sum_i w_i d_i - v0 p||^2 as an exact Fraction; full-correlation scenarios only.
 
     With sum_i w_i d_i = X / D (``_integer_model``), v0 = a/b and P the lcm of
     the denominators of p, the residual is ||X b P - a D (p P)||^2 / (D b P)^2,
     summed in Python ints.
     """
-    sc = p.scenario
-    X, D = _integer_model(atoms, weights, sc)
+    X, D = _integer_model(atoms, weights, p.scenario)
 
     v0 = Fraction(v0)
     target, P = common_denominator(p.entries.reshape(-1))
     scale_x = v0.denominator * P
     scale_p = v0.numerator * D
     diff = [int(x) * scale_x - scale_p * t for x, t in zip(X, target)]
-    if sc.marginals:
-        diff[0] = 0  # the root entry, index (0, ..., 0)
     return Fraction(sum(d * d for d in diff), (D * scale_x) ** 2)
 
 
@@ -279,12 +277,15 @@ class TargetSpec:
     """Self-contained description of the quantum tensor a certificate is about."""
 
     kind: str                     # "singlet", "ghz-polygon", "tensor"
-    alice: tuple = None           # Bloch triples, rational or float (singlet)
+    alice: tuple = None           # unit Bloch triples, rational or float (singlet)
     bob: tuple = None
     tensor: CorrelationTensor = None
 
     def build(self, scenario):
         if self.kind == "singlet":
+            sq = [sum(c * c for c in v) for v in (*self.alice, *self.bob)]  # exact for exact v
+            if not all(abs(s - 1) <= (Q_TOL if isinstance(s, float) else 0) for s in sq):
+                raise CertificateError("measurement is not a unit vector")
             return singlet_tensor(list(self.alice), list(self.bob), scenario)
         if self.kind == "ghz-polygon":
             t = ghz_polygon_tensor(scenario.parties, scenario.inputs)
@@ -345,12 +346,28 @@ def lower_refusal(scenario, exact):
     return None
 
 
+def _polyhedron_refusal(target, vertex_set):
+    """Why eta^2 of the polyhedron with these reduced (X, Y, Z, D) vertices
+    does not cover ``target``, or None: each party's measurement directions
+    and their antipodes (measuring -a is measuring a, outcomes swapped) must
+    be exactly the vertices, so the target must be a singlet, which names them."""
+    if target.kind != "singlet":
+        return "eta claimed for a target without measurement directions"
+    for party in (target.alice, target.bob):
+        meas = {(*xyz, D) for xyz, D in map(common_denominator, party)}
+        if not meas <= vertex_set:
+            return "measurement is not a polyhedron vertex"
+        if meas | {(-X, -Y, -Z, D) for X, Y, Z, D in meas} != vertex_set:
+            return "measurements do not span the polyhedron"
+    return None
+
+
 def assemble_lower(scenario, poly, v0, model, target):
     """Combine an exact rational model into a lower-bound certificate.
 
-    v_low = lb(eta^N) * nu * v0, with eta^N computed exactly for even N and
-    bounded below by an integer-sqrt floor for odd N; without a polyhedron the
-    certificate is scoped to the finite scenario and the eta factor is 1.
+    v_low = eta^2 * nu * v0 for a singlet target that ``_polyhedron_refusal``
+    lets the polyhedron cover; without a polyhedron the certificate is scoped
+    to the finite scenario and the eta factor is 1.
     """
     refusal = lower_refusal(scenario, True)  # rationalize_weights refused inexact targets
     if refusal:
@@ -361,14 +378,15 @@ def assemble_lower(scenario, poly, v0, model, target):
     nu = nu_factor(model.residual_sq)
     if nu < MIN_NU:
         raise CertificateError(f"residual too large: nu = {float(nu):.4f} < {float(MIN_NU)}")
-    N = scenario.parties
-    eta_pow, eta_sq, vertices = Fraction(1), None, None
+    eta_sq, vertices, v_low = None, None, nu * v0
     if poly is not None:
+        refusal = _polyhedron_refusal(target, {v.xyzd for v in poly.vertices})
+        if refusal:
+            raise CertificateError(refusal)
         eta_sq, vertices = Fraction(poly.eta_sq), tuple(poly.vertices)
-        eta_pow = eta_sq ** (N // 2) if N % 2 == 0 else sqrt_lower(eta_sq**N)
+        v_low = eta_sq * v_low
     return LowerBoundCertificate(scenario, target, v0, eta_sq, vertices, list(model.atoms),
-                                 list(model.weights), Fraction(model.residual_sq), nu,
-                                 eta_pow * nu * v0)
+                                 list(model.weights), Fraction(model.residual_sq), nu, v_low)
 
 
 def integerize_functional(functional, scale=10**4):
@@ -504,34 +522,23 @@ def _verify_lower(cert):
     if cert.residual_sq > (1 / cert.nu - 1) ** 2:  # at nu = 1: a nonzero residual
         return _fail("nu too large for the residual")
 
-    if cert.eta_sq is None:
-        if cert.v_low > cert.nu * cert.v0:
-            return _fail("v_low exceeds nu * v0")
-    else:
+    eta_sq = 1  # without a polyhedron: the finite scenario's scope
+    if cert.eta_sq is not None:
         if cert.vertices is None:
             return _fail("eta claimed without polyhedron vertices")
-        vertex_set = {v.xyzd for v in cert.vertices}
-        if any(X * X + Y * Y + Z * Z != D * D for X, Y, Z, D in vertex_set):
-            return _fail("vertex off the unit sphere")
-        if any((-X, -Y, -Z, D) not in vertex_set for X, Y, Z, D in vertex_set):
-            return _fail("vertex set not closed under antipodes")
-        if cert.target.kind == "singlet":
-            meas = {(*xyz, D) for xyz, D in
-                    map(common_denominator, (*cert.target.alice, *cert.target.bob))}
-            if not meas <= vertex_set:
-                return _fail("measurement is not a polyhedron vertex")
-            if len(cert.target.alice) * 2 != len(vertex_set):
-                return _fail("measurements do not span the polyhedron")
+        # covered by unit measurements and their antipodes: on the sphere and closed
+        refusal = _polyhedron_refusal(cert.target, {v.xyzd for v in cert.vertices})
+        if refusal:
+            return _fail(refusal)
         try:
             poly = faces_and_eta(list(cert.vertices))
         except Exception as e:
             return _fail(f"hull reconstruction failed: {e}")
         if poly.eta_sq != cert.eta_sq:
             return _fail("eta mismatch")
-        N = sc.parties
-        rhs_sq = cert.eta_sq**N * (cert.nu * cert.v0) ** 2
-        if cert.v_low < 0 or cert.v_low**2 > rhs_sq:
-            return _fail("v_low exceeds eta^N * nu * v0")
+        eta_sq = cert.eta_sq
+    if not 0 <= cert.v_low <= eta_sq * cert.nu * cert.v0:
+        return _fail("v_low outside [0, eta^2 * nu * v0]")
     return True, "ok"
 
 

@@ -31,7 +31,7 @@ from .certify import (
     write_certificate,
 )
 # frank_wolfe_vanilla is not called here: bench/tracing.py wraps it in this namespace
-from .fw import SolverConfig, bpcg, extract_hyperplane, frank_wolfe_vanilla
+from .fw import STATUS_SEPARATED, SolverConfig, bpcg, extract_hyperplane, frank_wolfe_vanilla
 from .lmo import enumerable, local_bound
 from .polyhedra import (
     antipodal_representatives,
@@ -39,6 +39,7 @@ from .polyhedra import (
     geodesic_icosahedron,
     octahedron,
     pentakis_dodecahedron,
+    rationalize,
     rationalize_all,
     read_polyhedron_vertices,
     write_polyhedron_vertices,
@@ -102,19 +103,16 @@ def _measurements_for(args):
     if args.polyhedron:
         with open(args.polyhedron) as fp:
             points = read_polyhedron_vertices(fp)
-    elif args.m == 2 and state in ("werner", "singlet"):
+    elif args.m == 2 and state == "werner":
         # CHSH layout; rationalized so that lower runs stay exact
-        from .polyhedra import rationalize
-
         al, bo = chsh_vectors()
-        alice = [rationalize(v, args.tol).as_tuple() for v in al]
-        bob = [rationalize(v, args.tol).as_tuple() for v in bo]
-        sc = Scenario(2, 2, marginals=False)
-        return alice, bob, None, sc
+        alice = [rationalize(v).as_tuple() for v in al]
+        bob = [rationalize(v).as_tuple() for v in bo]
+        return alice, bob, None, Scenario(2, 2, marginals=False)
     elif args.m in GEODESIC_SCHEDULES:
-        points = rationalize_all(geodesic_icosahedron(GEODESIC_SCHEDULES[args.m]), args.tol)
+        points = rationalize_all(geodesic_icosahedron(GEODESIC_SCHEDULES[args.m]))
     elif args.m == 16:
-        points = rationalize_all(pentakis_dodecahedron(), args.tol)
+        points = rationalize_all(pentakis_dodecahedron())
     else:
         raise CliError(
             f"no built-in polyhedron with m = {args.m}; pass --polyhedron FILE "
@@ -124,7 +122,7 @@ def _measurements_for(args):
     if 2 * len(reps) != len(points):
         raise CliError("polyhedron vertex list is not closed under antipodes")
     vecs = [p.as_tuple() for p in reps]
-    if state in ("werner", "singlet"):
+    if state == "werner":
         return vecs, vecs, points, Scenario(2, len(reps), marginals=False)
     return vecs, vecs, points, Scenario(N, len(reps), marginals=True)
 
@@ -142,7 +140,7 @@ def _build_problem(args):
     if args.polygon:
         p = ghz_polygon_tensor(sc.parties, sc.inputs)
         return p, TargetSpec("ghz-polygon"), None
-    if args.state in ("werner", "singlet"):
+    if args.state == "werner":
         p = singlet_tensor(alice, bob, sc)
         return p, TargetSpec("singlet", tuple(alice), tuple(bob)), poly_points
     # GHZ / W with generic Bloch vectors: Born rule, marginal slots included
@@ -235,7 +233,8 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
         return 0 if res.converged else 2
 
     if args.mode == "lower":
-        if not res.converged:
+        # a capped run's iterate is a convex decomposition too; nu prices its residual
+        if res.status == STATUS_SEPARATED:
             print("inconclusive: no convex decomposition within tolerance")
             return 2
         with _stage(stages, "rationalize"):
@@ -384,7 +383,7 @@ def build_parser():
     ps = sub.add_parser("solve", help="run the membership pipeline")
     ps.add_argument("mode", choices=["lower", "upper", "decide"])
     ps.add_argument("--state", default="werner",
-                    choices=["werner", "singlet", "ghz", "w", "custom"])
+                    choices=["werner", "ghz", "w", "custom"])
     ps.add_argument("--tensor", help="tensor file for --state custom")
     ps.add_argument("--N", type=int, default=3, help="party count for ghz")
     ps.add_argument("--m", type=int, default=6, help="inputs per party")
@@ -396,7 +395,6 @@ def build_parser():
     ps.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     ps.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     ps.add_argument("--seed", type=int, default=SolverConfig.seed)
-    ps.add_argument("--tol", type=float, default=1e-6, help="rationalization tolerance")
     ps.add_argument("--out", help="certificate output file")
     ps.set_defaults(func=cmd_solve)
 

@@ -16,8 +16,7 @@ which needs the gradient, at exit, and by a callback that calls
 ``active.iterate()``; the steps do not depend on whether it was formed there.
 So ``dist <= eps`` is tested when the oracle is consulted, and a run that
 ends inside may take a few more pairwise steps than one that tested every
-iteration.  Vanilla Frank-Wolfe reads it every iteration: a rank-one
-update keeps it current.
+iteration; vanilla Frank-Wolfe consults the oracle, and forms x, every iteration.
 
 With marginal slots every point of the polytope has a 1 at the root entry.
 The target carries the same 1, so the root cancels from x - v0 p and x - d up
@@ -445,8 +444,7 @@ def _solve(p, v0, cfg, lazy):
             step = "drop" if cache.apply_pairwise(i_away, i_local, ga) else "pairwise"
         else:
             local = 0
-            x = active.iterate()
-            grad = CorrelationTensor(sc, x - target)
+            grad = CorrelationTensor(sc, active.iterate() - target)
             dist = float(np.linalg.norm(grad.entries))
             if dist <= cfg.eps:
                 status = STATUS_INSIDE
@@ -479,10 +477,7 @@ def _solve(p, v0, cfg, lazy):
                 n = len(active)
                 i = cache.add_atom(strategies)[0]
                 stats.extra_atoms += len(active) - max(n, i + 1)
-                gamma = cache.apply_fw(i, gap, gx)
-                if not lazy:  # vanilla reads the iterate every iteration: a rank-one update
-                    d = combine_rows(np.ones(1), [r[i : i + 1] for r in active.rows])
-                    active.x = x + gamma * (d.reshape(sc.shape) - x)
+                cache.apply_fw(i, gap, gx)
                 stats.peak_atoms = max(stats.peak_atoms, len(active))
                 g_last = gap
                 step = "fw"

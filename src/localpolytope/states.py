@@ -88,12 +88,11 @@ def ghz_polygon_tensor(parties, m):
 
 
 def build_quantum_tensor(state_name, bloch_per_party, scenario):
-    """Generic Born-rule tensor for one of the named states."""
-    builders = {"singlet": singlet_state, "werner": singlet_state, "w": w_state}
-    if state_name in builders:
-        st = builders[state_name]()
-    elif state_name == "ghz":
+    """Born-rule tensor of GHZ_N ("ghz") or W_3 ("w"); see singlet_tensor for the singlet."""
+    if state_name == "ghz":
         st = ghz_state(scenario.parties)
+    elif state_name == "w":
+        st = w_state()
     else:
         raise ValueError(f"unknown state {state_name!r}")
     return quantum_tensor(st, bloch_per_party, scenario)

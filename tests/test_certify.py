@@ -28,10 +28,18 @@ from localpolytope.certify import (
     verify,
     write_certificate,
 )
+from localpolytope.cli import main
 from localpolytope.fw import SolverConfig, bpcg
 from localpolytope.lmo import local_bound
-from localpolytope.polyhedra import RationalPoint, antipodal_representatives
-from localpolytope.states import ghz_polygon_tensor
+from localpolytope.polyhedra import (
+    RationalPoint,
+    antipodal_representatives,
+    faces_and_eta,
+    geodesic_icosahedron,
+    rationalize,
+    rationalize_all,
+)
+from localpolytope.states import ghz_polygon_tensor, singlet_tensor
 from localpolytope.tensor import (
     CorrelationTensor,
     DeterministicStrategy,
@@ -483,7 +491,7 @@ def test_exact_residual_matches_reference_ghz_polygon():
 
 
 @pytest.mark.parametrize("parties, inputs, marginals", [
-    (1, 4, True), (2, 3, False), (2, 2, True), (3, 2, True),
+    (1, 4, False), (2, 3, False), (3, 2, False),
 ])
 @pytest.mark.parametrize("huge", [False, True])
 def test_exact_residual_matches_reference_hand_built(parties, inputs, marginals, huge):
@@ -747,13 +755,29 @@ def _atom(cert, i):
     return f"\n{cert.atoms[i].to_string()}\n"
 
 
+def _plane_cert():
+    """A lower certificate without a polyhedron for a singlet measured along
+    e1 and e2 by both parties: p = -I, at v0 = 1/2."""
+    e = ((1, 0, 0), (0, 1, 0))
+    p = singlet_tensor(e, e)
+    res = bpcg(p, 0.5, SolverConfig(restarts=50, seed=0))
+    model = rationalize_weights(res.active_set, p, Fraction(1, 2))
+    return assemble_lower(NM22, None, Fraction(1, 2), model, TargetSpec("singlet", e, e))
+
+
 @pytest.fixture(scope="module")
-def cert_texts(m6_cert, mermin_cert, ico_singlet):
+def cert_texts(m6_cert, mermin_cert):
     """The file text of a valid certificate of each kind, by name."""
-    m6_tensor = dataclasses.replace(m6_cert, target=TargetSpec("tensor", tensor=ico_singlet))
-    certs = {"m6": m6_cert, "m6-tensor": m6_tensor, "mermin": mermin_cert,
+    certs = {"m6": m6_cert, "plane": _plane_cert(), "mermin": mermin_cert,
              "corner": chsh_corner_cert(NM22, CHSH_INT, 2)}
     return {name: _text(c) for name, c in certs.items()}
+
+
+def _scale_first_row(text, cert, scale):
+    """``text`` with the first measurement row multiplied by ``scale``."""
+    row = cert.target.alice[0]
+    return _mutate(text, f"MEASUREMENTS_A 6\n{format_row(row)}\n",
+                   f"MEASUREMENTS_A 6\n{format_row(tuple(scale * c for c in row))}\n")
 
 
 def _off_sphere(cert):
@@ -787,6 +811,11 @@ VERIFY_REJECTIONS = [
      lambda t, c: _mutate(t, "MEASUREMENTS_A 6\n" + format_row(c.target.alice[0]) + "\n",
                           "MEASUREMENTS_A 5\n"),
      "target reconstruction failed: singlet tensors live in the bipartite no-marginal scenario"),
+    ("measurement-not-unit", "m6", lambda t, c: _scale_first_row(t, c, 2),
+     "target reconstruction failed: measurement is not a unit vector"),
+    # a float triple passes within Q_TOL on |a|^2 (lower-target-float below), not beyond it
+    ("measurement-not-unit-float", "m6", lambda t, c: _scale_first_row(t, c, 1 + 1e-9),
+     "target reconstruction failed: measurement is not a unit vector"),
     ("lower-target-float", "m6",
      lambda t, c: _mutate(t, format_row(c.target.alice[0]),
                           " ".join(repr(float(x)) for x in c.target.alice[0])),
@@ -794,9 +823,16 @@ VERIFY_REJECTIONS = [
     ("eta-without-vertices", "m6",
      lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)), ""),
      "eta claimed without polyhedron vertices"),
-    ("vertex-off-sphere", "m6", lambda t, c: _off_sphere(c), "vertex off the unit sphere"),
+    # the first vertex is a measurement: the two faults below leave it out
+    ("vertex-off-sphere", "m6", lambda t, c: _off_sphere(c),
+     "measurement is not a polyhedron vertex"),
     ("vertex-antipodes", "m6", lambda t, c: _in_vertices(t, _row(c.vertices[0]), "1 0 0\n"),
-     "vertex set not closed under antipodes"),
+     "measurement is not a polyhedron vertex"),
+    # the same tensor, embedded: its measurements cannot be checked against the vertices
+    ("eta-tensor-target", "m6",
+     lambda t, c: dataclasses.replace(
+         c, target=TargetSpec("tensor", tensor=c.target.build(c.scenario))),
+     "eta claimed for a target without measurement directions"),
     # one antipodal pair, a measurement and its antipode, swapped for +-e1
     ("measurement-not-vertex", "m6",
      lambda t, c: _in_vertices(_in_vertices(t, _row(c.vertices[0]), "1 0 0\n"),
@@ -805,10 +841,10 @@ VERIFY_REJECTIONS = [
     ("measurements-do-not-span", "m6",
      lambda t, c: _mutate(t, "VERTICES 12\n", "VERTICES 14\n1 0 0\n-1 0 0\n"),
      "measurements do not span the polyhedron"),
-    # a tensor target has no measurements to check against the vertices
-    ("hull", "m6-tensor",
-     lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)),
-                          "VERTICES 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n"),
+    # each party measures e1 and e2: the four vertices +-e1, +-e2 are covered, and coplanar
+    ("hull", "plane",
+     lambda t, c: _mutate(t, "ETA_SQ none",
+                          "VERTICES 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\nETA_SQ 1/2"),
      "hull reconstruction failed: degenerate input: all points coplanar"),
     ("functional-scenario", "mermin",
      lambda t, c: _mutate(t, "SCENARIO 3 2 false", "SCENARIO 3 2 true"),
@@ -843,6 +879,78 @@ def test_verify_gives_each_rejection(cert_texts, base, fault, reason):
     if isinstance(faulty, str):
         faulty = read_certificate(io.StringIO(faulty))
     assert verify(faulty) == (False, reason)
+
+
+# --- forged certificates ------------------------------------------------------------
+
+
+def _cli_verdict(cert, tmp_path, capsys):
+    """Exit code and output of ``certify verify`` on ``cert`` written to a file."""
+    path = tmp_path / "forged.cert"
+    path.write_text(_text(cert))
+    capsys.readouterr()
+    return main(["certify", "verify", "--in", str(path)]), capsys.readouterr().out
+
+
+def test_singlet_measurements_scaled_up_are_invalid(tmp_path, capsys):
+    # doubling Alice's rows doubles <M, p>: v_up = 0.3536 would claim K_G(3) >= 2.83
+    path = tmp_path / "chsh.cert"
+    assert main(["solve", "upper", "--state", "werner", "--m", "2", "--v0", "0.75",
+                 "--out", str(path)]) == 0
+    with open(path) as fp:
+        cert = read_certificate(fp)
+    alice = tuple(tuple(2 * c for c in v) for v in cert.target.alice)
+    p = singlet_tensor(alice, cert.target.bob)
+    forged = assemble_upper(cert.functional, cert.ell, p,
+                            TargetSpec("singlet", alice, cert.target.bob))
+    assert abs(float(forged.v_up) - 0.353553) < 1e-6
+    assert _cli_verdict(forged, tmp_path, capsys) == (
+        1, "INVALID certificate: target reconstruction failed: measurement is not a unit vector\n")
+
+
+def _eta_forgery(target, p, model, v0, points, reason):
+    """A lower certificate claiming the polyhedron's eta for ``target``, as
+    assemble_lower would build it if it did not refuse for ``reason``."""
+    poly = faces_and_eta(points)
+    with pytest.raises(CertificateError, match=reason):
+        assemble_lower(p.scenario, poly, v0, model, target)
+    nu = nu_factor(model.residual_sq)
+    return LowerBoundCertificate(p.scenario, target, v0, poly.eta_sq, tuple(poly.vertices),
+                                 model.atoms, model.weights, model.residual_sq, nu,
+                                 poly.eta_sq * nu * v0)
+
+
+def test_repeated_measurements_do_not_carry_eta(tmp_path, capsys):
+    # Alice measures one direction 21 times: the correlations are local at v0 = 1,
+    # and eta_21^2 would claim K_G(3) <= 1.146, below the certified sqrt(2)
+    points = rationalize_all(geodesic_icosahedron([2]))
+    vecs = tuple(v.as_tuple() for v in antipodal_representatives(points))
+    alice = (vecs[0],) * len(vecs)
+    p = singlet_tensor(alice, vecs)
+    res = bpcg(p, 1.0, SolverConfig(restarts=50, seed=0))
+    assert res.converged
+    model = rationalize_weights(res.active_set, p, Fraction(1))
+    reason = "measurements do not span the polyhedron"
+    forged = _eta_forgery(TargetSpec("singlet", alice, vecs), p, model, Fraction(1), points,
+                          reason)
+    assert abs(float(forged.v_low) - 0.872677) < 1e-6
+    assert verify(forged) == (False, reason)
+    assert _cli_verdict(forged, tmp_path, capsys) == (1, f"INVALID certificate: {reason}\n")
+
+
+def test_embedded_tensor_target_does_not_carry_eta(ico_points, tmp_path, capsys):
+    # the m = 6 run, re-targeted to a singlet at 6 random directions, embedded as a tensor
+    rng = np.random.default_rng(0)
+    dirs = tuple(rationalize(v / np.linalg.norm(v)).as_tuple() for v in rng.normal(size=(6, 3)))
+    p = singlet_tensor(dirs, dirs)
+    res = bpcg(p, 0.6, SolverConfig(restarts=500, seed=2))
+    assert res.converged
+    model = rationalize_weights(res.active_set, p, Fraction(3, 5))
+    reason = "eta claimed for a target without measurement directions"
+    forged = _eta_forgery(TargetSpec("tensor", tensor=p), p, model, Fraction(3, 5), ico_points,
+                          reason)
+    assert verify(forged) == (False, reason)
+    assert _cli_verdict(forged, tmp_path, capsys) == (1, f"INVALID certificate: {reason}\n")
 
 
 # --- derived bounds -------------------------------------------------------------

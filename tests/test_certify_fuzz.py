@@ -5,6 +5,7 @@ Reading a damaged file raises nothing but CertificateError, and a file whose
 claims were changed never verifies.
 """
 
+import dataclasses
 import functools
 import io
 import math
@@ -19,8 +20,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from localpolytope.certify import (  # noqa: E402
     CertificateError,
     TargetSpec,
+    _exact_residual_sq,
     assemble_lower,
     assemble_upper,
+    nu_factor,
     rationalize_weights,
     read_certificate,
     verify,
@@ -119,6 +122,34 @@ def test_changed_claim_never_verifies(key, where, delta, down):
     lines[i] = f"{prefix}{new.numerator}/{new.denominator}"
     out = verdict(lines)
     assert out is None or not out[0]
+
+
+@FUZZ
+@given(st.data())
+def test_eta_needs_every_antipodal_pair_measured(data):
+    # each row of a party becomes one of its rows, kept or negated, and the
+    # residual is derived again: the claim stands exactly when every party
+    # still measures all 6 antipodal pairs of vertices
+    cert = read_certificate(io.StringIO("\n".join(m6_lines()) + "\n"))
+    rows, covered = {}, True
+    for party in ("alice", "bob"):
+        vecs = getattr(cert.target, party)
+        m = len(vecs)
+        picks = data.draw(st.one_of(st.permutations(range(m)),
+                                    st.lists(st.integers(0, m - 1), min_size=m, max_size=m)),
+                          label=party)
+        negate = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="negate")
+        rows[party] = tuple(tuple(-c for c in vecs[j]) if neg else vecs[j]
+                            for j, neg in zip(picks, negate))
+        covered = covered and len(set(picks)) == m
+    target = TargetSpec("singlet", rows["alice"], rows["bob"])
+    residual_sq = _exact_residual_sq(cert.atoms, cert.weights, target.build(cert.scenario),
+                                     cert.v0)
+    nu = nu_factor(residual_sq)
+    forged = dataclasses.replace(cert, target=target, residual_sq=residual_sq, nu=nu,
+                                 v_low=cert.eta_sq * nu * cert.v0)
+    expected = (True, "ok") if covered else (False, "measurements do not span the polyhedron")
+    assert verify(forged) == expected
 
 
 # --- upper certificates ----------------------------------------------------------

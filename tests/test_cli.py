@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -166,6 +167,69 @@ def test_solve_lower_outside_the_polytope_is_inconclusive(tmp_path, capsys):
     meta = json.loads((tmp_path / "C.run.json").read_text())
     assert meta["status"] == "separated"
     assert list(meta["stages"]) == ["build", "solve"]
+
+
+@pytest.mark.parametrize("v0, cap, code, message", [
+    ("0.55", "1000", 0, "certified lower bound v_low = 0.460141 for all projective measurements"),
+    ("0.9", "1000", 2, "certificate assembly failed: residual too large: nu = 0.4008 < 0.5"),
+    ("0.9", "1000000", 2, "inconclusive: no convex decomposition within tolerance"),
+], ids=["capped", "capped-far-outside", "separated"])
+def test_capped_lower_runs_certify_their_iterate(tmp_path, capsys, v0, cap, code, message):
+    # only a separated run is refused before the certificate stages; nu prices the rest
+    out = tmp_path / "C"
+    assert run(["solve", "lower", "--state", "werner", "--m", "16", "--v0", v0,
+                "--restarts", "100", "--seed", "0", "--max-iter", cap, "--out", str(out)]) == code
+    assert message in capsys.readouterr().out
+    meta = json.loads((tmp_path / "C.run.json").read_text())
+    assert meta["status"] == ("separated" if cap == "1000000" else "iteration_cap")
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert run(["certify", "verify", "--in", str(out)]) == 0
+        assert "VALID lower certificate: v = 0.460141" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--state", "singlet"], ["--tol", "1e-6"]])
+def test_solve_has_no_singlet_alias_or_tol(capsys, argv):
+    assert run(["solve", "lower", "--m", "2", "--v0", "0.5", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# sha256 of the certificates that the bench's solve workloads (seeds 0-3) and
+# README's solve commands write; a change to any solver trajectory or to the
+# certificate stages shows here first
+LOWER_M16 = ["solve", "lower", "--state", "werner", "--m", "16", "--v0", "0.55",
+             "--restarts", "100"]
+GHZ3_M6 = ["solve", "upper", "--state", "ghz", "--N", "3", "--m", "6", "--v0", "0.80",
+           "--restarts", "300"]
+PINNED_CERTIFICATES = {
+    "lower-m16-s0": (LOWER_M16 + ["--seed", "0"],
+                     "573bde0e7c5757e7de21346ae689fce3389570b4c38f89d84ec89f9d40cbfeb5"),
+    "lower-m16-s1": (LOWER_M16 + ["--seed", "1"],
+                     "b446d1d70836f22a2b8161fdfde1fa389f1d5bf5623582e868d3e1bf6a049b1f"),
+    "lower-m16-s2": (LOWER_M16 + ["--seed", "2"],
+                     "81d4757282631875e2d2fed76b6deb7a25a83dc1efaa6722f471562b542223ba"),
+    "lower-m16-s3": (LOWER_M16 + ["--seed", "3"],
+                     "4e3850e7083b4067b1cbb28d7461d88d709c57c3588e3549dac7313cd768ddb3"),
+    **{f"ghz3-m6-s{seed}": (GHZ3_M6 + ["--seed", str(seed)],
+                            "6059b7a52f9395f8b8590e0372aab0279b58344bd3054224e7d21b82ae947438")
+       for seed in range(4)},
+    "readme-m6": (["solve", "lower", "--state", "werner", "--m", "6", "--v0", "0.60",
+                   "--seed", "2"],
+                  "b37a7ee57bd52e346316d777d33d5af32f3573adc2a4300a1ee8a872ed3be0aa"),
+    "readme-chsh": (["solve", "upper", "--state", "werner", "--m", "2", "--v0", "0.75"],
+                    "cd5cb15e4feed45cab4da9c5708cfdc73dd0c6bc440a485ad909819d0a863496"),
+    "readme-ghz": (["solve", "upper", "--state", "ghz", "--N", "3", "--polygon", "--m", "2",
+                    "--v0", "0.55"],
+                   "adf90be2dafa38aeeba79c350d6bb1d0273618417d0399ae3263e1d05939fa54"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CERTIFICATES)
+def test_written_certificates_match_their_pinned_digests(tmp_path, name):
+    argv, digest = PINNED_CERTIFICATES[name]
+    out = tmp_path / "C"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _refuse(*args, **kwargs):

@@ -284,23 +284,6 @@ def test_separated_run_ends_on_an_exact_confirmation():
     assert gap < 1e-9
 
 
-def test_vanilla_forms_the_iterate_once(chsh_singlet, monkeypatch):
-    # vanilla Frank-Wolfe reads the iterate every iteration; a rank-one update
-    # after each step keeps it current, so it is formed from the rows only once
-    calls = []
-    original = ActiveSet.recompute_iterate
-
-    def counted(self):
-        calls.append(len(self))
-        return original(self)
-
-    monkeypatch.setattr(ActiveSet, "recompute_iterate", counted)
-    res = frank_wolfe_vanilla(chsh_singlet, 0.65, FAST)
-    assert res.iterations > 100 and calls == [1]
-    assert np.abs(res.active_set.x - original(res.active_set)).max() < 1e-12
-    assert res.stats.exact_calls == 0
-
-
 def test_bpcg_single_atom_falls_through_to_lmo(chsh_singlet):
     _, rec = recorded(bpcg, chsh_singlet, 0.65, restarts=100, seed=0, max_iterations=10)
     # with one atom the pairwise test cannot fire; the first step consults
