@@ -58,6 +58,7 @@ WEIGHT_DENOMINATOR = 2**48
 BALL_CAP = 22  # max N*m for materialising the ball decomposition
 Q_TOL = 1e-9  # float quantum values: violation margin, verify's match tolerance; float |a|^2 - 1
 MIN_NU = Fraction(1, 2)  # smallest contraction factor a lower certificate accepts
+EXACT_ENTRIES = 2**20  # most entries a lower certificate's scenario has: its exact work is dense
 DIGITS_PER_INPUT = 32  # digit budget of one measurement's denominators; see _digit_limit
 
 
@@ -341,6 +342,9 @@ def lower_refusal(scenario, exact):
     if scenario.marginals:
         return ("lower certificates need a full-correlation scenario; "
                 "lower-order correlators are outside the certified domain")
+    if scenario.num_entries > EXACT_ENTRIES:
+        return (f"lower certificates cover at most {EXACT_ENTRIES} entries, "
+                f"not {scenario.num_entries}")
     if not exact:
         return "lower certificates need an exact rational target and model"
     return None
@@ -405,23 +409,26 @@ def integerize_functional(functional, scale=10**4):
 
 
 def assemble_upper(functional, ell, p, target):
-    """Integer Bell functional + exact local bound -> v_up = ell / <M, p>."""
+    """Integer Bell functional + exact local bound -> v_up = ell / q, q = <M, p>.
+
+    The rule, which ``verify`` applies to a file's data: 0 <= ell < q, by more
+    than Q_TOL for a float q, and nan fails.  No true local bound is negative:
+    the strategies average to 0 off the root, which <., .> leaves out.
+    """
     if integer_entries(functional) is None:
         raise CertificateError("upper certificates need an integer functional")
     if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)):
         raise CertificateError("local bound must be an exact integer")
     ell = int(ell)
+    if ell < 0:
+        raise CertificateError("local bound is negative")
     q = inner(functional, p)
-    if isinstance(q, Fraction):
-        if q <= ell:
-            raise CertificateError("no violation: quantum value does not exceed the local bound")
-        v_up = Fraction(ell) / q
-    else:
-        q = float(q)
-        if q <= ell + Q_TOL:
-            raise CertificateError("no violation beyond tolerance; rerun or rescale")
-        v_up = ell / q
-    return UpperBoundCertificate(p.scenario, target, functional, ell, q, v_up)
+    tol = 0 if isinstance(q, Fraction) else Q_TOL  # an int q (integer target) counts as float
+    q = float(q) if tol else q
+    if not q > ell + tol:
+        raise CertificateError("no violation: quantum value does not exceed the local bound"
+                               + (" by more than the tolerance" if tol else ""))
+    return UpperBoundCertificate(p.scenario, target, functional, ell, q, ell / q)
 
 
 # --- derived constants -------------------------------------------------------
@@ -466,10 +473,6 @@ def derived_bounds(cert):
 # --- verification ------------------------------------------------------------
 
 
-def _fail(reason):
-    return False, reason
-
-
 def verify(cert):
     """Re-derive every claim of a certificate from its own data.
 
@@ -477,68 +480,76 @@ def verify(cert):
     Nothing from the generating solver run is trusted.  ok is None ("unproven:
     ...") when an upper certificate passes every other check but its local
     bound lies past the enumeration cap.
+
+    Cost, for the header's D entries (m^N, (m+1)^N with marginal slots) and A
+    atoms: a lower certificate past EXACT_ENTRIES is refused from the header;
+    below it the exact target and residual take O(D) big integers, the model
+    O(A D) small ones, plus the hull of any vertices.  An upper certificate
+    takes O(D) for <M, p> and enumerates at most 2^((N-1)m) <= 2^EXHAUSTIVE_CAP
+    sign vectors for its local bound.
     """
     if isinstance(cert, LowerBoundCertificate):
         return _verify_lower(cert)
     if isinstance(cert, UpperBoundCertificate):
         return _verify_upper(cert)
-    return _fail("unknown certificate type")
+    return False, "unknown certificate type"
 
 
 def _verify_lower(cert):
     sc = cert.scenario
-    if sc.marginals:
-        return _fail("scenario outside the certified domain (lower-order correlators)")
+    refusal = lower_refusal(sc, True)  # from the header; the target's exactness once it is built
+    if refusal:
+        return False, refusal
     if not (0 <= cert.v0 <= 1):
-        return _fail("v0 outside [0, 1]")
+        return False, "v0 outside [0, 1]"
     if any(w < 0 for w in cert.weights):
-        return _fail("negative weight")
+        return False, "negative weight"
     if len(cert.weights) != len(cert.atoms):
-        return _fail("atom/weight length mismatch")
-    total = exact_sum(cert.weights)
-    if total > 1:
-        return _fail("weight sum exceeds 1")
+        return False, "atom/weight length mismatch"
+    if exact_sum(cert.weights) > 1:
+        return False, "weight sum exceeds 1"
     seen = set()
     for a in cert.atoms:
         if a.parties != sc.parties or a.inputs != sc.inputs:
-            return _fail("atom does not match scenario")
+            return False, "atom does not match scenario"
         key = a.canonical(sc)
         if key in seen:
-            return _fail("duplicate atom")
+            return False, "duplicate atom"
         seen.add(key)
 
     try:
         p = cert.target.build(sc)
     except Exception as e:  # malformed embedded target
-        return _fail(f"target reconstruction failed: {e}")
-    if not p.is_exact:
-        return _fail("target is not exactly rational")
+        return False, f"target reconstruction failed: {e}"
+    refusal = lower_refusal(sc, p.is_exact)
+    if refusal:
+        return False, refusal
 
     if _exact_residual_sq(cert.atoms, cert.weights, p, cert.v0) != cert.residual_sq:
-        return _fail("residual mismatch")
+        return False, "residual mismatch"
 
     if not (0 < cert.nu <= 1):
-        return _fail("nu outside (0, 1]")
+        return False, "nu outside (0, 1]"
     if cert.residual_sq > (1 / cert.nu - 1) ** 2:  # at nu = 1: a nonzero residual
-        return _fail("nu too large for the residual")
+        return False, "nu too large for the residual"
 
     eta_sq = 1  # without a polyhedron: the finite scenario's scope
     if cert.eta_sq is not None:
         if cert.vertices is None:
-            return _fail("eta claimed without polyhedron vertices")
+            return False, "eta claimed without polyhedron vertices"
         # covered by unit measurements and their antipodes: on the sphere and closed
         refusal = _polyhedron_refusal(cert.target, {v.xyzd for v in cert.vertices})
         if refusal:
-            return _fail(refusal)
+            return False, refusal
         try:
             poly = faces_and_eta(list(cert.vertices))
         except Exception as e:
-            return _fail(f"hull reconstruction failed: {e}")
+            return False, f"hull reconstruction failed: {e}"
         if poly.eta_sq != cert.eta_sq:
-            return _fail("eta mismatch")
+            return False, "eta mismatch"
         eta_sq = cert.eta_sq
     if not 0 <= cert.v_low <= eta_sq * cert.nu * cert.v0:
-        return _fail("v_low outside [0, eta^2 * nu * v0]")
+        return False, "v_low outside [0, eta^2 * nu * v0]"
     return True, "ok"
 
 
@@ -546,45 +557,33 @@ def _verify_upper(cert):
     sc = cert.scenario
     M = cert.functional
     if M.scenario != sc:
-        return _fail("functional does not match scenario")
+        return False, "functional does not match scenario"
     if integer_entries(M) is None:
-        return _fail("functional is not integer")
-    if not isinstance(cert.ell, int):
-        return _fail("local bound is not an integer")
+        return False, "functional is not integer"
 
     proven = enumerable(sc)
     if proven and local_bound(M).value != cert.ell:
-        return _fail("local bound mismatch")
+        return False, "local bound mismatch"
 
     try:
         p = cert.target.build(sc)
     except Exception as e:
-        return _fail(f"target reconstruction failed: {e}")
-    q = inner(M, p)
-    if cert.q_exact:
-        if not isinstance(q, Fraction):
-            return _fail("quantum value not reproducible exactly")
-        if q != cert.q:
-            return _fail("quantum value mismatch")
-        if q <= cert.ell:
-            return _fail("no violation")
-        if cert.v_up != Fraction(cert.ell) / q:
-            return _fail("v_up mismatch")
-    else:
-        # the file's TOL is not read: it must not widen this check.
-        # Every comparison below is False on nan, so non-finite values fail here
-        try:
-            qf, file_q, v_up, ell = (float(v) for v in (q, cert.q, cert.v_up, cert.ell))
-        except OverflowError:
-            return _fail("quantum value or local bound outside the float range")
-        if not all(math.isfinite(v) for v in (qf, file_q, v_up)):
-            return _fail("non-finite quantum value or v_up")
-        if abs(qf - file_q) > Q_TOL:
-            return _fail("quantum value mismatch")
-        if qf <= cert.ell:
-            return _fail("no violation")
-        if abs(v_up - ell / qf) > 1e-12:
-            return _fail("v_up mismatch")
+        return False, f"target reconstruction failed: {e}"
+    try:
+        claim = assemble_upper(M, cert.ell, p, cert.target)
+        # the file's TOL is not read: it must not widen the float checks
+        q, v_up = (claim.q, claim.v_up) if cert.q_exact else (float(claim.q), float(claim.v_up))
+    except CertificateError as e:
+        return False, str(e)
+    except OverflowError:
+        return False, "quantum value or local bound outside the float range"
+    if cert.q_exact and not claim.q_exact:
+        return False, "quantum value not reproducible exactly"
+    q_tol, v_tol = (0, 0) if cert.q_exact else (Q_TOL, 1e-12)
+    if not abs(q - cert.q) <= q_tol:  # written with not, so that a nan fails
+        return False, "quantum value mismatch"
+    if not abs(v_up - cert.v_up) <= v_tol:
+        return False, "v_up mismatch"
     if not proven:
         return None, (f"unproven: local bound past the enumeration cap, "
                       f"(N-1)*m = {(sc.parties - 1) * sc.inputs} > {EXHAUSTIVE_CAP}")

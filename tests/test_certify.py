@@ -634,11 +634,13 @@ CHSH_INT = np.array([[1, 1], [1, -1]], dtype=object)
 
 
 def test_verify_upper_rejects_int64_wrapped_bound():
-    # CHSH * 2^62 has local bound 2^63, which wraps to -2^63 in int64
-    cert = chsh_corner_cert(NM22, CHSH_INT * 2**62, -2**63)
-    assert verify(cert) == (False, "local bound mismatch")
-    assert verify(dataclasses.replace(cert, ell=2**63, v_up=Fraction(2**63) / cert.q)) \
-        == (True, "ok")
+    # CHSH * 2^62 has local bound 2^63, which wraps to -2^63 in int64.
+    # assemble_upper refuses a negative bound, so the wrapped claim is built directly
+    cert = chsh_corner_cert(NM22, CHSH_INT * 2**62, 2**63)
+    wrapped = UpperBoundCertificate(NM22, cert.target, cert.functional, -2**63, cert.q,
+                                    Fraction(-2**63) / cert.q)
+    assert verify(wrapped) == (False, "local bound mismatch")
+    assert verify(cert) == (True, "ok")
 
 
 def test_verify_upper_exact_past_int64():
@@ -692,6 +694,14 @@ def test_assemble_upper_requires_violation():
     f = CorrelationTensor(p.scenario, M)
     with pytest.raises(CertificateError):
         assemble_upper(f, 1, p, TargetSpec("ghz-polygon"))
+    # a nan q fails every comparison; no true local bound is negative
+    chsh = CorrelationTensor(NM22, CHSH_INT.copy())
+    nan = CorrelationTensor(NM22, np.array([[math.nan, 0.7], [0.7, -0.7]]))
+    with pytest.raises(CertificateError, match="no violation"):
+        assemble_upper(chsh, 2, nan, TargetSpec("tensor", tensor=nan))
+    target = chsh_corner_cert(NM22, CHSH_INT, 2).target  # q = 14/5
+    with pytest.raises(CertificateError, match="local bound is negative"):
+        assemble_upper(chsh, -1, target.tensor, target)
 
 
 def test_assemble_upper_rejects_float_functional(chsh_singlet):
@@ -794,7 +804,8 @@ VERIFY_REJECTIONS = [
     ("unknown-type", "m6", lambda t, c: dataclasses.asdict(c), "unknown certificate type"),
     ("marginal-scenario", "m6",
      lambda t, c: _mutate(t, "SCENARIO 2 6 false", "SCENARIO 2 6 true"),
-     "scenario outside the certified domain (lower-order correlators)"),
+     "lower certificates need a full-correlation scenario; "
+     "lower-order correlators are outside the certified domain"),
     ("v0", "m6", lambda t, c: _mutate(t, "V0 3/5", "V0 6/5"), "v0 outside [0, 1]"),
     ("length-mismatch", "m6",
      lambda t, c: _mutate(t, f"WEIGHTS {len(c.weights)}\n{format_number(c.weights[0])}\n",
@@ -819,7 +830,7 @@ VERIFY_REJECTIONS = [
     ("lower-target-float", "m6",
      lambda t, c: _mutate(t, format_row(c.target.alice[0]),
                           " ".join(repr(float(x)) for x in c.target.alice[0])),
-     "target is not exactly rational"),
+     "lower certificates need an exact rational target and model"),
     ("eta-without-vertices", "m6",
      lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)), ""),
      "eta claimed without polyhedron vertices"),
@@ -853,20 +864,21 @@ VERIFY_REJECTIONS = [
      "functional is not integer"),
     ("functional-float", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n0.5 0\n"),
      "functional is not integer"),
-    ("ell-not-integer", "mermin", lambda t, c: _mutate(t, "ELL 2", "ELL 2.0"),
-     "local bound is not an integer"),
     ("upper-target-build", "corner",
      lambda t, c: _mutate(t, "TENSOR\n2 2 false", "TENSOR\n1 4 false"),
      "target reconstruction failed: embedded tensor does not match scenario"),
+    ("ell-not-integer", "mermin", lambda t, c: _mutate(t, "ELL 2", "ELL 2.0"),
+     "local bound must be an exact integer"),
     ("q-not-exact", "corner", lambda t, c: _mutate(t, "7/10", "0.7", -1),
      "quantum value not reproducible exactly"),
     # ELL is the enumerated bound 2, and so is <M, p> once p is halved CHSH
     ("no-violation-exact", "corner",
-     lambda t, c: _mutate(_mutate(t, "7/10", "1/2", -1), "Q 14/5", "Q 2"), "no violation"),
+     lambda t, c: _mutate(_mutate(t, "7/10", "1/2", -1), "Q 14/5", "Q 2"),
+     "no violation: quantum value does not exceed the local bound"),
     ("no-violation-float", "corner",
      lambda t, c: _mutate(_mutate(_mutate(t, "7/10", "0.5", -1), "Q 14/5", "Q 2.0 TOL 1e-09"),
                           "V_UP 5/7", "V_UP 1.0"),
-     "no violation"),
+     "no violation: quantum value does not exceed the local bound by more than the tolerance"),
 ]
 
 

@@ -13,7 +13,13 @@ from fractions import Fraction
 
 from localpolytope import cli
 from localpolytope.cli import GEODESIC_SCHEDULES, main
-from localpolytope.certify import CertificateError, read_certificate, write_certificate
+from localpolytope import certify
+from localpolytope.certify import (
+    CertificateError,
+    UpperBoundCertificate,
+    read_certificate,
+    write_certificate,
+)
 from localpolytope.lmo import EXTRA_ATOMS
 from localpolytope.polyhedra import geodesic_icosahedron
 from localpolytope.states import ghz_polygon_tensor
@@ -571,8 +577,11 @@ def test_solve_with_polyhedron_file(tmp_path):
 
 
 def _write_chsh_corner_cert(path, scale, ell, m=2):
+    # built directly: assemble_upper refuses to make a claim with a negative ell
     cert = chsh_corner_cert(Scenario(2, m, marginals=False),
-                            [[scale, scale], [scale, -scale]], ell)
+                            [[scale, scale], [scale, -scale]], 0)
+    cert = UpperBoundCertificate(cert.scenario, cert.target, cert.functional, ell, cert.q,
+                                 Fraction(ell) / cert.q)
     with open(path, "w") as fp:
         write_certificate(cert, fp)
 
@@ -590,6 +599,79 @@ def test_certify_huge_functional_entries(tmp_path, capsys, scale, ell, code, ver
     out, err = capsys.readouterr()
     assert verdict in out
     assert "Traceback" not in err
+
+
+# Alice's rows have |a|^2 - 1 = 8e-10, inside the unit tolerance, so Q exceeds
+# ELL by 8e-10; Bob measures one direction twice, which is local at any visibility
+FORGED_FLOAT_CERT = """UPPER-CERTIFICATE
+SCENARIO 2 2 false
+TARGET singlet
+MEASUREMENTS_A 2
+1.0000000004 0.0 0.0
+0.0 0.0 1.0000000004
+MEASUREMENTS_B 2
+1.0 0.0 0.0
+1.0 0.0 0.0
+M
+2 2 false
+-1 -1
+-1 1
+ELL 2
+Q 2.0000000008 TOL 1e-09
+V_UP 0.9999999996
+END
+"""
+
+# past the enumeration cap, so ELL is not enumerated: q = 0 and a negative ELL
+ZERO_Q_CERT = ("UPPER-CERTIFICATE\nSCENARIO 2 27 false\nTARGET tensor\nTENSOR\n2 27 false\n"
+               + "0/1 " * 729 + "\nM\n2 27 false\n1 " + "0 " * 728
+               + "\nELL -1\nQ 0\nV_UP 1\nEND\n")
+
+
+@pytest.mark.parametrize("text, reason", [
+    (FORGED_FLOAT_CERT,
+     "no violation: quantum value does not exceed the local bound by more than the tolerance"),
+    (ZERO_Q_CERT, "local bound is negative"),
+    (ZERO_Q_CERT.replace("Q 0\nV_UP 1", "Q 0.0 TOL 1e-09\nV_UP 1.0"), "local bound is negative"),
+], ids=["float-within-tolerance", "zero-q-exact", "zero-q-float"])
+def test_certify_refuses_claims_that_assembly_refuses(tmp_path, capsys, text, reason):
+    path = tmp_path / "forged.cert"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(["certify", "verify", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"INVALID certificate: {reason}\n"
+    assert err == ""
+
+
+def _lower_header_cert(m, target):
+    """A lower certificate for ``SCENARIO 2 m false``: one atom, no polyhedron."""
+    rows, measurements = "1 0 0\n" * m, ""
+    if target == "singlet":
+        measurements = f"MEASUREMENTS_A {m}\n{rows}MEASUREMENTS_B {m}\n{rows}"
+    return (f"LOWER-CERTIFICATE\nSCENARIO 2 {m} false\nTARGET {target}\n{measurements}"
+            f"ETA_SQ none\nV0 1/2\nATOMS 1\n{'+' * m}|{'+' * m}\nWEIGHTS 1\n1\n"
+            "RESIDUAL_SQ 0\nNU 1\nV_LOW 1/2\nEND\n")
+
+
+@pytest.mark.parametrize("m, target", [(1025, "singlet"), (10**4, "singlet"),
+                                       (10**4, "ghz-polygon")])
+def test_certify_refuses_lower_scenarios_past_the_entry_cap(tmp_path, monkeypatch, capsys,
+                                                           m, target):
+    # m^2 > EXACT_ENTRIES = 2^20: refused from the header, before any dense target
+    def never(*args, **kwargs):
+        raise AssertionError("a dense target was built")
+
+    monkeypatch.setattr(certify, "singlet_tensor", never)
+    monkeypatch.setattr(certify, "ghz_polygon_tensor", never)
+    path = tmp_path / "big.cert"
+    path.write_text(_lower_header_cert(m, target))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run(["certify", "verify", "--in", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().out == ("INVALID certificate: lower certificates cover at most "
+                                       f"{certify.EXACT_ENTRIES} entries, not {m * m}\n")
 
 
 def test_certify_and_report_unproven_past_the_cap(tmp_path, capsys):
@@ -725,7 +807,9 @@ def test_malformed_input_is_a_clean_error(tmp_path, monkeypatch, capsys, files, 
     (["lower", "--state", "w", "--m", "6", "--v0", "0.25"], "full-correlation scenario"),
     (["lower", "--state", "ghz", "--N", "3", "--polygon", "--m", "4", "--v0", "0.4"],
      "exact rational target"),
-], ids=["upper-past-cap", "lower-marginals", "lower-inexact-target"])
+    (["lower", "--state", "ghz", "--N", "2", "--polygon", "--m", "1025", "--v0", "0.4"],
+     "lower certificates cover at most 1048576 entries, not 1050625"),
+], ids=["upper-past-cap", "lower-marginals", "lower-inexact-target", "lower-past-entry-cap"])
 def test_uncertifiable_solve_is_refused_before_the_solver(tmp_path, monkeypatch, capsys,
                                                           argv, reason):
     def never(*args, **kwargs):
