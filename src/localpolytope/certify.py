@@ -350,6 +350,12 @@ def lower_refusal(scenario, exact):
     return None
 
 
+def require_nu(nu, slack=0):
+    """Refuse a nu below MIN_NU by more than ``slack``, a float nu's room for rounding."""
+    if nu < MIN_NU - slack:
+        raise CertificateError(f"residual too large: nu = {float(nu):.4f} < {float(MIN_NU)}")
+
+
 def _polyhedron_refusal(target, vertex_set):
     """Why eta^2 of the polyhedron with these reduced (X, Y, Z, D) vertices
     does not cover ``target``, or None: each party's measurement directions
@@ -380,8 +386,7 @@ def assemble_lower(scenario, poly, v0, model, target):
     if not 0 <= v0 <= 1:
         raise CertificateError("v0 must lie in [0, 1]")
     nu = nu_factor(model.residual_sq)
-    if nu < MIN_NU:
-        raise CertificateError(f"residual too large: nu = {float(nu):.4f} < {float(MIN_NU)}")
+    require_nu(nu)
     eta_sq, vertices, v_low = None, None, nu * v0
     if poly is not None:
         refusal = _polyhedron_refusal(target, {v.xyzd for v in poly.vertices})
@@ -474,19 +479,20 @@ def derived_bounds(cert):
 
 
 def verify(cert):
-    """Re-derive every claim of a certificate from its own data.
+    """Re-derive every claim of a certificate from its own data: structural
+    checks, then the maker's rule (``assemble_lower``, ``assemble_upper``) on
+    the file's data, each claim equal to what it makes, then the costly proofs.
 
-    Returns (ok, reason); the reason names the first violated invariant.
-    Nothing from the generating solver run is trusted.  ok is None ("unproven:
-    ...") when an upper certificate passes every other check but its local
-    bound lies past the enumeration cap.
+    Returns (ok, reason); the reason names the first violated invariant.  ok
+    is None ("unproven: ...") when an upper certificate passes every other
+    check but its local bound lies past the enumeration cap.
 
     Cost, for the header's D entries (m^N, (m+1)^N with marginal slots) and A
     atoms: a lower certificate past EXACT_ENTRIES is refused from the header;
-    below it the exact target and residual take O(D) big integers, the model
-    O(A D) small ones, plus the hull of any vertices.  An upper certificate
-    takes O(D) for <M, p> and enumerates at most 2^((N-1)m) <= 2^EXHAUSTIVE_CAP
-    sign vectors for its local bound.
+    below it the exact target takes O(D) big integers, any vertices their hull,
+    and claims that match the rule the residual: O(D) big integers over O(A D)
+    small ones.  An upper certificate takes O(D) for <M, p>, and once Q and V_UP
+    match enumerates at most 2^((N-1)m) <= 2^EXHAUSTIVE_CAP sign vectors.
     """
     if isinstance(cert, LowerBoundCertificate):
         return _verify_lower(cert)
@@ -500,8 +506,6 @@ def _verify_lower(cert):
     refusal = lower_refusal(sc, True)  # from the header; the target's exactness once it is built
     if refusal:
         return False, refusal
-    if not (0 <= cert.v0 <= 1):
-        return False, "v0 outside [0, 1]"
     if any(w < 0 for w in cert.weights):
         return False, "negative weight"
     if len(cert.weights) != len(cert.atoms):
@@ -525,18 +529,8 @@ def _verify_lower(cert):
     if refusal:
         return False, refusal
 
-    if _exact_residual_sq(cert.atoms, cert.weights, p, cert.v0) != cert.residual_sq:
-        return False, "residual mismatch"
-
-    if not (0 < cert.nu <= 1):
-        return False, "nu outside (0, 1]"
-    if cert.residual_sq > (1 / cert.nu - 1) ** 2:  # at nu = 1: a nonzero residual
-        return False, "nu too large for the residual"
-
-    eta_sq = 1  # without a polyhedron: the finite scenario's scope
-    if cert.eta_sq is not None:
-        if cert.vertices is None:
-            return False, "eta claimed without polyhedron vertices"
+    poly = None  # without vertices: the finite scenario's scope
+    if cert.vertices is not None:
         # covered by unit measurements and their antipodes: on the sphere and closed
         refusal = _polyhedron_refusal(cert.target, {v.xyzd for v in cert.vertices})
         if refusal:
@@ -545,11 +539,17 @@ def _verify_lower(cert):
             poly = faces_and_eta(list(cert.vertices))
         except Exception as e:
             return False, f"hull reconstruction failed: {e}"
-        if poly.eta_sq != cert.eta_sq:
-            return False, "eta mismatch"
-        eta_sq = cert.eta_sq
-    if not 0 <= cert.v_low <= eta_sq * cert.nu * cert.v0:
-        return False, "v_low outside [0, eta^2 * nu * v0]"
+    try:
+        claim = assemble_lower(sc, poly, cert.v0, RationalModel(
+            cert.atoms, cert.weights, cert.residual_sq), cert.target)
+    except ValueError as e:  # the rule's refusal, or a negative RESIDUAL_SQ's square root
+        return False, str(e)
+    for name, made, claimed in (("nu", claim.nu, cert.nu), ("eta", claim.eta_sq, cert.eta_sq),
+                                ("v_low", claim.v_low, cert.v_low)):
+        if made != claimed:
+            return False, f"{name} mismatch"
+    if _exact_residual_sq(cert.atoms, cert.weights, p, cert.v0) != cert.residual_sq:
+        return False, "residual mismatch"
     return True, "ok"
 
 
@@ -558,13 +558,6 @@ def _verify_upper(cert):
     M = cert.functional
     if M.scenario != sc:
         return False, "functional does not match scenario"
-    if integer_entries(M) is None:
-        return False, "functional is not integer"
-
-    proven = enumerable(sc)
-    if proven and local_bound(M).value != cert.ell:
-        return False, "local bound mismatch"
-
     try:
         p = cert.target.build(sc)
     except Exception as e:
@@ -584,9 +577,11 @@ def _verify_upper(cert):
         return False, "quantum value mismatch"
     if not abs(v_up - cert.v_up) <= v_tol:
         return False, "v_up mismatch"
-    if not proven:
+    if not enumerable(sc):
         return None, (f"unproven: local bound past the enumeration cap, "
                       f"(N-1)*m = {(sc.parties - 1) * sc.inputs} > {EXHAUSTIVE_CAP}")
+    if local_bound(M).value != cert.ell:  # last, as the costliest
+        return False, "local bound mismatch"
     return True, "ok"
 
 

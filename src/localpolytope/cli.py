@@ -27,6 +27,7 @@ from .certify import (
     lower_refusal,
     rationalize_weights,
     read_certificate,
+    require_nu,
     verify,
     write_certificate,
 )
@@ -56,6 +57,8 @@ class CliError(Exception):
 
 
 def _gen_vertices(args):
+    if args.schedule and args.solid != "icosahedron":
+        raise CliError(f"--schedule subdivides the icosahedron, not the {args.solid}")
     if args.solid == "pentakisdodecahedron":
         return list(pentakis_dodecahedron())
     if args.solid == "octahedron":
@@ -237,11 +240,12 @@ def _finish_solve(args, res, p, target, poly_points, v0, stages):
         if res.status == STATUS_SEPARATED:
             print("inconclusive: no convex decomposition within tolerance")
             return 2
-        with _stage(stages, "rationalize"):
-            model = rationalize_weights(res.active_set, p, v0)
-        with _stage(stages, "hull"):
-            poly = faces_and_eta(poly_points) if poly_points else None
         try:
+            require_nu(1 / (1 + res.distance), slack=1e-6)  # float nu: skip exact stages
+            with _stage(stages, "rationalize"):
+                model = rationalize_weights(res.active_set, p, v0)
+            with _stage(stages, "hull"):
+                poly = faces_and_eta(poly_points) if poly_points else None
             with _stage(stages, "assemble"):
                 cert = assemble_lower(p.scenario, poly, v0, model, target)
         except CertificateError as e:

@@ -627,26 +627,31 @@ def test_verify_upper_proves_bipartite_bound_up_to_qubo_cap(monkeypatch):
 
     monkeypatch.setattr(certify, "maximize_functional_heuristic", unproven)
     assert verify(cert) == (True, "ok")
-    assert verify(dataclasses.replace(cert, ell=3)) == (False, "local bound mismatch")
+    assert verify(_with_ell(cert, 1)) == (False, "local bound mismatch")
 
 
 CHSH_INT = np.array([[1, 1], [1, -1]], dtype=object)
 
 
+def _with_ell(cert, ell):
+    """``cert`` claiming the local bound ``ell`` and its V_UP = ell / Q, so that
+    only the enumeration can refute it."""
+    return dataclasses.replace(cert, ell=ell, v_up=Fraction(ell) / cert.q)
+
+
 def test_verify_upper_rejects_int64_wrapped_bound():
-    # CHSH * 2^62 has local bound 2^63, which wraps to -2^63 in int64.
-    # assemble_upper refuses a negative bound, so the wrapped claim is built directly
+    # CHSH * 2^62 has local bound 2^63, which wraps to -2^63 in int64: the rule
+    # refuses that negative bound, and the enumeration the one just below 2^63
     cert = chsh_corner_cert(NM22, CHSH_INT * 2**62, 2**63)
-    wrapped = UpperBoundCertificate(NM22, cert.target, cert.functional, -2**63, cert.q,
-                                    Fraction(-2**63) / cert.q)
-    assert verify(wrapped) == (False, "local bound mismatch")
+    assert verify(_with_ell(cert, -2**63)) == (False, "local bound is negative")
+    assert verify(_with_ell(cert, 2**63 - 1)) == (False, "local bound mismatch")
     assert verify(cert) == (True, "ok")
 
 
 def test_verify_upper_exact_past_int64():
     cert = chsh_corner_cert(NM22, CHSH_INT * 2**70, 2**71)
     assert verify(cert) == (True, "ok")
-    assert verify(dataclasses.replace(cert, ell=2**71 - 1)) == (False, "local bound mismatch")
+    assert verify(_with_ell(cert, 2**71 - 1)) == (False, "local bound mismatch")
 
 
 def test_verify_upper_odd_bound_above_float_range():
@@ -656,7 +661,7 @@ def test_verify_upper_odd_bound_above_float_range():
     M[0, 0] += 1
     cert = chsh_corner_cert(NM22, M, 2**53 + 1)
     assert verify(cert) == (True, "ok")
-    assert verify(dataclasses.replace(cert, ell=2**53)) == (False, "local bound mismatch")
+    assert verify(_with_ell(cert, 2**53)) == (False, "local bound mismatch")
 
 
 def test_verify_upper_past_the_cap_is_unproven():
@@ -796,6 +801,15 @@ def _off_sphere(cert):
     return dataclasses.replace(cert, vertices=(p, *cert.vertices[1:]))
 
 
+def _claiming(cert, v0, nu):
+    """``cert`` at ``v0`` with its residual derived again, claiming ``nu`` and
+    the V_LOW = eta^2 * nu * v0 it gives."""
+    p = cert.target.build(cert.scenario)
+    residual_sq = _exact_residual_sq(cert.atoms, cert.weights, p, v0)
+    return dataclasses.replace(cert, v0=v0, residual_sq=residual_sq, nu=nu,
+                               v_low=cert.eta_sq * nu * v0)
+
+
 # (id, certificate, fault, reason): a fault maps the certificate's text and a
 # fresh read of it to a faulty text, or to a faulty object where the reader
 # would refuse the text.  The checks run in a fixed order, so each fault
@@ -806,7 +820,6 @@ VERIFY_REJECTIONS = [
      lambda t, c: _mutate(t, "SCENARIO 2 6 false", "SCENARIO 2 6 true"),
      "lower certificates need a full-correlation scenario; "
      "lower-order correlators are outside the certified domain"),
-    ("v0", "m6", lambda t, c: _mutate(t, "V0 3/5", "V0 6/5"), "v0 outside [0, 1]"),
     ("length-mismatch", "m6",
      lambda t, c: _mutate(t, f"WEIGHTS {len(c.weights)}\n{format_number(c.weights[0])}\n",
                           f"WEIGHTS {len(c.weights) - 1}\n"),
@@ -831,9 +844,6 @@ VERIFY_REJECTIONS = [
      lambda t, c: _mutate(t, format_row(c.target.alice[0]),
                           " ".join(repr(float(x)) for x in c.target.alice[0])),
      "lower certificates need an exact rational target and model"),
-    ("eta-without-vertices", "m6",
-     lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)), ""),
-     "eta claimed without polyhedron vertices"),
     # the first vertex is a measurement: the two faults below leave it out
     ("vertex-off-sphere", "m6", lambda t, c: _off_sphere(c),
      "measurement is not a polyhedron vertex"),
@@ -857,20 +867,37 @@ VERIFY_REJECTIONS = [
      lambda t, c: _mutate(t, "ETA_SQ none",
                           "VERTICES 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\nETA_SQ 1/2"),
      "hull reconstruction failed: degenerate input: all points coplanar"),
+    # the rule: assemble_lower on the file's data, whose values the claims must equal
+    ("v0", "m6", lambda t, c: _mutate(t, "V0 3/5", "V0 6/5"), "v0 must lie in [0, 1]"),
+    # V0 1 puts the residual at nu = 0.4192: NU 2/5 and its V_LOW claim less than it
+    ("nu-below-min", "m6", lambda t, c: _claiming(c, Fraction(1), Fraction(2, 5)),
+     "residual too large: nu = 0.4192 < 0.5"),
+    ("nu-weakened", "m6",
+     lambda t, c: _mutate(_mutate(t, f"NU {format_number(c.nu)}", "NU 1/1000000000"),
+                          f"V_LOW {format_number(c.v_low)}", "V_LOW 0"),
+     "nu mismatch"),
+    ("eta-without-vertices", "m6",
+     lambda t, c: _mutate(t, "VERTICES 12\n" + "".join(map(_row, c.vertices)), ""),
+     "eta mismatch"),
+    ("eta-none-with-vertices", "m6",
+     lambda t, c: _mutate(t, f"ETA_SQ {format_number(c.eta_sq)}", "ETA_SQ none"),
+     "eta mismatch"),
+    ("v-low-halved", "m6",
+     lambda t, c: _mutate(t, f"V_LOW {format_number(c.v_low)}",
+                          f"V_LOW {format_number(c.v_low / 2)}"),
+     "v_low mismatch"),
     ("functional-scenario", "mermin",
      lambda t, c: _mutate(t, "SCENARIO 3 2 false", "SCENARIO 3 2 true"),
      "functional does not match scenario"),
-    ("functional-fraction", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n1/2 0\n"),
-     "functional is not integer"),
-    ("functional-float", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n0.5 0\n"),
-     "functional is not integer"),
     ("upper-target-build", "corner",
      lambda t, c: _mutate(t, "TENSOR\n2 2 false", "TENSOR\n1 4 false"),
      "target reconstruction failed: embedded tensor does not match scenario"),
+    ("functional-fraction", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n1/2 0\n"),
+     "upper certificates need an integer functional"),
+    ("functional-float", "mermin", lambda t, c: _mutate(t, "\n1 0\n", "\n0.5 0\n"),
+     "upper certificates need an integer functional"),
     ("ell-not-integer", "mermin", lambda t, c: _mutate(t, "ELL 2", "ELL 2.0"),
      "local bound must be an exact integer"),
-    ("q-not-exact", "corner", lambda t, c: _mutate(t, "7/10", "0.7", -1),
-     "quantum value not reproducible exactly"),
     # ELL is the enumerated bound 2, and so is <M, p> once p is halved CHSH
     ("no-violation-exact", "corner",
      lambda t, c: _mutate(_mutate(t, "7/10", "1/2", -1), "Q 14/5", "Q 2"),
@@ -879,6 +906,8 @@ VERIFY_REJECTIONS = [
      lambda t, c: _mutate(_mutate(_mutate(t, "7/10", "0.5", -1), "Q 14/5", "Q 2.0 TOL 1e-09"),
                           "V_UP 5/7", "V_UP 1.0"),
      "no violation: quantum value does not exceed the local bound by more than the tolerance"),
+    ("q-not-exact", "corner", lambda t, c: _mutate(t, "7/10", "0.7", -1),
+     "quantum value not reproducible exactly"),
 ]
 
 

@@ -18,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from localpolytope.certify import (  # noqa: E402
+    MIN_NU,
     CertificateError,
     TargetSpec,
     _exact_residual_sq,
@@ -109,7 +110,8 @@ nonzero_delta = st.fractions(
     st.booleans(),
 )
 def test_changed_claim_never_verifies(key, where, delta, down):
-    # v_low only moves up: a smaller v_low is a weaker claim that still holds
+    # every claim must equal what assemble_lower makes of the file's data: a
+    # smaller v_low or nu is a weaker claim, and fails all the same
     lines = list(m6_lines())
     if key == "WEIGHT":
         start = next(i for i, ln in enumerate(lines) if ln.startswith("WEIGHTS")) + 1
@@ -118,7 +120,7 @@ def test_changed_claim_never_verifies(key, where, delta, down):
     else:
         i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
         old, prefix = lines[i].split()[1], key + " "
-    new = Fraction(old) + (-delta if down and key != "V_LOW" else delta)
+    new = Fraction(old) + (-delta if down else delta)
     lines[i] = f"{prefix}{new.numerator}/{new.denominator}"
     out = verdict(lines)
     assert out is None or not out[0]
@@ -129,7 +131,7 @@ def test_changed_claim_never_verifies(key, where, delta, down):
 def test_eta_needs_every_antipodal_pair_measured(data):
     # each row of a party becomes one of its rows, kept or negated, and the
     # residual is derived again: the claim stands exactly when every party
-    # still measures all 6 antipodal pairs of vertices
+    # still measures all 6 antipodal pairs of vertices and nu stays >= 1/2
     cert = read_certificate(io.StringIO("\n".join(m6_lines()) + "\n"))
     rows, covered = {}, True
     for party in ("alice", "bob"):
@@ -148,7 +150,11 @@ def test_eta_needs_every_antipodal_pair_measured(data):
     nu = nu_factor(residual_sq)
     forged = dataclasses.replace(cert, target=target, residual_sq=residual_sq, nu=nu,
                                  v_low=cert.eta_sq * nu * cert.v0)
-    expected = (True, "ok") if covered else (False, "measurements do not span the polyhedron")
+    expected = (True, "ok")
+    if not covered:
+        expected = (False, "measurements do not span the polyhedron")
+    elif nu < MIN_NU:
+        expected = (False, f"residual too large: nu = {float(nu):.4f} < 0.5")
     assert verify(forged) == expected
 
 

@@ -16,7 +16,6 @@ from localpolytope.cli import GEODESIC_SCHEDULES, main
 from localpolytope import certify
 from localpolytope.certify import (
     CertificateError,
-    UpperBoundCertificate,
     read_certificate,
     write_certificate,
 )
@@ -41,6 +40,16 @@ def test_polyhedron_gen_and_eta(tmp_path, capsys):
     text = capsys.readouterr().out
     val = float(text.split("eta^2 = ")[1].split("=")[1].split()[0])
     assert abs(val - (5 + 2 * math.sqrt(5)) / 15) < 1e-8
+
+
+@pytest.mark.parametrize("solid, schedule", [("octahedron", "3"), ("pentakisdodecahedron", "2")])
+def test_schedule_subdivides_only_the_icosahedron(tmp_path, capsys, solid, schedule):
+    out = tmp_path / "v.txt"
+    assert run(["polyhedron", "gen", "--solid", solid, "--schedule", schedule,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --schedule subdivides the icosahedron, not the {solid}\n")
+    assert not out.exists()
 
 
 def test_polyhedron_gen_pentakis(tmp_path, capsys):
@@ -175,19 +184,28 @@ def test_solve_lower_outside_the_polytope_is_inconclusive(tmp_path, capsys):
     assert list(meta["stages"]) == ["build", "solve"]
 
 
-@pytest.mark.parametrize("v0, cap, code, message", [
-    ("0.55", "1000", 0, "certified lower bound v_low = 0.460141 for all projective measurements"),
-    ("0.9", "1000", 2, "certificate assembly failed: residual too large: nu = 0.4008 < 0.5"),
-    ("0.9", "1000000", 2, "inconclusive: no convex decomposition within tolerance"),
+EXACT_STAGES = ["build", "solve", "rationalize", "hull", "assemble", "verify", "write"]
+
+
+@pytest.mark.parametrize("v0, cap, code, message, stages", [
+    ("0.55", "1000", 0, "certified lower bound v_low = 0.460141 for all projective measurements",
+     EXACT_STAGES),
+    ("0.9", "1000", 2, "certificate assembly failed: residual too large: nu = 0.4008 < 0.5",
+     ["build", "solve"]),
+    ("0.9", "1000000", 2, "inconclusive: no convex decomposition within tolerance",
+     ["build", "solve"]),
 ], ids=["capped", "capped-far-outside", "separated"])
-def test_capped_lower_runs_certify_their_iterate(tmp_path, capsys, v0, cap, code, message):
-    # only a separated run is refused before the certificate stages; nu prices the rest
+def test_capped_lower_runs_certify_their_iterate(tmp_path, capsys, v0, cap, code, message,
+                                                 stages):
+    # a separated run, and one whose float nu misses 1/2 by more than rounding, are
+    # refused before the exact stages; the exact rule prices the rest
     out = tmp_path / "C"
     assert run(["solve", "lower", "--state", "werner", "--m", "16", "--v0", v0,
                 "--restarts", "100", "--seed", "0", "--max-iter", cap, "--out", str(out)]) == code
     assert message in capsys.readouterr().out
     meta = json.loads((tmp_path / "C.run.json").read_text())
     assert meta["status"] == ("separated" if cap == "1000000" else "iteration_cap")
+    assert list(meta["stages"]) == stages
     assert out.exists() == (code == 0)
     if code == 0:
         assert run(["certify", "verify", "--in", str(out)]) == 0
@@ -577,20 +595,20 @@ def test_solve_with_polyhedron_file(tmp_path):
 
 
 def _write_chsh_corner_cert(path, scale, ell, m=2):
-    # built directly: assemble_upper refuses to make a claim with a negative ell
+    # ELL and V_UP = ELL / Q pass the rule, so that only the enumeration refutes them
     cert = chsh_corner_cert(Scenario(2, m, marginals=False),
-                            [[scale, scale], [scale, -scale]], 0)
-    cert = UpperBoundCertificate(cert.scenario, cert.target, cert.functional, ell, cert.q,
-                                 Fraction(ell) / cert.q)
+                            [[scale, scale], [scale, -scale]], ell)
     with open(path, "w") as fp:
         write_certificate(cert, fp)
 
 
+# 2^62 CHSH has local bound 2^63, which wraps to -2^63 in int64
 @pytest.mark.parametrize("scale, ell, code, verdict", [
-    (2**62, -2**63, 1, "INVALID certificate: local bound mismatch"),  # int64 wrap
+    (2**62, 2**63 - 1, 1, "INVALID certificate: local bound mismatch"),
+    (2**62, 2**63, 0, "VALID upper certificate"),
     (2**70, 2**71, 0, "VALID upper certificate"),
     (2**70, 2**71 - 1, 1, "INVALID certificate: local bound mismatch"),
-], ids=["int64-wrap", "2^70", "2^70-understated"])
+], ids=["int64-wrap", "int64-wrap-honest", "2^70", "2^70-understated"])
 def test_certify_huge_functional_entries(tmp_path, capsys, scale, ell, code, verdict):
     path = tmp_path / "big.cert"
     _write_chsh_corner_cert(path, scale, ell)
@@ -621,6 +639,25 @@ Q 2.0000000008 TOL 1e-09
 V_UP 0.9999999996
 END
 """
+
+# (N-1)*m = 26, at the enumeration cap: <M, p> = 169, far from the claimed Q
+FORGED_M26_CERT = ("UPPER-CERTIFICATE\nSCENARIO 2 26 false\nTARGET tensor\nTENSOR\n2 26 false\n"
+                   + "1/4 " * 676 + "\nM\n2 26 false\n" + "1 " * 676
+                   + "\nELL 5\nQ 1000000\nV_UP 1/200000\nEND\n")
+
+
+def test_certify_refutes_a_false_quantum_value_before_enumerating(tmp_path, monkeypatch,
+                                                                 capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the local bound was enumerated")
+
+    monkeypatch.setattr(certify, "local_bound", never)
+    path = tmp_path / "m26.cert"
+    path.write_text(FORGED_M26_CERT)
+    capsys.readouterr()
+    assert run(["certify", "verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == "INVALID certificate: quantum value mismatch\n"
+
 
 # past the enumeration cap, so ELL is not enumerated: q = 0 and a negative ELL
 ZERO_Q_CERT = ("UPPER-CERTIFICATE\nSCENARIO 2 27 false\nTARGET tensor\nTENSOR\n2 27 false\n"
